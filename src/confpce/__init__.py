@@ -33,6 +33,7 @@ from .conformal import (
     finite_quantile_lower,
     finite_quantile_upper,
     interval_arrays,
+    interval_bounds,
     jackknife_interval,
     jackknife_plus_interval,
     prediction_intervals,
@@ -42,6 +43,7 @@ from .errors import (
     BasisSizeError,
     ConfpceError,
     DomainError,
+    IntervalError,
     LeverageError,
     RankDeficientError,
     UnderdeterminedError,
@@ -59,11 +61,13 @@ from .harness import (
 from .pce import (
     Dataset,
     PceModel,
+    basis_rows,
     brute_force_loo,
     fit,
     from_json,
     loo_predict,
     loo_residuals,
+    loo_values,
     output_variance,
     pce_variance,
     predict,

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import InputSpec, build_total_degree_set, to_reference
+from .errors import DomainError
 from .pce import Dataset
 
 _STREAM_IDS = {"train": 0, "test": 1}
@@ -75,7 +76,8 @@ def _piston(x: np.ndarray) -> np.ndarray:
     weight, area, v0, spring, p0, t_amb, t_gas = (x[:, i] for i in range(7))
     a = p0 * area + 19.62 * weight - spring * v0 / area
     root_arg = a**2 + 4.0 * spring * (p0 * v0 / t_gas) * t_amb
-    assert np.all(root_arg > 0.0), "square-root argument must stay positive inside the box"
+    if not np.all(root_arg > 0.0):
+        raise DomainError("piston square-root argument is not positive; inputs lie outside the box")
     v = area / (2.0 * spring) * (np.sqrt(root_arg) - a)
     return 2.0 * np.pi * np.sqrt(weight / (spring + area**2 * (p0 * v0 / t_gas) * (t_gas / v**2)))
 

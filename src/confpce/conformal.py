@@ -27,18 +27,19 @@ outside 1..M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ZeroVarianceError
+from .errors import IntervalError, ZeroVarianceError
 from .pce import (
     VARIANCE_FLOOR,
     PceModel,
-    loo_predict,
+    basis_rows,
+    loo_predict,  # noqa: F401  public name kept importable from this module
+    loo_values,
     output_variance,
-    predict,
 )
 
 METHODS = ("jackknife", "jackknife_plus")
@@ -165,18 +166,19 @@ def _scores_in_output_units(model: PceModel, cfg: ConformalConfig) -> np.ndarray
 
 def jackknife_interval(model: PceModel, x: np.ndarray, cfg: ConformalConfig) -> PredictionInterval:
     """Symmetric interval mu(x) +/- q_{1-s}{a_m} at one point."""
-    center, lower, upper = _jackknife_arrays(model, np.atleast_2d(np.asarray(x, dtype=float)), cfg)
-    return PredictionInterval(lower=float(lower[0]), upper=float(upper[0]), center=float(center[0]))
+    return _single_interval(model, x, replace(cfg, method="jackknife"))
 
 
 def jackknife_plus_interval(
     model: PceModel, x: np.ndarray, cfg: ConformalConfig
 ) -> PredictionInterval:
     """Asymmetric interval from order statistics of mu_{~m}(x) -/+ a_m."""
-    center, lower, upper = _jackknife_plus_arrays(
-        model, np.atleast_2d(np.asarray(x, dtype=float)), cfg
-    )
-    return PredictionInterval(lower=float(lower[0]), upper=float(upper[0]), center=float(center[0]))
+    return _single_interval(model, x, replace(cfg, method="jackknife_plus"))
+
+
+def _single_interval(model, x, cfg):
+    centers, lowers, uppers = interval_arrays(model, x, cfg)
+    return PredictionInterval(lower=float(lowers[0]), upper=float(uppers[0]), center=float(centers[0]))
 
 
 def prediction_intervals(
@@ -193,30 +195,66 @@ def prediction_intervals(
 def interval_arrays(
     model: PceModel, points: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized interval bounds: (centers, lowers, uppers), each shape (n,)."""
+    """Vectorized interval bounds: (centers, lowers, uppers), each shape (n,).
+
+    Evaluates the basis at the points once and hands the rows to
+    :func:`interval_bounds`.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if cfg.method == "jackknife":
-        return _jackknife_arrays(model, points, cfg)
-    return _jackknife_plus_arrays(model, points, cfg)
+    return interval_bounds(model, basis_rows(points, model.index_set, model.input_spec), cfg)
 
 
-def _jackknife_arrays(model, points, cfg):
-    centers = predict(model, points)
-    half = finite_quantile_upper(_scores_in_output_units(model, cfg), cfg.significance)
-    return centers, centers - half, centers + half
+# jackknife+ walks the n x M matrix of LOO predictions in blocks of rows of
+# about this many bytes, so its memory does not grow with the number of points.
+_CHUNK_BYTES = 8 * 2**20
 
 
-def _jackknife_plus_arrays(model, points, cfg):
-    centers = predict(model, points)
+def _chunk_rows(n_train: int) -> int:
+    """Test points per jackknife+ block for a model with n_train samples."""
+    return max(1, _CHUNK_BYTES // (8 * n_train))
+
+
+def interval_bounds(
+    model: PceModel, rows: np.ndarray, cfg: ConformalConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interval bounds at precomputed basis rows (n, K), see :func:`basis_rows`.
+
+    Returns (centers, lowers, uppers), each shape (n,). Each jackknife+ bound
+    is an order statistic of one row of the LOO matrix, so the matrix is
+    built and partitioned one block of test points at a time.
+
+    Raises:
+        ZeroVarianceError: For normalized scores on a zero-variance target.
+        IntervalError: If a bound is NaN or a lower bound exceeds its upper.
+    """
+    centers = rows @ model.coefficients
     a = _scores_in_output_units(model, cfg)
     m = a.shape[0]
     k = _upper_index(m, cfg.significance)
-    if k > m:
-        inf = np.full_like(centers, np.inf)
-        return centers, -inf, inf
-    loo = loo_predict(model, points)
-    lowers = np.partition(loo - a, m - k, axis=1)[:, m - k]
-    uppers = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
+    if cfg.method == "jackknife":
+        half = finite_quantile_upper(a, cfg.significance)
+        lowers, uppers = centers - half, centers + half
+    elif k > m:
+        uppers = np.full_like(centers, np.inf)
+        lowers = -uppers
+    else:
+        lowers, uppers = np.empty_like(centers), np.empty_like(centers)
+        step = _chunk_rows(m)
+        for start in range(0, centers.shape[0], step):
+            block = slice(start, start + step)
+            loo = loo_values(model, rows[block], centers[block])
+            shifted = loo - a
+            shifted.partition(m - k, axis=1)
+            lowers[block] = shifted[:, m - k]
+            loo += a
+            loo.partition(k - 1, axis=1)
+            uppers[block] = loo[:, k - 1]
+    bad = ~(lowers <= uppers)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise IntervalError(
+            f"interval at point {i} has lower {lowers[i]!r} and upper {uppers[i]!r}"
+        )
     return centers, lowers, uppers
 
 

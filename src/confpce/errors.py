@@ -27,3 +27,7 @@ class LeverageError(ConfpceError):
 
 class ZeroVarianceError(ConfpceError):
     """Output variance estimate is zero; normalized quantities undefined."""
+
+
+class IntervalError(ConfpceError):
+    """An interval bound is NaN or its lower bound exceeds its upper bound."""

@@ -3,9 +3,11 @@
 One cell is a full coordinate tuple (benchmark, degree, oversampling, method,
 score, seed). Cells are independent and deterministic: the training and test
 sets are drawn from separate streams keyed by (degree, oversampling, seed),
-so rerunning a configuration reproduces every record byte for byte. Fit
-failures are captured into the record instead of aborting the grid, because
-poorly oversampled cells are themselves part of the study.
+so rerunning a configuration reproduces every record byte for byte. The
+cells of one design (degree, oversampling, seed) share its samples, its fit
+and its test-point basis rows, which are computed once. Fit failures are
+captured into the record instead of aborting the grid, because poorly
+oversampled cells are themselves part of the study.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from .basis import build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
-from .conformal import ConformalConfig, METHODS, SCORES, empirical_coverage, prediction_intervals
+from .conformal import ConformalConfig, METHODS, SCORES, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError
-from .pce import VARIANCE_FLOOR, fit, output_variance, relative_loo_error
+from .pce import VARIANCE_FLOOR, basis_rows, fit, output_variance, relative_loo_error
 
 RECORD_COLUMNS = (
     "benchmark",
@@ -169,76 +171,97 @@ def run_cell(
     from the train stream; the test set has test_size points from the test
     stream; both are keyed by (degree, oversampling, seed). A degenerate
     zero-variance target yields rel_loo_error = nan rather than a failure.
+    This is the one-cell case of the per-design path :func:`run_grid` uses,
+    so a cell's record is the same whether it runs alone or in a grid.
     """
-    coords = dict(
-        benchmark=benchmark,
-        degree=degree,
-        oversampling=oversampling,
-        method=method,
-        score=score,
-        seed=seed,
-    )
+    cells = ((method, score),)
+    return _run_design(benchmark, degree, oversampling, seed, cells, significance, test_size)[0]
+
+
+def _run_design(benchmark, degree, oversampling, seed, cells, significance, test_size):
+    """Records of the (method, score) cells of one design, in `cells` order.
+
+    The design (benchmark, degree, oversampling, seed) is sampled, fit and
+    evaluated at its test points once; every cell is then scored from those
+    shared arrays. A fit failure fails every cell of the design with the same
+    reason; an interval failure fails only its own cell.
+    """
+    coords = dict(benchmark=benchmark, degree=degree, oversampling=oversampling, seed=seed)
+
+    def all_failed(exc):
+        return [RunRecord(**coords, method=method, score=score, failure=_failure(exc))
+                for method, score in cells]
+
     bench = get_benchmark(benchmark)
-    n_basis = len(build_total_degree_set(bench.dim, degree))
+    index_set = build_total_degree_set(bench.dim, degree)
     m = design_size(benchmark, degree, oversampling)
-    if m < n_basis:
-        failure = UnderdeterminedError(
-            f"underdetermined cell: M={m} < K={n_basis} for P={degree}, C={oversampling}"
-        )
-        return RunRecord(**coords, failure=f"{type(failure).__name__}: {failure}")
+    if m < len(index_set):
+        return all_failed(UnderdeterminedError(
+            f"underdetermined cell: M={m} < K={len(index_set)} for P={degree}, C={oversampling}"
+        ))
 
     cell_seed = (degree, oversampling, seed)
     try:
         train = sample_design(benchmark, m, seed=cell_seed, stream="train")
-        model = fit(train, build_total_degree_set(bench.dim, degree), bench.input_spec)
+        model = fit(train, index_set, bench.input_spec)
         test = sample_design(benchmark, test_size, seed=cell_seed, stream="test")
-        cfg = ConformalConfig(method=method, score=score, significance=significance)
-        intervals = prediction_intervals(model, test.inputs, cfg)
-        coverage = empirical_coverage(intervals, test.outputs)
+        rows = basis_rows(test.inputs, model.index_set, model.input_spec)
     except ConfpceError as exc:
-        return RunRecord(**coords, failure=f"{type(exc).__name__}: {exc}")
+        return all_failed(exc)
 
-    widths = np.array([iv.width for iv in intervals])
     if output_variance(model) <= VARIANCE_FLOOR:
         rel_loo = float("nan")
     else:
         rel_loo = relative_loo_error(model)
-    return RunRecord(
-        **coords,
-        coverage=coverage,
-        mean_width=float(np.mean(widths)),
-        median_width=float(np.median(widths)),
-        rel_loo_error=rel_loo,
-        condition_number=model.condition_number,
-        n_unbounded=int(sum(iv.is_unbounded for iv in intervals)),
-    )
+    truths = test.outputs
+    records = []
+    for method, score in cells:
+        cfg = ConformalConfig(method=method, score=score, significance=significance)
+        try:
+            _, lowers, uppers = interval_bounds(model, rows, cfg)
+        except ConfpceError as exc:
+            records.append(RunRecord(**coords, method=method, score=score, failure=_failure(exc)))
+            continue
+        widths = uppers - lowers
+        records.append(RunRecord(
+            **coords,
+            method=method,
+            score=score,
+            coverage=float(np.mean((lowers <= truths) & (truths <= uppers))),
+            mean_width=float(np.mean(widths)),
+            median_width=float(np.median(widths)),
+            rel_loo_error=rel_loo,
+            condition_number=model.condition_number,
+            n_unbounded=int(np.count_nonzero(np.isinf(lowers) | np.isinf(uppers))),
+        ))
+    return records
+
+
+def _failure(exc: ConfpceError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_grid(config: ExperimentConfig) -> CoverageReport:
     """Runs the full Cartesian grid of the config, seeds innermost.
 
-    Record order follows the config's coordinate lists with seeds innermost,
-    so identical configs yield identical reports; aggregates are reduced
-    after a stable sort by coordinates.
+    Each design (P, C, seed) is sampled, fit and evaluated at its test points
+    once, and all of its (method, score) cells are scored from those shared
+    arrays; jackknife+ memory stays bounded because its LOO matrix is built
+    in blocks of test points. Record order follows the config's coordinate
+    lists with seeds innermost, so identical configs yield identical reports;
+    aggregates are reduced after a stable sort by coordinates.
     """
+    cells = [(method, score) for method in config.methods for score in config.scores]
     records = []
     for degree in config.degrees:
         for oversampling in config.oversampling:
-            for method in config.methods:
-                for score in config.scores:
-                    for seed in range(config.n_seeds):
-                        records.append(
-                            run_cell(
-                                config.benchmark,
-                                degree,
-                                oversampling,
-                                method,
-                                score,
-                                config.significance,
-                                seed,
-                                config.test_size,
-                            )
-                        )
+            designs = [
+                _run_design(config.benchmark, degree, oversampling, seed, cells,
+                            config.significance, config.test_size)
+                for seed in range(config.n_seeds)
+            ]
+            for i in range(len(cells)):
+                records.extend(design[i] for design in designs)
     return CoverageReport(records=tuple(records), aggregates=tuple(aggregate_records(records)))
 
 

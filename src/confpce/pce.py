@@ -115,8 +115,17 @@ class PceModel:
         return self.coefficients.shape[0]
 
 
-def _design_matrix(inputs: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) -> np.ndarray:
-    return eval_basis_matrix(to_reference(inputs, spec), index_set)
+def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) -> np.ndarray:
+    """Maps box points (n, N) to their basis rows, shape (n, K).
+
+    Row i holds every basis element at point i: the design matrix for
+    training inputs, the test-point rows for predictions and intervals.
+    Evaluate the rows of a point set once and reuse them.
+
+    Raises:
+        DomainError: If a point lies outside the box beyond tolerance.
+    """
+    return eval_basis_matrix(to_reference(points, spec), index_set)
 
 
 def fit(
@@ -160,7 +169,7 @@ def fit(
             f"underdetermined fit: M={m} training samples < K={k} basis terms"
         )
 
-    design = _design_matrix(data.inputs, index_set, spec)
+    design = basis_rows(data.inputs, index_set, spec)
     q, r = np.linalg.qr(design, mode="reduced")
     condition = float(np.linalg.cond(r))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
@@ -211,10 +220,8 @@ def predict(model: PceModel, x: np.ndarray):
     Returns a float for a single point, an array of shape (n,) for a batch.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = _design_matrix(np.atleast_2d(x), model.index_set, model.input_spec)
-    values = rows @ model.coefficients
-    return float(values[0]) if single else values
+    values = basis_rows(np.atleast_2d(x), model.index_set, model.input_spec) @ model.coefficients
+    return float(values[0]) if x.ndim == 1 else values
 
 
 def loo_residuals(model: PceModel) -> np.ndarray:
@@ -237,11 +244,18 @@ def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
         Array of shape (M,) for a single point, (n, M) for a batch.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = _design_matrix(np.atleast_2d(x), model.index_set, model.input_spec)
-    center = rows @ model.coefficients
-    values = center[:, None] - rows @ model.loo_corrections.T
-    return values[0] if single else values
+    rows = basis_rows(np.atleast_2d(x), model.index_set, model.input_spec)
+    values = loo_values(model, rows, rows @ model.coefficients)
+    return values[0] if x.ndim == 1 else values
+
+
+def loo_values(model: PceModel, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """LOO predictions at precomputed basis rows (n, K), shape (n, M).
+
+    `centers` are the full-model predictions rows @ coefficients; entry
+    (i, m) is centers[i] - rows[i] @ G[m] with G the correction matrix.
+    """
+    return centers[:, None] - rows @ model.loo_corrections.T
 
 
 def brute_force_loo(
@@ -273,13 +287,13 @@ def brute_force_loo(
         raise UnderdeterminedError(
             f"brute-force LOO needs M - 1 >= K, got M={m}, K={k}"
         )
-    design = _design_matrix(data.inputs, index_set, spec)
+    design = basis_rows(data.inputs, index_set, spec)
     star_rows = None
     single = False
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
         single = x_star.ndim == 1
-        star_rows = _design_matrix(np.atleast_2d(x_star), index_set, spec)
+        star_rows = basis_rows(np.atleast_2d(x_star), index_set, spec)
 
     residuals = np.empty(m)
     predictions = np.empty((star_rows.shape[0], m)) if star_rows is not None else None
@@ -367,7 +381,12 @@ def to_json(model: PceModel) -> str:
 
 
 def from_json(text: str) -> PceModel:
-    """Rebuilds a model from :func:`to_json` output."""
+    """Rebuilds a model from :func:`to_json` output.
+
+    Raises:
+        ValueError: If the arrays disagree in shape with the basis or hold a
+            non-finite number.
+    """
     doc = json.loads(text)
     spec = InputSpec(ranges=tuple((float(lo), float(hi)) for lo, hi in doc["input_spec"]["ranges"]))
     mis = doc["multi_index_set"]
@@ -386,6 +405,14 @@ def from_json(text: str) -> PceModel:
         raise ValueError("loo_corrections shape does not match (M, K)")
     if loo_res.shape != hat_diag.shape:
         raise ValueError("loo_residuals and hat_diag lengths disagree")
+    for name, values in (
+        ("coefficients", coefficients),
+        ("hat_diag", hat_diag),
+        ("loo_residuals", loo_res),
+        ("loo_corrections", loo_corr),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} contains non-finite values")
     return PceModel(
         index_set=index_set,
         input_spec=spec,

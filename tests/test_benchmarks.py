@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confpce.benchmarks import (
+    _piston,
     Benchmark,
     benchmark_names,
     dataset_from_csv,
@@ -69,6 +70,11 @@ class TestEvaluate:
     def test_unknown_benchmark(self):
         with pytest.raises(KeyError):
             evaluate("rosenbrock", np.array([0.0]))
+
+    def test_piston_square_root_domain(self):
+        # Zero weight, spring and pressure make the square-root argument 0.
+        with pytest.raises(DomainError, match="square-root"):
+            _piston(np.array([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0]]))
 
 
 class TestSampling:

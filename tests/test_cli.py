@@ -189,6 +189,43 @@ class TestInterval:
         )
         assert code == 2
 
+    def test_nonfinite_model_exit_2(self, tmp_path, zero_model, query_points, capsys):
+        doc = json.loads(zero_model.read_text())
+        doc["coefficients"][0] = float("nan")
+        zero_model.write_text(json.dumps(doc))
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(zero_model), "--points", str(query_points),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_model_exit_3(self, tmp_path, capsys):
+        # Finite but huge numbers: inf - inf makes every jackknife+ bound NaN.
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "fit", "--benchmark", "meromorphic", "--m", "40", "--degree", "3",
+            "--out", str(model),
+        ) == 0
+        doc = json.loads(model.read_text())
+        doc["coefficients"] = [1e308] * len(doc["coefficients"])
+        doc["loo_corrections"] = [[1e308] * len(row) for row in doc["loo_corrections"]]
+        model.write_text(json.dumps(doc))
+        points = tmp_path / "pts.csv"
+        points.write_text("x1\n1.0\n")
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(model), "--points", str(points),
+            "--method", "jk+", "--out", str(out),
+        )
+        assert code == 3
+        assert "error: IntervalError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_model_exit_2(self, tmp_path, query_points):
         code = run_cli(
             "interval", "--model", str(tmp_path / "no.json"), "--points", str(query_points),

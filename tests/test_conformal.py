@@ -1,6 +1,7 @@
 """Tests for finite-sample quantiles and the two interval constructions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from confpce.basis import InputSpec, build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import (
+    _chunk_rows,
     ConformalConfig,
     PredictionInterval,
     empirical_coverage,
@@ -19,8 +21,16 @@ from confpce.conformal import (
     prediction_intervals,
     scores,
 )
-from confpce.errors import ZeroVarianceError
-from confpce.pce import Dataset, PceModel, brute_force_loo, fit, output_variance, predict
+from confpce.errors import IntervalError, ZeroVarianceError
+from confpce.pce import (
+    Dataset,
+    PceModel,
+    brute_force_loo,
+    fit,
+    loo_predict,
+    output_variance,
+    predict,
+)
 
 UNIT_SPEC = InputSpec(ranges=((-1.0, 1.0),))
 
@@ -278,6 +288,52 @@ class TestIntervalProperties:
             np.testing.assert_allclose(centers, [iv.center for iv in one_by_one], rtol=1e-14)
             np.testing.assert_allclose(lowers, [iv.lower for iv in one_by_one], rtol=1e-14)
             np.testing.assert_allclose(uppers, [iv.upper for iv in one_by_one], rtol=1e-14)
+
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
+        model, _ = otl_model
+        m = model.n_train
+        n = _chunk_rows(m) + offset
+        points = sample_design("otl_circuit", n, seed=92, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        k = math.ceil(0.95 * (m + 1))
+        loo = loo_predict(model, points)
+        a = np.abs(model.loo_residuals)
+        want_lo = np.partition(loo - a, m - k, axis=1)[:, m - k]
+        want_hi = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
+        centers, lowers, uppers = interval_arrays(model, points, cfg)
+        np.testing.assert_array_equal(centers, predict(model, points))
+        np.testing.assert_array_equal(lowers, want_lo)
+        np.testing.assert_array_equal(uppers, want_hi)
+
+
+class TestIntervalError:
+    @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
+    def test_nan_coefficients_raise_typed_error(self, otl_model, method):
+        model, points = otl_model
+        broken = replace(model, coefficients=np.full(model.n_basis, np.nan))
+        cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
+        with pytest.raises(IntervalError, match="point 0"):
+            interval_arrays(broken, points, cfg)
+        with pytest.raises(IntervalError):
+            prediction_intervals(broken, points, cfg)
+
+    def test_inverted_bounds_raise_typed_error(self):
+        # Spread-out LOO predictions and tiny scores at s > 1/2: the
+        # jackknife+ lower bound (7th smallest of 9) passes the upper (3rd).
+        model = PceModel(
+            index_set=build_total_degree_set(1, 1),
+            input_spec=UNIT_SPEC,
+            coefficients=np.array([2.0, 0.0]),
+            normal_inverse=None,
+            hat_diag=np.full(9, 0.1),
+            loo_residuals=np.full(9, 1e-3),
+            loo_corrections=np.column_stack([np.zeros(9), np.arange(9.0)]),
+        )
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.75)
+        with pytest.raises(IntervalError, match="point 0 has lower"):
+            interval_arrays(model, np.array([[0.5]]), cfg)
 
 
 class TestEmpiricalCoverage:

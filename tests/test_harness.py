@@ -1,12 +1,23 @@
 """Tests for the experiment grid: determinism, failure capture, reports."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from confpce.basis import InputSpec
-from confpce.benchmarks import Benchmark, register_benchmark, unregister_benchmark
+from confpce import harness
+from confpce.basis import InputSpec, build_total_degree_set
+from confpce.benchmarks import (
+    Benchmark,
+    design_size,
+    get_benchmark,
+    register_benchmark,
+    sample_design,
+    unregister_benchmark,
+)
+from confpce.conformal import ConformalConfig, empirical_coverage, prediction_intervals
+from confpce.errors import ConfpceError
 from confpce.harness import (
     AGGREGATE_COLUMNS,
     CoverageReport,
@@ -18,6 +29,7 @@ from confpce.harness import (
     run_cell,
     run_grid,
 )
+from confpce.pce import VARIANCE_FLOOR, fit, output_variance, relative_loo_error
 
 
 @pytest.fixture()
@@ -222,6 +234,100 @@ class TestRunGrid:
         jk, jkp = report.records
         assert jk.method == "jackknife" and jkp.method == "jackknife_plus"
         assert jk.rel_loo_error == jkp.rel_loo_error  # same fit underneath
+
+
+def object_path_record(benchmark, degree, oversampling, method, score, significance, seed,
+                       test_size):
+    """One cell rebuilt alone on the interval-object path, as a reference."""
+    coords = dict(benchmark=benchmark, degree=degree, oversampling=oversampling,
+                  method=method, score=score, seed=seed)
+    bench = get_benchmark(benchmark)
+    index_set = build_total_degree_set(bench.dim, degree)
+    m = design_size(benchmark, degree, oversampling)
+    if m < len(index_set):
+        return RunRecord(**coords, failure=(
+            f"UnderdeterminedError: underdetermined cell: M={m} < K={len(index_set)} "
+            f"for P={degree}, C={oversampling}"
+        ))
+    key = (degree, oversampling, seed)
+    try:
+        train = sample_design(benchmark, m, seed=key, stream="train")
+        model = fit(train, index_set, bench.input_spec)
+        test = sample_design(benchmark, test_size, seed=key, stream="test")
+        cfg = ConformalConfig(method=method, score=score, significance=significance)
+        intervals = prediction_intervals(model, test.inputs, cfg)
+        coverage = empirical_coverage(intervals, test.outputs)
+    except ConfpceError as exc:
+        return RunRecord(**coords, failure=f"{type(exc).__name__}: {exc}")
+    widths = np.array([iv.width for iv in intervals])
+    rel = math.nan if output_variance(model) <= VARIANCE_FLOOR else relative_loo_error(model)
+    return RunRecord(
+        **coords,
+        coverage=coverage,
+        mean_width=float(np.mean(widths)),
+        median_width=float(np.median(widths)),
+        rel_loo_error=rel,
+        condition_number=model.condition_number,
+        n_unbounded=sum(iv.is_unbounded for iv in intervals),
+    )
+
+
+class TestSharedDesign:
+    @pytest.mark.parametrize(
+        "name, degrees, oversampling",
+        [
+            ("meromorphic", (2,), (1, 3)),  # C=1: M=9 < 19, every interval unbounded
+            ("otl_circuit", (1, 2), (2,)),
+            ("skinny_hook", (3,), (2, 3)),  # C=2: M=32 < K=35, underdetermined
+        ],
+    )
+    def test_records_equal_per_cell_object_path(self, skinny_benchmark, name, degrees,
+                                                oversampling):
+        config = ExperimentConfig(
+            benchmark=name,
+            degrees=degrees,
+            oversampling=oversampling,
+            methods=("jackknife", "jackknife_plus"),
+            scores=("absolute", "normalized"),
+            significance=0.05,
+            n_seeds=2,
+            test_size=300,
+        )
+        want = [
+            object_path_record(name, p, c, method, score, 0.05, seed, 300)
+            for p in degrees
+            for c in oversampling
+            for method in config.methods
+            for score in config.scores
+            for seed in range(2)
+        ]
+        report = run_grid(config)
+        assert list(report.records) == want
+        outcomes = {(r.oversampling, r.failed, r.n_unbounded) for r in want}
+        if name == "meromorphic":
+            assert (1, False, 300) in outcomes
+        if name == "skinny_hook":
+            assert (2, True, None) in outcomes
+
+    def test_nan_model_fails_its_cells_not_the_grid(self, monkeypatch):
+        real_fit = harness.fit
+
+        def nan_fit(*args, **kwargs):
+            model = real_fit(*args, **kwargs)
+            return replace(model, coefficients=np.full(model.n_basis, np.nan))
+
+        monkeypatch.setattr(harness, "fit", nan_fit)
+        config = ExperimentConfig(
+            benchmark="meromorphic",
+            degrees=(2,),
+            oversampling=(3,),
+            n_seeds=2,
+            test_size=50,
+        )
+        report = run_grid(config)
+        assert len(report.failures) == len(report.records) == 4
+        assert all(r.failure.startswith("IntervalError: ") for r in report.records)
+        assert all(a["n_failed"] == 2 for a in report.aggregates)
 
 
 class TestConfigValidation:

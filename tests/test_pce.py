@@ -334,6 +334,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "key", ["coefficients", "hat_diag", "loo_residuals", "loo_corrections"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_numbers(self, otl_fit, key, bad):
+        import json
+
+        model, _, _, _ = otl_fit
+        doc = json.loads(to_json(model))
+        if key == "loo_corrections":
+            doc[key][3][2] = bad
+        else:
+            doc[key][1] = bad
+        with pytest.raises(ValueError, match=f"{key} contains non-finite"):
+            from_json(json.dumps(doc))
+
 
 class TestDataset:
     def test_rejects_nonfinite(self):
