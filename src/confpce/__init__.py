@@ -45,6 +45,7 @@ from .errors import (
     DomainError,
     IntervalError,
     LeverageError,
+    NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
     ZeroVarianceError,

@@ -106,7 +106,8 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         The total-degree MultiIndexSet.
 
     Raises:
-        BasisSizeError: If the cardinality K exceeds MAX_BASIS_SIZE.
+        BasisSizeError: If the cardinality K exceeds MAX_BASIS_SIZE, or the
+            enumeration does not produce exactly K indices.
     """
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
@@ -124,7 +125,8 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     for degree in range(max_degree + 1):
         indices.extend(_compositions(degree, input_dim))
     indices.sort(key=lambda alpha: (sum(alpha), alpha[::-1]))
-    assert len(indices) == size
+    if len(indices) != size:
+        raise BasisSizeError(f"enumerated {len(indices)} multi-indices, expected K={size}")
     return MultiIndexSet(indices=tuple(indices), input_dim=input_dim, max_degree=max_degree)
 
 

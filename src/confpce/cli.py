@@ -122,7 +122,10 @@ def cmd_fit(args) -> int:
         rel = float("nan")
     else:
         rel = pce.relative_loo_error(model)
-    print(f"K={model.n_basis} M={model.n_train} rel_loo_error={rel!r}")
+    print(
+        f"K={model.n_basis} M={model.n_train} rel_loo_error={rel!r} "
+        f"cond={model.condition_number!r} max_leverage={float(model.hat_diag.max())!r}"
+    )
     return EXIT_OK
 
 
@@ -159,19 +162,22 @@ def _read_points(path, dim: int) -> np.ndarray:
 
 def cmd_interval(args) -> int:
     try:
+        cfg = conformal.ConformalConfig(
+            method=_METHOD_FLAGS[args.method],
+            score=_SCORE_FLAGS[args.score],
+            significance=args.alpha,
+        )
+    except ValueError as exc:
+        raise _fail_validation(str(exc)) from None
+    try:
         with open(args.model) as fh:
             model = pce.from_json(fh.read())
     except OSError as exc:
         raise _fail_validation(f"cannot read {args.model}: {exc}") from None
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise _fail_validation(f"malformed model file: {exc}") from None
 
     points = _read_points(args.points, model.input_spec.dim)
-    cfg = conformal.ConformalConfig(
-        method=_METHOD_FLAGS[args.method],
-        score=_SCORE_FLAGS[args.score],
-        significance=args.alpha,
-    )
     try:
         centers, lowers, uppers = conformal.interval_arrays(model, points, cfg)
     except DomainError as exc:

@@ -53,8 +53,8 @@ class ConformalConfig:
     Attributes:
         method: "jackknife" or "jackknife_plus".
         score: "absolute" or "normalized" non-conformity scores.
-        significance: Target miscoverage s in (0, 1); the nominal coverage
-            is 1 - s.
+        significance: Target miscoverage s in (0, 1), at most 1/2 for
+            jackknife+; the nominal coverage is 1 - s.
     """
 
     method: str = "jackknife_plus"
@@ -68,6 +68,10 @@ class ConformalConfig:
             raise ValueError(f"score must be one of {SCORES}, got {self.score!r}")
         if not 0.0 < self.significance < 1.0:
             raise ValueError(f"significance must lie in (0, 1), got {self.significance!r}")
+        # For s <= 1/2, floor(s(M+1)) <= ceil((1-s)(M+1)), so the jackknife+
+        # lower order statistic of loo - a never passes the upper one of loo + a.
+        if self.method == "jackknife_plus" and self.significance > 0.5:
+            raise ValueError(f"jackknife_plus needs significance <= 1/2, got {self.significance!r}")
 
 
 @dataclass(frozen=True)

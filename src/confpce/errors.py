@@ -25,6 +25,10 @@ class LeverageError(ConfpceError):
     """A leverage is numerically 1, so leave-one-out residuals blow up."""
 
 
+class NonFiniteFitError(ConfpceError):
+    """A fitted quantity overflowed to inf or NaN; the outputs are too large."""
+
+
 class ZeroVarianceError(ConfpceError):
     """Output variance estimate is zero; normalized quantities undefined."""
 

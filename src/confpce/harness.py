@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
-from .conformal import ConformalConfig, METHODS, SCORES, interval_bounds
+from .conformal import ConformalConfig, METHODS, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError
 from .pce import VARIANCE_FLOOR, basis_rows, fit, output_variance, relative_loo_error
 
@@ -92,13 +92,8 @@ class ExperimentConfig:
         if not self.scores:
             raise ValueError("scores list must be non-empty")
         for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}; known: {METHODS}")
-        for score in self.scores:
-            if score not in SCORES:
-                raise ValueError(f"unknown score {score!r}; known: {SCORES}")
-        if not 0.0 < self.significance < 1.0:
-            raise ValueError(f"significance must lie in (0, 1), got {self.significance!r}")
+            for score in self.scores:
+                ConformalConfig(method=method, score=score, significance=self.significance)
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         if self.test_size < 1:

@@ -11,8 +11,8 @@ follow from a single factorization of $D$ via rank-one update identities:
 * LOO prediction $\widehat{\mu}_{\sim m}(x^*)
   = \widehat{\mu}(x^*) - d_*^\top (D^\top D)^{-1} d_m\, r_m$.
 
-No refit is ever performed; :func:`brute_force_loo` exists purely as an
-independent oracle that does refit, for validating the closed forms.
+No per-sample refit is ever performed; :func:`brute_force_loo` exists purely
+as an independent oracle that does refit, for validating the closed forms.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import InputSpec, MultiIndexSet, eval_basis_matrix, to_reference
+from .basis import InputSpec, MultiIndexSet, build_total_degree_set, eval_basis_matrix, to_reference
 from .errors import (
     LeverageError,
+    NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
     ZeroVarianceError,
@@ -79,32 +80,33 @@ class Dataset:
 class PceModel:
     """Fitted surrogate plus everything needed for leave-one-out reuse.
 
+    :func:`fit` derives every field from the basis, box, training data and
+    variance estimator, which are all that a model file holds.
+
     Attributes:
         index_set: Polynomial basis definition.
         input_spec: Box the inputs live on.
+        training_snapshot: Dataset the model was fit on.
         coefficients: Least-squares coefficients c, shape (K,).
-        normal_inverse: (D^T D)^{-1}, shape (K, K); None on deserialized models.
         hat_diag: Leverages h_mm, shape (M,).
         loo_residuals: Closed-form LOO residuals, shape (M,).
-        loo_corrections: Matrix G with row m = (A d_m) * r_m, shape (M, K);
-            the LOO prediction at x* is mu(x*) - G @ d_*.
-        training_snapshot: Dataset used for fitting; None on deserialized
-            models (kept for oracles and reporting, not for prediction).
-        condition_number: 2-norm condition estimate of the design matrix.
+        loo_corrections: Matrix G with row m = (A d_m) * r_m, shape (M, K),
+            where A = (D^T D)^{-1}; the LOO prediction at x* is
+            mu(x*) - G @ d_*.
+        condition_number: 2-norm condition number of the design matrix.
         variance_estimator: Which output-variance estimate normalized scores
             and the relative LOO error use ("coefficients" or "empirical").
     """
 
     index_set: MultiIndexSet
     input_spec: InputSpec
+    training_snapshot: Dataset
     coefficients: np.ndarray
-    normal_inverse: np.ndarray | None
     hat_diag: np.ndarray
     loo_residuals: np.ndarray
     loo_corrections: np.ndarray
-    training_snapshot: Dataset | None = None
-    condition_number: float = float("nan")
-    variance_estimator: str = "coefficients"
+    condition_number: float
+    variance_estimator: str
 
     @property
     def n_train(self) -> int:
@@ -158,6 +160,7 @@ def fit(
         RankDeficientError: If the design condition number exceeds 1e12.
         LeverageError: If some 1 - h_mm < 1e-10 (e.g. the M = K
             interpolation regime, where the hat matrix is the identity).
+        NonFiniteFitError: If the coefficients or LOO residuals overflow.
     """
     if variance_estimator not in VARIANCE_ESTIMATORS:
         raise ValueError(f"unknown variance estimator {variance_estimator!r}")
@@ -177,7 +180,7 @@ def fit(
             f"design matrix condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    coeffs = solve_triangular(r, q.T @ data.outputs)
+    coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
 
     # h_mm = ||Q_m||^2 since H = Q Q^T; clip eps-level drift back into [0, 1].
     hat = np.einsum("ij,ij->i", q, q)
@@ -199,16 +202,18 @@ def fit(
     r_inv = solve_triangular(r, np.eye(k))
     normal_inverse = r_inv @ r_inv.T
     loo_corrections = (design @ normal_inverse) * loo_residuals[:, None]
+    # An overflowed coefficient or LOO residual leaves a non-finite row here.
+    if not np.all(np.isfinite(loo_corrections)):
+        raise NonFiniteFitError("the fit overflows: training outputs are too large in magnitude")
 
     return PceModel(
         index_set=index_set,
         input_spec=spec,
+        training_snapshot=data,
         coefficients=_readonly(coeffs),
-        normal_inverse=_readonly(normal_inverse),
         hat_diag=_readonly(hat),
         loo_residuals=_readonly(loo_residuals),
         loo_corrections=_readonly(loo_corrections),
-        training_snapshot=data,
         condition_number=condition,
         variance_estimator=variance_estimator,
     )
@@ -324,14 +329,12 @@ def output_variance(model: PceModel, estimator: str | None = None) -> float:
     """Output variance per the model's (or an explicit) estimator choice.
 
     "coefficients" uses :func:`pce_variance`; "empirical" uses the unbiased
-    sample variance of the training outputs (requires the training snapshot).
+    sample variance of the training outputs.
     """
     estimator = estimator or model.variance_estimator
     if estimator == "coefficients":
         return pce_variance(model)
     if estimator == "empirical":
-        if model.training_snapshot is None:
-            raise ValueError("empirical variance needs the training snapshot")
         outputs = model.training_snapshot.outputs
         if outputs.shape[0] < 2:
             raise ValueError("empirical variance needs at least two samples")
@@ -357,69 +360,52 @@ def relative_loo_error(model: PceModel, estimator: str | None = None) -> float:
     return float(np.mean(model.loo_residuals**2) / variance)
 
 
-def to_json(model: PceModel) -> str:
-    """Serializes the model to a JSON document.
+MODEL_KEYS = ("input_spec", "multi_index_set", "variance_estimator", "inputs", "outputs")
 
-    All reals render in shortest round-trip decimal. The training snapshot
-    and factorization byproducts are not part of the wire schema; a
-    deserialized model predicts and conformalizes but cannot re-run the
-    brute-force oracle.
+
+def to_json(model: PceModel) -> str:
+    """Serializes the model to a JSON document holding only its definition.
+
+    The keys are :data:`MODEL_KEYS`: the box, the basis (input dimension and
+    total degree), the variance estimator and the training inputs and
+    outputs. Reals render in shortest round-trip decimal, so the refit in
+    :func:`from_json` sees the exact training data and, with the same numpy
+    and LAPACK build, reproduces every derived array bit for bit.
     """
+    iset, data = model.index_set, model.training_snapshot
     doc = {
         "input_spec": {"ranges": [[lo, hi] for lo, hi in model.input_spec.ranges]},
-        "multi_index_set": {
-            "input_dim": model.index_set.input_dim,
-            "max_degree": model.index_set.max_degree,
-            "indices": [list(alpha) for alpha in model.index_set.indices],
-        },
-        "coefficients": model.coefficients.tolist(),
-        "hat_diag": model.hat_diag.tolist(),
-        "loo_residuals": model.loo_residuals.tolist(),
-        "loo_corrections": model.loo_corrections.tolist(),
+        "multi_index_set": {"input_dim": iset.input_dim, "max_degree": iset.max_degree},
+        "variance_estimator": model.variance_estimator,
+        "inputs": data.inputs.tolist(),
+        "outputs": data.outputs.tolist(),
     }
     return json.dumps(doc, indent=2)
 
 
 def from_json(text: str) -> PceModel:
-    """Rebuilds a model from :func:`to_json` output.
+    """Rebuilds a model from :func:`to_json` output by refitting it.
 
     Raises:
-        ValueError: If the arrays disagree in shape with the basis or hold a
-            non-finite number.
+        ValueError: If the document does not hold exactly :data:`MODEL_KEYS`
+            (as in the older derived-array format), a field is malformed, or a
+            training number is non-finite or outside the box.
+        ConfpceError: If the refit fails, as in :func:`fit`.
     """
     doc = json.loads(text)
-    spec = InputSpec(ranges=tuple((float(lo), float(hi)) for lo, hi in doc["input_spec"]["ranges"]))
-    mis = doc["multi_index_set"]
-    index_set = MultiIndexSet(
-        indices=tuple(tuple(int(d) for d in alpha) for alpha in mis["indices"]),
-        input_dim=int(mis["input_dim"]),
-        max_degree=int(mis["max_degree"]),
-    )
-    coefficients = np.asarray(doc["coefficients"], dtype=float)
-    hat_diag = np.asarray(doc["hat_diag"], dtype=float)
-    loo_res = np.asarray(doc["loo_residuals"], dtype=float)
-    loo_corr = np.asarray(doc["loo_corrections"], dtype=float)
-    if coefficients.shape[0] != len(index_set):
-        raise ValueError("coefficient count does not match basis size")
-    if loo_corr.shape != (hat_diag.shape[0], len(index_set)):
-        raise ValueError("loo_corrections shape does not match (M, K)")
-    if loo_res.shape != hat_diag.shape:
-        raise ValueError("loo_residuals and hat_diag lengths disagree")
-    for name, values in (
-        ("coefficients", coefficients),
-        ("hat_diag", hat_diag),
-        ("loo_residuals", loo_res),
-        ("loo_corrections", loo_corr),
-    ):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} contains non-finite values")
-    return PceModel(
-        index_set=index_set,
-        input_spec=spec,
-        coefficients=_readonly(coefficients),
-        normal_inverse=None,
-        hat_diag=_readonly(hat_diag),
-        loo_residuals=_readonly(loo_res),
-        loo_corrections=_readonly(loo_corr),
-        training_snapshot=None,
-    )
+    if not isinstance(doc, dict) or set(doc) != set(MODEL_KEYS):
+        if isinstance(doc, dict) and "loo_corrections" in doc:
+            raise ValueError(
+                "derived-array model file (coefficients, hat_diag, loo_residuals, "
+                "loo_corrections) from before models refit on load; refit it with 'confpce fit'"
+            )
+        found = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"model file must hold exactly the keys {MODEL_KEYS}, found {found}")
+    try:
+        spec = InputSpec(ranges=doc["input_spec"]["ranges"])
+        mis = doc["multi_index_set"]
+        index_set = build_total_degree_set(int(mis["input_dim"]), int(mis["max_degree"]))
+        data = Dataset(inputs=doc["inputs"], outputs=doc["outputs"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model field: {exc!r}") from None
+    return fit(data, index_set, spec, doc["variance_estimator"])

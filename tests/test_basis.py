@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import gauss_legendre_gram
 
+from confpce import basis
 from confpce.basis import (
     InputSpec,
     build_total_degree_set,
@@ -61,6 +62,13 @@ class TestTotalDegreeSet:
             build_total_degree_set(0, 2)
         with pytest.raises(ValueError):
             build_total_degree_set(2, -1)
+
+    def test_enumeration_count_checked(self, monkeypatch):
+        # An explicit check, not an assert, so it also holds under python -O.
+        real = basis._compositions
+        monkeypatch.setattr(basis, "_compositions", lambda t, n: list(real(t, n))[1:])
+        with pytest.raises(BasisSizeError, match="multi-indices, expected K=6"):
+            build_total_degree_set(2, 2)
 
 
 class TestInputSpec:

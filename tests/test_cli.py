@@ -32,10 +32,14 @@ class TestFit:
         )
         assert code == 0
         assert out.exists()
-        stdout = capsys.readouterr().out
-        assert "K=4" in stdout and "M=160" in stdout and "rel_loo_error=" in stdout
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        assert list(fields) == ["K", "M", "rel_loo_error", "cond", "max_leverage"]
+        assert fields["K"] == "4" and fields["M"] == "160"
+        assert float(fields["cond"]) >= 1.0
+        assert 0.0 < float(fields["max_leverage"]) < 1.0
         doc = json.loads(out.read_text())
-        assert len(doc["coefficients"]) == 4
+        assert doc["multi_index_set"] == {"input_dim": 1, "max_degree": 3}
+        assert len(doc["inputs"]) == len(doc["outputs"]) == 160
 
     def test_underdetermined_exit_3(self, tmp_path, capsys):
         code = run_cli(
@@ -191,7 +195,7 @@ class TestInterval:
 
     def test_nonfinite_model_exit_2(self, tmp_path, zero_model, query_points, capsys):
         doc = json.loads(zero_model.read_text())
-        doc["coefficients"][0] = float("nan")
+        doc["outputs"][0] = float("nan")
         zero_model.write_text(json.dumps(doc))
         out = tmp_path / "iv.csv"
         code = run_cli(
@@ -203,17 +207,15 @@ class TestInterval:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_model_exit_3(self, tmp_path, capsys):
-        # Finite but huge numbers: inf - inf makes every jackknife+ bound NaN.
+        # Finite but huge outputs: the refit on load overflows.
         model = tmp_path / "model.json"
         assert run_cli(
             "fit", "--benchmark", "meromorphic", "--m", "40", "--degree", "3",
             "--out", str(model),
         ) == 0
         doc = json.loads(model.read_text())
-        doc["coefficients"] = [1e308] * len(doc["coefficients"])
-        doc["loo_corrections"] = [[1e308] * len(row) for row in doc["loo_corrections"]]
+        doc["outputs"] = [1e308] * len(doc["outputs"])
         model.write_text(json.dumps(doc))
         points = tmp_path / "pts.csv"
         points.write_text("x1\n1.0\n")
@@ -223,7 +225,33 @@ class TestInterval:
             "--method", "jk+", "--out", str(out),
         )
         assert code == 3
-        assert "error: IntervalError" in capsys.readouterr().err
+        assert "error: NonFiniteFitError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_derived_array_model_exit_2(self, tmp_path, query_points, capsys):
+        model = tmp_path / "old.json"
+        model.write_text(json.dumps({
+            "input_spec": {"ranges": [[-1.0, 1.0]]},
+            "multi_index_set": {"input_dim": 1, "max_degree": 0, "indices": [[0]]},
+            "coefficients": [0.0], "hat_diag": [0.5, 0.5], "loo_residuals": [0.0, 0.0],
+            "loo_corrections": [[0.0], [0.0]],
+        }))
+        code = run_cli(
+            "interval", "--model", str(model), "--points", str(query_points),
+            "--out", str(tmp_path / "iv.csv"),
+        )
+        assert code == 2
+        assert "derived-array model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, alpha", [("jk", "1.5"), ("jk+", "1.5"), ("jk+", "0.75")])
+    def test_bad_alpha_exit_2(self, tmp_path, zero_model, query_points, capsys, method, alpha):
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(zero_model), "--points", str(query_points),
+            "--method", method, "--alpha", alpha, "--out", str(out),
+        )
+        assert code == 2
+        assert "error: validation: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_exit_2(self, tmp_path, query_points):
@@ -268,6 +296,11 @@ class TestExperiment:
         config = self.write_config(tmp_path, degrees=[])
         assert run_cli("experiment", "--config", str(config)) == 2
         assert "error: validation" in capsys.readouterr().err
+
+    def test_jackknife_plus_above_half_exit_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, significance=0.75)
+        assert run_cli("experiment", "--config", str(config)) == 2
+        assert "jackknife_plus needs significance <= 1/2" in capsys.readouterr().err
 
     def test_bad_json_exit_2(self, tmp_path):
         config = tmp_path / "config.json"

@@ -24,7 +24,6 @@ from confpce.conformal import (
 from confpce.errors import IntervalError, ZeroVarianceError
 from confpce.pce import (
     Dataset,
-    PceModel,
     brute_force_loo,
     fit,
     loo_predict,
@@ -240,14 +239,11 @@ class TestIntervalProperties:
     def test_degenerate_sandwich(self):
         # All scores equal a and all LOO predictions equal the center:
         # both methods give [mu - a, mu + a].
-        iset = build_total_degree_set(1, 1)
         a = 0.75
-        model = PceModel(
-            index_set=iset,
-            input_spec=UNIT_SPEC,
+        data = Dataset(inputs=np.linspace(-1.0, 1.0, 9)[:, None], outputs=np.zeros(9))
+        model = replace(
+            fit(data, build_total_degree_set(1, 1), UNIT_SPEC),
             coefficients=np.array([2.0, 0.0]),
-            normal_inverse=None,
-            hat_diag=np.full(9, 0.1),
             loo_residuals=np.full(9, a),
             loo_corrections=np.zeros((9, 2)),
         )
@@ -320,20 +316,15 @@ class TestIntervalError:
             prediction_intervals(broken, points, cfg)
 
     def test_inverted_bounds_raise_typed_error(self):
-        # Spread-out LOO predictions and tiny scores at s > 1/2: the
-        # jackknife+ lower bound (7th smallest of 9) passes the upper (3rd).
-        model = PceModel(
-            index_set=build_total_degree_set(1, 1),
-            input_spec=UNIT_SPEC,
-            coefficients=np.array([2.0, 0.0]),
-            normal_inverse=None,
-            hat_diag=np.full(9, 0.1),
-            loo_residuals=np.full(9, 1e-3),
-            loo_corrections=np.column_stack([np.zeros(9), np.arange(9.0)]),
-        )
-        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.75)
-        with pytest.raises(IntervalError, match="point 0 has lower"):
-            interval_arrays(model, np.array([[0.5]]), cfg)
+        # At s > 1/2 the jackknife+ lower order statistic (floor(s(M+1))-th)
+        # can pass the upper one (ceil((1-s)(M+1))-th), so such a
+        # configuration is refused before any interval is built.
+        with pytest.raises(ValueError, match="jackknife_plus needs significance <= 1/2"):
+            ConformalConfig(method="jackknife_plus", score="absolute", significance=0.75)
+        with pytest.raises(ValueError, match="<= 1/2"):
+            ConformalConfig(method="jackknife_plus", significance=0.5000001)
+        assert ConformalConfig(method="jackknife_plus", significance=0.5).significance == 0.5
+        assert ConformalConfig(method="jackknife", significance=0.75).significance == 0.75
 
 
 class TestEmpiricalCoverage:

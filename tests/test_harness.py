@@ -354,6 +354,14 @@ class TestConfigValidation:
             ExperimentConfig(
                 benchmark="meromorphic", degrees=(2,), oversampling=(2,), significance=1.5
             )
+        with pytest.raises(ValueError, match="jackknife_plus needs significance <= 1/2"):
+            ExperimentConfig(
+                benchmark="meromorphic", degrees=(2,), oversampling=(2,), significance=0.75
+            )
+        assert ExperimentConfig(
+            benchmark="meromorphic", degrees=(2,), oversampling=(2,), methods=("jackknife",),
+            significance=0.75,
+        ).significance == 0.75
         with pytest.raises(ValueError):
             ExperimentConfig(benchmark="meromorphic", degrees=(2,), oversampling=(2,), n_seeds=0)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for least-squares fitting and the closed-form leave-one-out path."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +11,13 @@ from confpce.basis import InputSpec, build_total_degree_set, eval_basis_row, to_
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.errors import (
     LeverageError,
+    NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
     ZeroVarianceError,
 )
 from confpce.pce import (
     Dataset,
-    PceModel,
     brute_force_loo,
     fit,
     from_json,
@@ -80,6 +82,13 @@ class TestFitBasics:
         with pytest.raises(LeverageError):
             fit(data, build_total_degree_set(1, 3), UNIT_SPEC)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_outputs(self):
+        # Finite outputs near the largest double: Q^T y overflows to inf.
+        data = Dataset(inputs=np.linspace(-1, 1, 30)[:, None], outputs=np.full(30, 1e308))
+        with pytest.raises(NonFiniteFitError, match="overflows"):
+            fit(data, build_total_degree_set(1, 2), UNIT_SPEC)
+
     def test_dimension_mismatch(self):
         data = unit_dataset(lambda x: x, m=10)
         with pytest.raises(ValueError):
@@ -111,18 +120,12 @@ class TestPredict:
         spec = InputSpec(ranges=((-1.0, 1.0), (-1.0, 1.0)))
         rng = np.random.default_rng(8)
         pts = rng.uniform(-1, 1, size=(5, 2))
+        train = rng.uniform(-1, 1, size=(20, 2))
+        fitted = fit(Dataset(inputs=train, outputs=train[:, 0]), iset, spec)
         for k in range(len(iset)):
             coeffs = np.zeros(len(iset))
             coeffs[k] = 1.0
-            model = PceModel(
-                index_set=iset,
-                input_spec=spec,
-                coefficients=coeffs,
-                normal_inverse=None,
-                hat_diag=np.zeros(1),
-                loo_residuals=np.zeros(1),
-                loo_corrections=np.zeros((1, len(iset))),
-            )
+            model = replace(fitted, coefficients=coeffs)
             for p in pts:
                 assert predict(model, p) == pytest.approx(
                     eval_basis_row(p, iset)[k], rel=1e-14, abs=1e-15
@@ -282,16 +285,10 @@ class TestStructuralInvariants:
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
         pts = rng.uniform(-1, 1, size=(9, 1))
 
+        fitted = fit(unit_dataset(lambda x: x, m=12), iset, UNIT_SPEC)
+
         def make(c):
-            return PceModel(
-                index_set=iset,
-                input_spec=UNIT_SPEC,
-                coefficients=c,
-                normal_inverse=None,
-                hat_diag=np.zeros(1),
-                loo_residuals=np.zeros(1),
-                loo_corrections=np.zeros((1, 3)),
-            )
+            return replace(fitted, coefficients=c)
 
         combined = predict(make(c1 + 2.0 * c2), pts)
         np.testing.assert_allclose(
@@ -301,53 +298,65 @@ class TestStructuralInvariants:
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, otl_fit):
-        model, _, _, _ = otl_fit
+        model, train, _, _ = otl_fit
         restored = from_json(to_json(model))
         pts = sample_design("otl_circuit", 25, seed=6, stream="test").inputs
         np.testing.assert_array_equal(predict(restored, pts), predict(model, pts))
         np.testing.assert_array_equal(loo_predict(restored, pts), loo_predict(model, pts))
         np.testing.assert_array_equal(restored.loo_residuals, model.loo_residuals)
         np.testing.assert_array_equal(restored.hat_diag, model.hat_diag)
-        assert restored.training_snapshot is None
-        assert restored.normal_inverse is None
+        np.testing.assert_array_equal(restored.training_snapshot.inputs, train.inputs)
+        np.testing.assert_array_equal(restored.training_snapshot.outputs, train.outputs)
+        assert restored.condition_number == model.condition_number
 
     def test_schema_keys(self, otl_fit):
-        import json
-
-        model, _, _, _ = otl_fit
+        model, train, _, _ = otl_fit
         doc = json.loads(to_json(model))
         assert sorted(doc) == [
-            "coefficients",
-            "hat_diag",
             "input_spec",
-            "loo_corrections",
-            "loo_residuals",
+            "inputs",
             "multi_index_set",
+            "outputs",
+            "variance_estimator",
         ]
+        assert doc["multi_index_set"] == {"input_dim": 6, "max_degree": 2}
+        assert len(doc["inputs"]) == len(doc["outputs"]) == len(train)
 
     def test_rejects_inconsistent_document(self, otl_fit):
-        import json
-
         model, _, _, _ = otl_fit
         doc = json.loads(to_json(model))
-        doc["coefficients"] = doc["coefficients"][:-1]
-        with pytest.raises(ValueError):
+        doc["outputs"] = doc["outputs"][:-1]
+        with pytest.raises(ValueError, match="outputs"):
             from_json(json.dumps(doc))
+        doc = json.loads(to_json(model))
+        doc["multi_index_set"]["input_dim"] = 5
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            from_json(json.dumps(doc))
+        doc = json.loads(to_json(model))
+        doc["input_spec"] = [[0.0, 1.0]]
+        with pytest.raises(ValueError, match="malformed model field"):
+            from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="exactly the keys"):
+            from_json(json.dumps({**doc, "coefficients": [1.0]}))
+        with pytest.raises(ValueError, match="derived-array model file.*refit"):
+            from_json(json.dumps({**doc, "loo_corrections": [[0.0]]}))
 
+    # Every derived array is rebuilt from the training data, so a non-finite
+    # number that would reach it is stopped at the training array it comes from.
     @pytest.mark.parametrize(
         "key", ["coefficients", "hat_diag", "loo_residuals", "loo_corrections"]
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_numbers(self, otl_fit, key, bad):
-        import json
-
+        source = {"coefficients": "outputs", "hat_diag": "inputs",
+                  "loo_residuals": "outputs", "loo_corrections": "inputs"}[key]
         model, _, _, _ = otl_fit
         doc = json.loads(to_json(model))
-        if key == "loo_corrections":
-            doc[key][3][2] = bad
+        if source == "inputs":
+            doc[source][3][2] = bad
         else:
-            doc[key][1] = bad
-        with pytest.raises(ValueError, match=f"{key} contains non-finite"):
+            doc[source][1] = bad
+        with pytest.raises(ValueError, match=f"{source} contain non-finite"):
             from_json(json.dumps(doc))
 
 
