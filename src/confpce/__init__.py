@@ -28,16 +28,11 @@ from .benchmarks import (
 )
 from .conformal import (
     ConformalConfig,
-    PredictionInterval,
     empirical_coverage,
     finite_quantile_lower,
     finite_quantile_upper,
     interval_arrays,
     interval_bounds,
-    jackknife_interval,
-    jackknife_plus_interval,
-    prediction_intervals,
-    scores,
 )
 from .errors import (
     BasisSizeError,

@@ -274,36 +274,46 @@ def dataset_to_csv(data: Dataset, path_or_buffer) -> None:
         _write(path_or_buffer)
 
 
+def read_csv_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
+    """Reads a numeric CSV: (header fields stripped of spaces, rows as floats).
+
+    Blank lines are skipped. The table has shape (rows, len(header)).
+
+    Raises:
+        ValueError: On an empty file, a header with no rows, or a
+            non-numeric or ragged row.
+    """
+    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
+        with open(path_or_buffer, newline="") as fh:
+            return read_csv_table(fh)
+    reader = csv.reader(path_or_buffer)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError("empty CSV: expected a header row") from None
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in {row!r}") from None
+    if not rows:
+        raise ValueError("CSV contains a header but no data rows")
+    return header, np.asarray(rows)
+
+
 def dataset_from_csv(path_or_buffer) -> Dataset:
     """Reads a dataset written by :func:`dataset_to_csv`.
 
     Raises:
         ValueError: On a malformed header or non-numeric/ragged rows.
     """
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        with open(path_or_buffer, newline="") as fh:
-            return dataset_from_csv(fh)
-    reader = csv.reader(path_or_buffer)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV: expected a header row") from None
+    header, table = read_csv_table(path_or_buffer)
     n = len(header) - 1
-    expected = [f"x{i + 1}" for i in range(n)] + ["y"]
-    if n < 1 or [h.strip() for h in header] != expected:
+    if n < 1 or header != [f"x{i + 1}" for i in range(n)] + ["y"]:
         raise ValueError(f"malformed header {header!r}; expected x1,...,xN,y")
-    inputs, outputs = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n + 1:
-            raise ValueError(f"line {lineno}: expected {n + 1} fields, got {len(row)}")
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in {row!r}") from None
-        inputs.append(values[:-1])
-        outputs.append(values[-1])
-    if not inputs:
-        raise ValueError("CSV contains a header but no data rows")
-    return Dataset(inputs=np.asarray(inputs), outputs=np.asarray(outputs))
+    return Dataset(inputs=table[:, :-1], outputs=table[:, -1])

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import benchmarks, conformal, harness, pce
 from .basis import InputSpec, build_total_degree_set
-from .errors import (
-    ConfpceError,
-    DomainError,
-    LeverageError,
-    RankDeficientError,
-    UnderdeterminedError,
-    ZeroVarianceError,
-)
+from .errors import ConfpceError, DomainError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,19 +27,8 @@ _METHOD_FLAGS = {"jk": "jackknife", "jk+": "jackknife_plus"}
 _SCORE_FLAGS = {"abs": "absolute", "norm": "normalized"}
 
 
-class _CliError(Exception):
-    def __init__(self, kind: str, detail: str, code: int):
-        super().__init__(detail)
-        self.kind = kind
-        self.code = code
-
-
-def _fail_validation(detail: str) -> _CliError:
-    return _CliError("validation", detail, EXIT_VALIDATION)
-
-
-def _fail_numerical(kind: str, detail: str) -> _CliError:
-    return _CliError(kind, detail, EXIT_NUMERICAL)
+class _ValidationError(Exception):
+    """A bad argument, input file or config; exits 2 with kind `validation`."""
 
 
 def _parse_ranges(text: str) -> InputSpec:
@@ -55,32 +37,32 @@ def _parse_ranges(text: str) -> InputSpec:
     for part in text.split(","):
         lo, sep, hi = part.partition(":")
         if not sep:
-            raise _fail_validation(f"bad range {part!r}; expected lo:hi")
+            raise _ValidationError(f"bad range {part!r}; expected lo:hi")
         try:
             pairs.append((float(lo), float(hi)))
         except ValueError:
-            raise _fail_validation(f"non-numeric range bound in {part!r}") from None
+            raise _ValidationError(f"non-numeric range bound in {part!r}") from None
     try:
         return InputSpec(ranges=tuple(pairs))
     except ValueError as exc:
-        raise _fail_validation(str(exc)) from None
+        raise _ValidationError(str(exc)) from None
 
 
 def cmd_fit(args) -> int:
     if (args.data is None) == (args.benchmark is None):
-        raise _fail_validation("provide exactly one data source: --data or --benchmark")
+        raise _ValidationError("provide exactly one data source: --data or --benchmark")
 
     if args.data is not None:
         try:
             data = benchmarks.dataset_from_csv(args.data)
         except OSError as exc:
-            raise _fail_validation(f"cannot read {args.data}: {exc}") from None
+            raise _ValidationError(f"cannot read {args.data}: {exc}") from None
         except ValueError as exc:
-            raise _fail_validation(f"malformed CSV: {exc}") from None
+            raise _ValidationError(f"malformed CSV: {exc}") from None
         if args.ranges is not None:
             spec = _parse_ranges(args.ranges)
             if spec.dim != data.inputs.shape[1]:
-                raise _fail_validation(
+                raise _ValidationError(
                     f"--ranges has {spec.dim} dimensions, data has {data.inputs.shape[1]}"
                 )
         else:
@@ -88,31 +70,24 @@ def cmd_fit(args) -> int:
             lo = data.inputs.min(axis=0)
             hi = data.inputs.max(axis=0)
             if np.any(lo >= hi):
-                raise _fail_validation(
+                raise _ValidationError(
                     "degenerate data hull; pass --ranges to define the input box"
                 )
             spec = InputSpec(ranges=tuple(zip(lo, hi)))
     else:
         if args.m is None:
-            raise _fail_validation("--benchmark requires --m")
+            raise _ValidationError("--benchmark requires --m")
         try:
             bench = benchmarks.get_benchmark(args.benchmark)
         except KeyError as exc:
-            raise _fail_validation(str(exc.args[0])) from None
+            raise _ValidationError(str(exc.args[0])) from None
         if args.m < 1:
-            raise _fail_validation(f"--m must be >= 1, got {args.m}")
+            raise _ValidationError(f"--m must be >= 1, got {args.m}")
         data = benchmarks.sample_design(args.benchmark, args.m, seed=args.seed)
         spec = bench.input_spec
 
     index_set = build_total_degree_set(spec.dim, args.degree)
-    try:
-        model = pce.fit(data, index_set, spec)
-    except UnderdeterminedError as exc:
-        raise _fail_numerical("underdetermined", str(exc))
-    except RankDeficientError as exc:
-        raise _fail_numerical("rank-deficient", str(exc))
-    except LeverageError as exc:
-        raise _fail_numerical("leverage", str(exc))
+    model = pce.fit(data, index_set, spec)
 
     with open(args.out, "w") as fh:
         fh.write(pce.to_json(model))
@@ -130,34 +105,17 @@ def cmd_fit(args) -> int:
 
 
 def _read_points(path, dim: int) -> np.ndarray:
+    """Query points (n, dim) from a CSV with header x1,...,xN and an optional y."""
     try:
-        fh = open(path, newline="")
+        header, table = benchmarks.read_csv_table(path)
     except OSError as exc:
-        raise _fail_validation(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise _fail_validation(f"{path}: empty CSV") from None
-        expected = [f"x{i + 1}" for i in range(dim)]
-        if header[:dim] != expected or (len(header) > dim and header[dim] != "y"):
-            raise _fail_validation(
-                f"{path}: header {header!r} does not start with {','.join(expected)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row[:dim]])
-            except ValueError:
-                raise _fail_validation(f"{path}: non-numeric field on line {lineno}") from None
-            if len(row) < dim:
-                raise _fail_validation(f"{path}: line {lineno} has fewer than {dim} coordinates")
-    if not rows:
-        raise _fail_validation(f"{path}: no data rows")
-    return np.asarray(rows)
+        raise _ValidationError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise _ValidationError(f"{path}: {exc}") from None
+    expected = [f"x{i + 1}" for i in range(dim)]
+    if header not in (expected, expected + ["y"]):
+        raise _ValidationError(f"{path}: header {header!r} is not {','.join(expected)}[,y]")
+    return table[:, :dim]
 
 
 def cmd_interval(args) -> int:
@@ -168,22 +126,17 @@ def cmd_interval(args) -> int:
             significance=args.alpha,
         )
     except ValueError as exc:
-        raise _fail_validation(str(exc)) from None
+        raise _ValidationError(str(exc)) from None
     try:
         with open(args.model) as fh:
             model = pce.from_json(fh.read())
     except OSError as exc:
-        raise _fail_validation(f"cannot read {args.model}: {exc}") from None
+        raise _ValidationError(f"cannot read {args.model}: {exc}") from None
     except ValueError as exc:
-        raise _fail_validation(f"malformed model file: {exc}") from None
+        raise _ValidationError(f"malformed model file: {exc}") from None
 
     points = _read_points(args.points, model.input_spec.dim)
-    try:
-        centers, lowers, uppers = conformal.interval_arrays(model, points, cfg)
-    except DomainError as exc:
-        raise _fail_validation(str(exc))
-    except ZeroVarianceError as exc:
-        raise _fail_numerical("zero-variance", str(exc))
+    centers, lowers, uppers = conformal.interval_arrays(model, points, cfg)
 
     n_unbounded = int(np.sum(~np.isfinite(lowers) | ~np.isfinite(uppers)))
     with open(args.out, "w", newline="") as fh:
@@ -208,20 +161,20 @@ def cmd_experiment(args) -> int:
         with open(args.config) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _fail_validation(f"cannot read {args.config}: {exc}") from None
+        raise _ValidationError(f"cannot read {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise _fail_validation(f"malformed config JSON: {exc}") from None
+        raise _ValidationError(f"malformed config JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise _fail_validation("config JSON must be an object")
+        raise _ValidationError("config JSON must be an object")
     try:
         config = harness.ExperimentConfig.from_dict(doc)
     except (ValueError, TypeError, KeyError) as exc:
-        raise _fail_validation(f"bad config: {exc}") from None
+        raise _ValidationError(f"bad config: {exc}") from None
     if args.quick:
         config = config.quick()
     out_dir = args.out or config.output
     if out_dir is None:
-        raise _fail_validation("no output directory: set 'output' in the config or pass --out")
+        raise _ValidationError("no output directory: set 'output' in the config or pass --out")
 
     report = harness.run_grid(config)
     paths = harness.emit_report(report, "csv", out_dir)
@@ -306,9 +259,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
-        return exc.code
+    except (_ValidationError, DomainError) as exc:
+        print(f"error: validation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ConfpceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,9 +1,11 @@
 r"""Jackknife and jackknife+ prediction intervals around a fitted surrogate.
 
-Non-conformity scores are the absolute leave-one-out residuals, optionally
-divided by the square root of the output variance ("normalized"); normalized
-quantiles are rescaled back to output units before interval construction, so
-the two score types produce the same intervals up to roundoff.
+An interval is three arrays over the query points: centers, lowers and
+uppers. The non-conformity scores are the absolute leave-one-out residuals
+$a_m = |r_m|$. "Normalized" scores divide them by the single constant
+$\sqrt{\mathrm{Var}(Y)}$ and rescale the quantile back, which leaves every
+interval unchanged, so both score types use $a_m$; "normalized" only adds
+the check that the output variance is not zero.
 
 The jackknife interval is symmetric about the full-model prediction:
 
@@ -27,7 +29,7 @@ outside 1..M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -74,32 +76,6 @@ class ConformalConfig:
             raise ValueError(f"jackknife_plus needs significance <= 1/2, got {self.significance!r}")
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    """Closed interval [lower, upper] around a point prediction `center`.
-
-    Jackknife intervals are symmetric about the center; jackknife+ intervals
-    are generally not, the center being recorded for reporting only. Unbounded
-    intervals carry explicit infinities.
-    """
-
-    lower: float
-    upper: float
-    center: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"lower {self.lower!r} exceeds upper {self.upper!r}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def is_unbounded(self) -> bool:
-        return math.isinf(self.lower) or math.isinf(self.upper)
-
-
 def _upper_index(n: int, significance: float) -> int:
     """1-based order-statistic index ceil((1-s)(n+1)), computed exactly.
 
@@ -140,62 +116,6 @@ def finite_quantile_lower(values: np.ndarray, significance: float) -> float:
     return float(np.partition(values, j - 1)[j - 1])
 
 
-def scores(model: PceModel, cfg: ConformalConfig) -> np.ndarray:
-    """Non-conformity scores of the training samples.
-
-    Absolute: |r_m|. Normalized: |r_m| / sqrt(Var(Y)) with the variance per
-    the model's selected estimator.
-
-    Raises:
-        ZeroVarianceError: For normalized scores on a zero-variance target.
-    """
-    absolute = np.abs(model.loo_residuals)
-    if cfg.score == "absolute":
-        return absolute
-    variance = output_variance(model)
-    if variance <= VARIANCE_FLOOR:
-        raise ZeroVarianceError(
-            f"output variance {variance!r} too small to normalize scores"
-        )
-    return absolute / math.sqrt(variance)
-
-
-def _scores_in_output_units(model: PceModel, cfg: ConformalConfig) -> np.ndarray:
-    """Scores rescaled back to output units (quantile rescaling)."""
-    a = scores(model, cfg)
-    if cfg.score == "normalized":
-        a = a * math.sqrt(output_variance(model))
-    return a
-
-
-def jackknife_interval(model: PceModel, x: np.ndarray, cfg: ConformalConfig) -> PredictionInterval:
-    """Symmetric interval mu(x) +/- q_{1-s}{a_m} at one point."""
-    return _single_interval(model, x, replace(cfg, method="jackknife"))
-
-
-def jackknife_plus_interval(
-    model: PceModel, x: np.ndarray, cfg: ConformalConfig
-) -> PredictionInterval:
-    """Asymmetric interval from order statistics of mu_{~m}(x) -/+ a_m."""
-    return _single_interval(model, x, replace(cfg, method="jackknife_plus"))
-
-
-def _single_interval(model, x, cfg):
-    centers, lowers, uppers = interval_arrays(model, x, cfg)
-    return PredictionInterval(lower=float(lowers[0]), upper=float(uppers[0]), center=float(centers[0]))
-
-
-def prediction_intervals(
-    model: PceModel, points: np.ndarray, cfg: ConformalConfig
-) -> list[PredictionInterval]:
-    """Intervals for a batch of points, dispatching on cfg.method."""
-    centers, lowers, uppers = interval_arrays(model, points, cfg)
-    return [
-        PredictionInterval(lower=float(lo), upper=float(hi), center=float(c))
-        for c, lo, hi in zip(centers, lowers, uppers)
-    ]
-
-
 def interval_arrays(
     model: PceModel, points: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,8 +151,14 @@ def interval_bounds(
         ZeroVarianceError: For normalized scores on a zero-variance target.
         IntervalError: If a bound is NaN or a lower bound exceeds its upper.
     """
+    if cfg.score == "normalized":
+        variance = output_variance(model)
+        if variance <= VARIANCE_FLOOR:
+            raise ZeroVarianceError(
+                f"output variance {variance!r} too small to normalize scores"
+            )
     centers = rows @ model.coefficients
-    a = _scores_in_output_units(model, cfg)
+    a = np.abs(model.loo_residuals)
     m = a.shape[0]
     k = _upper_index(m, cfg.significance)
     if cfg.method == "jackknife":
@@ -262,17 +188,13 @@ def interval_bounds(
     return centers, lowers, uppers
 
 
-def empirical_coverage(intervals, truths) -> float:
-    """Fraction of truths falling inside their (closed) intervals."""
-    intervals = list(intervals)
-    truths = np.asarray(truths, dtype=float).ravel()
-    if len(intervals) != truths.shape[0]:
+def empirical_coverage(lowers, uppers, truths) -> float:
+    """Fraction of truths falling inside their closed intervals [lower, upper]."""
+    lowers, uppers, truths = (np.asarray(v, dtype=float).ravel() for v in (lowers, uppers, truths))
+    if not lowers.size == uppers.size == truths.size:
         raise ValueError(
-            f"{len(intervals)} intervals but {truths.shape[0]} truth values"
+            f"{lowers.size} lowers and {uppers.size} uppers but {truths.size} truth values"
         )
-    if len(intervals) == 0:
+    if truths.size == 0:
         raise ValueError("coverage of an empty set is undefined")
-    lowers = np.array([iv.lower for iv in intervals])
-    uppers = np.array([iv.upper for iv in intervals])
-    hits = (lowers <= truths) & (truths <= uppers)
-    return float(np.mean(hits))
+    return float(np.mean((lowers <= truths) & (truths <= uppers)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .basis import build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
-from .conformal import ConformalConfig, METHODS, interval_bounds
+from .conformal import ConformalConfig, METHODS, empirical_coverage, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError
 from .pce import VARIANCE_FLOOR, basis_rows, fit, output_variance, relative_loo_error
 
@@ -64,6 +65,14 @@ AGGREGATE_COLUMNS = (
 )
 
 
+def _integral(field: str, value) -> int:
+    """`value` as an int; a ValueError unless it is an integral real number."""
+    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{field} needs integer values, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid definition mirrored by the JSON config document."""
@@ -79,18 +88,16 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(p) for p in self.degrees))
-        object.__setattr__(self, "oversampling", tuple(int(c) for c in self.oversampling))
+        for field in ("degrees", "oversampling"):
+            values = tuple(_integral(field, v) for v in getattr(self, field))
+            object.__setattr__(self, field, values)
+        for field in ("n_seeds", "test_size"):
+            object.__setattr__(self, field, _integral(field, getattr(self, field)))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "scores", tuple(self.scores))
-        if not self.degrees:
-            raise ValueError("degrees list must be non-empty")
-        if not self.oversampling:
-            raise ValueError("oversampling list must be non-empty")
-        if not self.methods:
-            raise ValueError("methods list must be non-empty")
-        if not self.scores:
-            raise ValueError("scores list must be non-empty")
+        for field in ("degrees", "oversampling", "methods", "scores"):
+            if not getattr(self, field):
+                raise ValueError(f"{field} list must be non-empty")
         for method in self.methods:
             for score in self.scores:
                 ConformalConfig(method=method, score=score, significance=self.significance)
@@ -222,7 +229,7 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
             **coords,
             method=method,
             score=score,
-            coverage=float(np.mean((lowers <= truths) & (truths <= uppers))),
+            coverage=empirical_coverage(lowers, uppers, truths),
             mean_width=float(np.mean(widths)),
             median_width=float(np.median(widths)),
             rel_loo_error=rel_loo,
@@ -329,19 +336,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(rec: RunRecord) -> list[str]:
+def _typed_row(rec: RunRecord) -> list:
+    """The record's values in RECORD_COLUMNS order, for both report formats."""
     return [
         rec.benchmark,
-        str(rec.degree),
-        str(rec.oversampling),
+        rec.degree,
+        rec.oversampling,
         rec.method,
         rec.score,
-        str(rec.seed),
-        _fmt(rec.coverage),
-        _fmt(rec.mean_width),
-        _fmt(rec.median_width),
-        _fmt(rec.rel_loo_error),
-        _fmt(rec.n_unbounded),
+        rec.seed,
+        rec.coverage,
+        rec.mean_width,
+        rec.median_width,
+        rec.rel_loo_error,
+        rec.n_unbounded,
         rec.failure or "",
     ]
 
@@ -370,7 +378,7 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RECORD_COLUMNS)
             for rec in report.records:
-                writer.writerow(_record_row(rec))
+                writer.writerow([_fmt(v) for v in _typed_row(rec)])
         aggregates_path = out_dir / "aggregates.csv"
         with open(aggregates_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -398,19 +406,3 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
         raise ValueError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
     return written
 
-
-def _typed_row(rec: RunRecord) -> list:
-    return [
-        rec.benchmark,
-        rec.degree,
-        rec.oversampling,
-        rec.method,
-        rec.score,
-        rec.seed,
-        rec.coverage,
-        rec.mean_width,
-        rec.median_width,
-        rec.rel_loo_error,
-        rec.n_unbounded,
-        rec.failure or "",
-    ]

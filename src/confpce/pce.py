@@ -160,7 +160,8 @@ def fit(
         RankDeficientError: If the design condition number exceeds 1e12.
         LeverageError: If some 1 - h_mm < 1e-10 (e.g. the M = K
             interpolation regime, where the hat matrix is the identity).
-        NonFiniteFitError: If the coefficients or LOO residuals overflow.
+        NonFiniteFitError: If the coefficients, the LOO residuals, their sum
+            of squares or the output variance overflow.
     """
     if variance_estimator not in VARIANCE_ESTIMATORS:
         raise ValueError(f"unknown variance estimator {variance_estimator!r}")
@@ -180,8 +181,6 @@ def fit(
             f"design matrix condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
-
     # h_mm = ||Q_m||^2 since H = Q Q^T; clip eps-level drift back into [0, 1].
     hat = np.einsum("ij,ij->i", q, q)
     if np.any(hat > 1.0 + 1e-8) or np.any(hat < -1e-8):
@@ -196,27 +195,34 @@ def fit(
             f"1 - h below {LEVERAGE_FLOOR:.0e} makes LOO residuals undefined"
         )
 
-    residuals = data.outputs - design @ coeffs
-    loo_residuals = residuals / one_minus_h
-
     r_inv = solve_triangular(r, np.eye(k))
     normal_inverse = r_inv @ r_inv.T
-    loo_corrections = (design @ normal_inverse) * loo_residuals[:, None]
-    # An overflowed coefficient or LOO residual leaves a non-finite row here.
-    if not np.all(np.isfinite(loo_corrections)):
+    # Huge outputs can overflow anywhere below; the finite checks after the
+    # block turn that into one typed error rather than warnings and NaNs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
+        residuals = data.outputs - design @ coeffs
+        loo_residuals = residuals / one_minus_h
+        loo_corrections = (design @ normal_inverse) * loo_residuals[:, None]
+        model = PceModel(
+            index_set=index_set,
+            input_spec=spec,
+            training_snapshot=data,
+            coefficients=_readonly(coeffs),
+            hat_diag=_readonly(hat),
+            loo_residuals=_readonly(loo_residuals),
+            loo_corrections=_readonly(loo_corrections),
+            condition_number=condition,
+            variance_estimator=variance_estimator,
+        )
+        finite = (
+            np.all(np.isfinite(loo_corrections))
+            and np.isfinite(loo_residuals @ loo_residuals)
+            and np.isfinite(output_variance(model))
+        )
+    if not finite:
         raise NonFiniteFitError("the fit overflows: training outputs are too large in magnitude")
-
-    return PceModel(
-        index_set=index_set,
-        input_spec=spec,
-        training_snapshot=data,
-        coefficients=_readonly(coeffs),
-        hat_diag=_readonly(hat),
-        loo_residuals=_readonly(loo_residuals),
-        loo_corrections=_readonly(loo_corrections),
-        condition_number=condition,
-        variance_estimator=variance_estimator,
-    )
+    return model
 
 
 def predict(model: PceModel, x: np.ndarray):

@@ -15,6 +15,7 @@ from confpce.benchmarks import (
     design_size,
     evaluate,
     get_benchmark,
+    read_csv_table,
     register_benchmark,
     sample_design,
     unregister_benchmark,
@@ -208,3 +209,21 @@ class TestCsvRoundTrip:
             dataset_from_csv(io.StringIO(""))
         with pytest.raises(ValueError):
             dataset_from_csv(io.StringIO("x1,y\n"))
+
+    def test_table_reader_strips_header_and_skips_blank_lines(self):
+        header, table = read_csv_table(io.StringIO(" x1 ,x2\n1,2\n\n3.5,-4e-3\n"))
+        assert header == ["x1", "x2"]
+        np.testing.assert_array_equal(table, [[1.0, 2.0], [3.5, -4e-3]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty CSV"),
+            ("x1,x2\n", "no data rows"),
+            ("x1,x2\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
+            ("x1,x2\n1,two\n", "line 2: non-numeric"),
+        ],
+    )
+    def test_table_reader_rejects_malformed(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_csv_table(io.StringIO(text))

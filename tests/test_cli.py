@@ -95,6 +95,35 @@ class TestFit:
         )
         assert code == 2
 
+    def test_data_outside_ranges_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        write_zero_csv(data)
+        out = tmp_path / "m.json"
+        code = run_cli("fit", "--data", str(data), "--ranges=0:1", "--degree", "1", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    @pytest.mark.parametrize("degree", ["1", "2"])
+    def test_huge_outputs_exit_3(self, tmp_path, capsys, scale, degree):
+        # Finite outputs whose squares overflow: a typed error, not a NaN.
+        data = tmp_path / "train.csv"
+        with open(data, "w") as fh:
+            fh.write("x1,y\n")
+            for i, x in enumerate(np.linspace(-1.0, 1.0, 30)):
+                fh.write(f"{float(x)!r},{scale if i // 3 % 2 else -scale!r}\n")
+        out = tmp_path / "m.json"
+        code = run_cli("fit", "--data", str(data), "--degree", degree, "--out", str(out))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: NonFiniteFitError: ")
+        assert not out.exists()
+
 
 @pytest.fixture()
 def zero_model(tmp_path):
@@ -254,6 +283,41 @@ class TestInterval:
         assert "error: validation: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y1\n0.1\n",  # wrong header
+            "x1\n0.1\n0.2,0.3\n",  # ragged row
+            "x1\n0.1\nabc\n",  # non-numeric field
+            "x1\n",  # header only
+            "",  # empty file
+        ],
+        ids=["wrong-header", "ragged-row", "non-numeric", "header-only", "empty"],
+    )
+    def test_malformed_points_exit_2(self, tmp_path, zero_model, capsys, text):
+        points = tmp_path / "pts.csv"
+        points.write_text(text)
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(zero_model), "--points", str(points), "--out", str(out)
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: validation: ")
+        assert not out.exists()
+
+    def test_points_with_y_column(self, tmp_path, zero_model):
+        points = tmp_path / "pts.csv"
+        points.write_text("x1,y\n0.25,7.0\n")
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(zero_model), "--points", str(points), "--out", str(out)
+        )
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["x1", "center", "lower", "upper"]
+        assert float(rows[0]["x1"]) == 0.25
+
     def test_missing_model_exit_2(self, tmp_path, query_points):
         code = run_cli(
             "interval", "--model", str(tmp_path / "no.json"), "--points", str(query_points),
@@ -301,6 +365,16 @@ class TestExperiment:
         config = self.write_config(tmp_path, significance=0.75)
         assert run_cli("experiment", "--config", str(config)) == 2
         assert "jackknife_plus needs significance <= 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("degrees", [2.5]), ("oversampling", [3, 4.5]), ("n_seeds", 1.5), ("test_size", 2.5)],
+    )
+    def test_non_integral_field_exit_2(self, tmp_path, capsys, field, value):
+        config = self.write_config(tmp_path, **{field: value})
+        assert run_cli("experiment", "--config", str(config)) == 2
+        assert f"error: validation: bad config: {field} needs integer values" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     def test_bad_json_exit_2(self, tmp_path):
         config = tmp_path / "config.json"

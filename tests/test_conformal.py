@@ -11,15 +11,10 @@ from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import (
     _chunk_rows,
     ConformalConfig,
-    PredictionInterval,
     empirical_coverage,
     finite_quantile_lower,
     finite_quantile_upper,
     interval_arrays,
-    jackknife_interval,
-    jackknife_plus_interval,
-    prediction_intervals,
-    scores,
 )
 from confpce.errors import IntervalError, ZeroVarianceError
 from confpce.pce import (
@@ -27,11 +22,15 @@ from confpce.pce import (
     brute_force_loo,
     fit,
     loo_predict,
-    output_variance,
     predict,
 )
 
 UNIT_SPEC = InputSpec(ranges=((-1.0, 1.0),))
+
+
+def one_interval(model, x, cfg):
+    """(center, lower, upper) at the single point x, as floats."""
+    return tuple(float(v[0]) for v in interval_arrays(model, x, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +99,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ConformalConfig(significance=1.0)
 
-    def test_interval_orientation_guard(self):
-        with pytest.raises(ValueError):
-            PredictionInterval(lower=1.0, upper=0.0, center=0.5)
-
 
 class TestScores:
     def test_exact_polynomial_zero_scores(self):
@@ -111,14 +106,17 @@ class TestScores:
         x = rng.uniform(-1, 1, size=(20, 1))
         data = Dataset(inputs=x, outputs=1.0 + 2.0 * x[:, 0])
         model = fit(data, build_total_degree_set(1, 2), UNIT_SPEC)
-        np.testing.assert_allclose(
-            scores(model, ConformalConfig(score="absolute")), 0.0, atol=1e-12
-        )
+        np.testing.assert_allclose(model.loo_residuals, 0.0, atol=1e-12)
 
     def test_normalized_rescales_to_absolute(self, hand_model):
-        a = scores(hand_model, ConformalConfig(score="absolute"))
-        n = scores(hand_model, ConformalConfig(score="normalized"))
-        np.testing.assert_allclose(n * math.sqrt(output_variance(hand_model)), a, rtol=1e-14)
+        # Normalizing by one constant and rescaling back leaves the bounds as
+        # they are, so both score types build the same intervals bit for bit.
+        x = np.array([[-0.5], [0.5]])
+        for method in ("jackknife", "jackknife_plus"):
+            a = interval_arrays(hand_model, x, ConformalConfig(method, "absolute", 0.5))
+            n = interval_arrays(hand_model, x, ConformalConfig(method, "normalized", 0.5))
+            for want, got in zip(a, n):
+                np.testing.assert_array_equal(got, want)
 
     def test_scores_match_brute_force(self):
         bench = get_benchmark("otl_circuit")
@@ -127,18 +125,17 @@ class TestScores:
         model = fit(train, iset, bench.input_spec)
         brute_res, _ = brute_force_loo(train, iset, bench.input_spec)
         np.testing.assert_allclose(
-            scores(model, ConformalConfig(score="absolute")),
-            np.abs(brute_res),
-            rtol=1e-8,
-            atol=1e-10,
+            np.abs(model.loo_residuals), np.abs(brute_res), rtol=1e-8, atol=1e-10
         )
 
     def test_normalized_zero_variance_raises(self):
         x = np.linspace(-1, 1, 10)[:, None]
         data = Dataset(inputs=x, outputs=np.zeros(10))
         model = fit(data, build_total_degree_set(1, 1), UNIT_SPEC)
-        with pytest.raises(ZeroVarianceError):
-            scores(model, ConformalConfig(score="normalized"))
+        for method in ("jackknife", "jackknife_plus"):
+            with pytest.raises(ZeroVarianceError, match="too small to normalize scores"):
+                interval_arrays(model, x[:2], ConformalConfig(method, "normalized", 0.2))
+            interval_arrays(model, x[:2], ConformalConfig(method, "absolute", 0.2))
 
 
 class TestHandWorkedIntervals:
@@ -150,26 +147,24 @@ class TestHandWorkedIntervals:
 
     def test_jackknife_hand_values(self, hand_model):
         cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.5)
-        iv = jackknife_interval(hand_model, np.array([0.5]), cfg)
+        center, lower, upper = one_interval(hand_model, np.array([0.5]), cfg)
         # k = ceil(0.5 * 4) = 2 -> second smallest of {2, 1, 2} = 2
-        assert iv.center == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert iv.lower == pytest.approx(1.0 / 3.0 - 2.0, rel=1e-12)
-        assert iv.upper == pytest.approx(1.0 / 3.0 + 2.0, rel=1e-12)
+        assert center == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert lower == pytest.approx(1.0 / 3.0 - 2.0, rel=1e-12)
+        assert upper == pytest.approx(1.0 / 3.0 + 2.0, rel=1e-12)
 
     def test_jackknife_plus_hand_values(self, hand_model):
         # LOO predictions at 0.5 are (1/2, 0, 3/2); scores (2, 1, 2).
         # lower candidates {-3/2, -1, -1/2}: floor(0.5 * 4) = 2 -> -1
         # upper candidates {5/2, 1, 7/2}: ceil(0.5 * 4) = 2 -> 5/2
-        from confpce.pce import loo_predict
-
         np.testing.assert_allclose(
             loo_predict(hand_model, np.array([0.5])), [0.5, 0.0, 1.5], atol=1e-12
         )
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.5)
-        iv = jackknife_plus_interval(hand_model, np.array([0.5]), cfg)
-        assert iv.lower == pytest.approx(-1.0, rel=1e-12)
-        assert iv.upper == pytest.approx(2.5, rel=1e-12)
-        assert iv.center == pytest.approx(1.0 / 3.0, rel=1e-12)
+        center, lower, upper = one_interval(hand_model, np.array([0.5]), cfg)
+        assert lower == pytest.approx(-1.0, rel=1e-12)
+        assert upper == pytest.approx(2.5, rel=1e-12)
+        assert center == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -185,25 +180,23 @@ class TestIntervalProperties:
     def test_jackknife_symmetric_from_same_quantile(self, otl_model):
         model, points = otl_model
         cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.05)
-        half = finite_quantile_upper(scores(model, cfg), cfg.significance)
+        half = finite_quantile_upper(np.abs(model.loo_residuals), cfg.significance)
         for p in points[:10]:
-            iv = jackknife_interval(model, p, cfg)
-            assert iv.upper == iv.center + half
-            assert iv.lower == iv.center - half
+            center, lower, upper = one_interval(model, p, cfg)
+            assert upper == center + half
+            assert lower == center - half
 
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
     def test_normalization_invariance(self, otl_model, method):
         model, points = otl_model
-        abs_ivs = prediction_intervals(
+        abs_ivs = interval_arrays(
             model, points, ConformalConfig(method=method, score="absolute", significance=0.05)
         )
-        norm_ivs = prediction_intervals(
+        norm_ivs = interval_arrays(
             model, points, ConformalConfig(method=method, score="normalized", significance=0.05)
         )
         for a, n in zip(abs_ivs, norm_ivs):
-            width = a.width
-            assert abs(a.lower - n.lower) <= 1e-12 * width
-            assert abs(a.upper - n.upper) <= 1e-12 * width
+            np.testing.assert_array_equal(n, a)
 
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
     def test_monotone_in_significance(self, otl_model, method):
@@ -211,14 +204,13 @@ class TestIntervalProperties:
         s_grid = [0.02, 0.05, 0.1, 0.3]
         previous = None
         for s in s_grid:
-            ivs = prediction_intervals(
+            _, lowers, uppers = interval_arrays(
                 model, points, ConformalConfig(method=method, score="absolute", significance=s)
             )
             if previous is not None:
-                for wide, narrow in zip(previous, ivs):
-                    assert wide.lower <= narrow.lower
-                    assert narrow.upper <= wide.upper
-            previous = ivs
+                assert np.all(previous[0] <= lowers)
+                assert np.all(uppers <= previous[1])
+            previous = lowers, uppers
 
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
     def test_permutation_invariance(self, method):
@@ -230,11 +222,10 @@ class TestIntervalProperties:
         iset = build_total_degree_set(6, 2)
         cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
         points = sample_design("otl_circuit", 20, seed=91, stream="test").inputs
-        a = prediction_intervals(fit(train, iset, bench.input_spec), points, cfg)
-        b = prediction_intervals(fit(shuffled, iset, bench.input_spec), points, cfg)
-        for iv_a, iv_b in zip(a, b):
-            assert iv_a.lower == pytest.approx(iv_b.lower, abs=1e-12 * max(1.0, abs(iv_a.lower)))
-            assert iv_a.upper == pytest.approx(iv_b.upper, abs=1e-12 * max(1.0, abs(iv_a.upper)))
+        _, lo_a, hi_a = interval_arrays(fit(train, iset, bench.input_spec), points, cfg)
+        _, lo_b, hi_b = interval_arrays(fit(shuffled, iset, bench.input_spec), points, cfg)
+        for a, b in ((lo_a, lo_b), (hi_a, hi_b)):
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
 
     def test_degenerate_sandwich(self):
         # All scores equal a and all LOO predictions equal the center:
@@ -250,41 +241,28 @@ class TestIntervalProperties:
         cfg_jk = ConformalConfig(method="jackknife", score="absolute", significance=0.25)
         cfg_jkp = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.25)
         x = np.array([0.4])
-        jk = jackknife_interval(model, x, cfg_jk)
-        jkp = jackknife_plus_interval(model, x, cfg_jkp)
-        assert jk.lower == pytest.approx(2.0 - a, rel=1e-14)
-        assert jk.upper == pytest.approx(2.0 + a, rel=1e-14)
-        assert jkp.lower == pytest.approx(2.0 - a, rel=1e-14)
-        assert jkp.upper == pytest.approx(2.0 + a, rel=1e-14)
+        for cfg in (cfg_jk, cfg_jkp):
+            _, lower, upper = one_interval(model, x, cfg)
+            assert lower == pytest.approx(2.0 - a, rel=1e-14)
+            assert upper == pytest.approx(2.0 + a, rel=1e-14)
 
     def test_unbounded_when_sample_too_small(self, hand_model):
         # M = 3, s = 0.05: ceil(0.95 * 4) = 4 > 3 for both methods.
         x = np.array([0.2])
         for method in ("jackknife", "jackknife_plus"):
             cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
-            iv = (jackknife_interval if method == "jackknife" else jackknife_plus_interval)(
-                hand_model, x, cfg
-            )
-            assert iv.lower == -math.inf
-            assert iv.upper == math.inf
-            assert iv.is_unbounded
-            assert math.isfinite(iv.center)
+            center, lower, upper = one_interval(hand_model, x, cfg)
+            assert lower == -math.inf
+            assert upper == math.inf
+            assert math.isfinite(center)
 
     def test_interval_arrays_matches_pointwise(self, otl_model):
         model, points = otl_model
         for method in ("jackknife", "jackknife_plus"):
             cfg = ConformalConfig(method=method, score="absolute", significance=0.1)
-            centers, lowers, uppers = interval_arrays(model, points, cfg)
-            one_by_one = [
-                (jackknife_interval if method == "jackknife" else jackknife_plus_interval)(
-                    model, p, cfg
-                )
-                for p in points
-            ]
-            np.testing.assert_allclose(centers, [iv.center for iv in one_by_one], rtol=1e-14)
-            np.testing.assert_allclose(lowers, [iv.lower for iv in one_by_one], rtol=1e-14)
-            np.testing.assert_allclose(uppers, [iv.upper for iv in one_by_one], rtol=1e-14)
-
+            batch = interval_arrays(model, points, cfg)
+            one_by_one = np.array([one_interval(model, p, cfg) for p in points]).T
+            np.testing.assert_allclose(batch, one_by_one, rtol=1e-14)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
@@ -312,8 +290,8 @@ class TestIntervalError:
         cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
         with pytest.raises(IntervalError, match="point 0"):
             interval_arrays(broken, points, cfg)
-        with pytest.raises(IntervalError):
-            prediction_intervals(broken, points, cfg)
+        with pytest.raises(IntervalError, match="point 0"):
+            one_interval(broken, points[0], cfg)
 
     def test_inverted_bounds_raise_typed_error(self):
         # At s > 1/2 the jackknife+ lower order statistic (floor(s(M+1))-th)
@@ -329,21 +307,22 @@ class TestIntervalError:
 
 class TestEmpiricalCoverage:
     def test_unbounded_covers_everything(self):
-        ivs = [PredictionInterval(-math.inf, math.inf, 0.0)] * 4
-        assert empirical_coverage(ivs, [1e9, -1e9, 0.0, math.pi]) == 1.0
+        truths = [1e9, -1e9, 0.0, math.pi]
+        assert empirical_coverage(np.full(4, -math.inf), np.full(4, math.inf), truths) == 1.0
 
     def test_zero_width_at_wrong_values(self):
-        ivs = [PredictionInterval(0.0, 0.0, 0.0)] * 3
-        assert empirical_coverage(ivs, [1.0, 2.0, -1.0]) == 0.0
+        assert empirical_coverage(np.zeros(3), np.zeros(3), [1.0, 2.0, -1.0]) == 0.0
 
     def test_boundary_hits_count(self):
-        ivs = [
-            PredictionInterval(0.0, 1.0, 0.5),
-            PredictionInterval(0.0, 1.0, 0.5),
-            PredictionInterval(0.0, 1.0, 0.5),
-        ]
-        assert empirical_coverage(ivs, [0.5, 2.0, 1.0]) == pytest.approx(2.0 / 3.0)
+        coverage = empirical_coverage(np.zeros(3), np.ones(3), [0.5, 2.0, 1.0])
+        assert coverage == pytest.approx(2.0 / 3.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_coverage([PredictionInterval(0.0, 1.0, 0.5)], [0.5, 0.6])
+        with pytest.raises(ValueError, match="but 2 truth values"):
+            empirical_coverage([0.0], [1.0], [0.5, 0.6])
+        with pytest.raises(ValueError, match="1 lowers and 2 uppers"):
+            empirical_coverage([0.0], [1.0, 1.0], [0.5])
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty set"):
+            empirical_coverage([], [], [])

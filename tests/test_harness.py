@@ -16,7 +16,7 @@ from confpce.benchmarks import (
     sample_design,
     unregister_benchmark,
 )
-from confpce.conformal import ConformalConfig, empirical_coverage, prediction_intervals
+from confpce.conformal import ConformalConfig, empirical_coverage, interval_arrays
 from confpce.errors import ConfpceError
 from confpce.harness import (
     AGGREGATE_COLUMNS,
@@ -236,9 +236,9 @@ class TestRunGrid:
         assert jk.rel_loo_error == jkp.rel_loo_error  # same fit underneath
 
 
-def object_path_record(benchmark, degree, oversampling, method, score, significance, seed,
+def per_cell_record(benchmark, degree, oversampling, method, score, significance, seed,
                        test_size):
-    """One cell rebuilt alone on the interval-object path, as a reference."""
+    """One cell rebuilt alone from the points, as a reference for the shared design."""
     coords = dict(benchmark=benchmark, degree=degree, oversampling=oversampling,
                   method=method, score=score, seed=seed)
     bench = get_benchmark(benchmark)
@@ -255,11 +255,11 @@ def object_path_record(benchmark, degree, oversampling, method, score, significa
         model = fit(train, index_set, bench.input_spec)
         test = sample_design(benchmark, test_size, seed=key, stream="test")
         cfg = ConformalConfig(method=method, score=score, significance=significance)
-        intervals = prediction_intervals(model, test.inputs, cfg)
-        coverage = empirical_coverage(intervals, test.outputs)
+        _, lowers, uppers = interval_arrays(model, test.inputs, cfg)
+        coverage = empirical_coverage(lowers, uppers, test.outputs)
     except ConfpceError as exc:
         return RunRecord(**coords, failure=f"{type(exc).__name__}: {exc}")
-    widths = np.array([iv.width for iv in intervals])
+    widths = uppers - lowers
     rel = math.nan if output_variance(model) <= VARIANCE_FLOOR else relative_loo_error(model)
     return RunRecord(
         **coords,
@@ -268,7 +268,7 @@ def object_path_record(benchmark, degree, oversampling, method, score, significa
         median_width=float(np.median(widths)),
         rel_loo_error=rel,
         condition_number=model.condition_number,
-        n_unbounded=sum(iv.is_unbounded for iv in intervals),
+        n_unbounded=int(np.sum(np.isinf(lowers) | np.isinf(uppers))),
     )
 
 
@@ -294,7 +294,7 @@ class TestSharedDesign:
             test_size=300,
         )
         want = [
-            object_path_record(name, p, c, method, score, 0.05, seed, 300)
+            per_cell_record(name, p, c, method, score, 0.05, seed, 300)
             for p in degrees
             for c in oversampling
             for method in config.methods
@@ -368,6 +368,25 @@ class TestConfigValidation:
             ExperimentConfig(
                 benchmark="meromorphic", degrees=(2,), oversampling=(2,), test_size=0
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("degrees", (2.5,)), ("oversampling", (2, 2.5)), ("n_seeds", 1.5), ("test_size", 2.5)],
+    )
+    def test_rejects_non_integral(self, field, value):
+        doc = dict(benchmark="meromorphic", degrees=(2,), oversampling=(2,))
+        with pytest.raises(ValueError, match=f"{field} needs integer values"):
+            ExperimentConfig(**{**doc, field: value})
+
+    def test_accepts_integral_floats(self):
+        config = ExperimentConfig(
+            benchmark="meromorphic", degrees=(2.0,), oversampling=(3.0,), n_seeds=4.0,
+            test_size=10.0,
+        )
+        assert (config.degrees, config.oversampling, config.n_seeds, config.test_size) == (
+            (2,), (3,), 4, 10
+        )
+        assert all(type(v) is int for v in (*config.degrees, config.n_seeds, config.test_size))
 
     def test_from_dict(self):
         doc = {"benchmark": "meromorphic", "degrees": [2], "oversampling": [2, 3]}

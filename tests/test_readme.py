@@ -1,0 +1,18 @@
+"""The README's library tour runs as written against the current API."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_tour_runs():
+    tour = re.search(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert tour, "README has no python block"
+    namespace = {}
+    exec(compile(tour.group(1), str(README), "exec"), namespace)
+    # The tour's closing line claims coverage near the nominal 0.95.
+    coverage = namespace["cp"].empirical_coverage(
+        namespace["lowers"], namespace["uppers"], namespace["test"].outputs
+    )
+    assert 0.9 <= coverage <= 1.0
