@@ -11,8 +11,6 @@ from .basis import (
     MultiIndexSet,
     build_total_degree_set,
     eval_basis_matrix,
-    eval_basis_row,
-    from_reference,
     to_reference,
 )
 from .benchmarks import (
@@ -62,7 +60,6 @@ from .pce import (
     fit,
     from_json,
     loo_predict,
-    loo_residuals,
     loo_values,
     output_variance,
     pce_variance,

@@ -13,12 +13,27 @@ where $P_j$ is the standard Legendre polynomial. The scaling makes the family
 orthonormal with respect to the uniform density on $[-1, 1]^N$, i.e.
 $\mathbb{E}[\Psi_\alpha \Psi_\beta] = \delta_{\alpha\beta}$. Inputs living on a
 general box are mapped to the reference cube by a componentwise affine map.
+
+The basis is evaluated by a parent recurrence. The parent of $\alpha \ne 0$
+is $\alpha$ with its last nonzero coordinate $\alpha_d$ set to zero. A
+total-degree set is downward closed, so the parent is in the set, and its
+total degree is lower, so it comes earlier in graded order. Hence
+
+$$
+\Psi_\alpha(\xi) = \Psi_{\mathrm{parent}(\alpha)}(\xi)\, \psi_{\alpha_d}(\xi_d),
+$$
+
+one multiply per term and point on top of the univariate tables. The result
+is bit-identical to the left-to-right product over dimensions
+$1, \dots, N$: $\psi_0$ is exactly 1.0, so the factors of the zero
+coordinates change nothing, and the chain multiplies the nonzero factors in
+ascending dimension order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +46,11 @@ REFERENCE_TOLERANCE = 1e-12
 # Guard against accidentally materializing an intractable basis.
 MAX_BASIS_SIZE = 10_000_000
 
+# eval_basis_matrix builds the basis in blocks of points whose (K, b) scratch
+# buffer holds about this many bytes, so its working memory beyond the result
+# does not grow with the number of points.
+_BLOCK_BYTES = 2**19
+
 
 @dataclass(frozen=True)
 class MultiIndexSet:
@@ -42,18 +62,24 @@ class MultiIndexSet:
             zero index first.
         input_dim: Number of input dimensions N.
         max_degree: Maximum total degree P.
+        parent: Read-only integer array (K,); entry k is the position of the
+            k-th index with its last nonzero coordinate set to 0, which is
+            smaller than k. The zero index is its own parent.
+        last_dim: Read-only integer array (K,): the dimension d of that last
+            nonzero coordinate (0 for the zero index).
+        last_degree: Read-only integer array (K,): its degree alpha_d (0 for
+            the zero index).
     """
 
     indices: tuple[tuple[int, ...], ...]
     input_dim: int
     max_degree: int
+    parent: np.ndarray = field(compare=False, repr=False)
+    last_dim: np.ndarray = field(compare=False, repr=False)
+    last_degree: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def as_array(self) -> np.ndarray:
-        """Return the indices as an integer array of shape (K, N)."""
-        return np.asarray(self.indices, dtype=np.intp).reshape(len(self.indices), self.input_dim)
 
 
 @dataclass(frozen=True)
@@ -103,7 +129,8 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         max_degree: Maximum total degree P (>= 0).
 
     Returns:
-        The total-degree MultiIndexSet.
+        The total-degree MultiIndexSet, with the parent arrays that
+        :func:`eval_basis_matrix` walks.
 
     Raises:
         BasisSizeError: If the cardinality K exceeds MAX_BASIS_SIZE, or the
@@ -127,7 +154,25 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     indices.sort(key=lambda alpha: (sum(alpha), alpha[::-1]))
     if len(indices) != size:
         raise BasisSizeError(f"enumerated {len(indices)} multi-indices, expected K={size}")
-    return MultiIndexSet(indices=tuple(indices), input_dim=input_dim, max_degree=max_degree)
+
+    position = {alpha: k for k, alpha in enumerate(indices)}
+    links = [(0, 0, 0)]  # the zero index is its own parent
+    for alpha in indices[1:]:
+        d = input_dim - 1
+        while not alpha[d]:
+            d -= 1
+        links.append((position[alpha[:d] + (0,) * (input_dim - d)], d, alpha[d]))
+    columns = np.array(links, dtype=np.intp).T.copy()
+    columns.setflags(write=False)
+    parent, last_dim, last_degree = columns
+    return MultiIndexSet(
+        indices=tuple(indices),
+        input_dim=input_dim,
+        max_degree=max_degree,
+        parent=parent,
+        last_dim=last_dim,
+        last_degree=last_degree,
+    )
 
 
 def _compositions(total: int, parts: int):
@@ -169,18 +214,6 @@ def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:
     return xi[0] if single else xi
 
 
-def from_reference(xi: np.ndarray, spec: InputSpec) -> np.ndarray:
-    """Inverse of :func:`to_reference`: maps reference-cube points to the box."""
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = np.atleast_2d(xi)
-    if pts.shape[1] != spec.dim:
-        raise ValueError(f"expected {spec.dim}-dimensional points, got shape {xi.shape}")
-    lo, hi = spec.lower(), spec.upper()
-    x = lo + (pts + 1.0) * (hi - lo) / 2.0
-    return x[0] if single else x
-
-
 def _clamp_reference(xi: np.ndarray, spec: InputSpec | None = None) -> np.ndarray:
     """Clamps reference coordinates within tolerance, errors beyond it.
 
@@ -214,19 +247,34 @@ def legendre_table(degree: int, xi: np.ndarray) -> np.ndarray:
     Returns:
         Array of shape (n, degree + 1); column j holds psi_j(xi).
     """
-    xi = np.asarray(xi, dtype=float)
-    table = np.empty((xi.shape[0], degree + 1))
-    table[:, 0] = 1.0
+    return _legendre_rows(degree, np.asarray(xi, dtype=float)).T
+
+
+def _legendre_rows(degree: int, xi: np.ndarray) -> np.ndarray:
+    """psi_0..psi_degree at points of any shape: shape (degree + 1,) + xi.shape."""
+    table = np.empty((degree + 1,) + xi.shape)
+    table[0] = 1.0
     if degree >= 1:
-        table[:, 1] = xi
+        table[1] = xi
     for j in range(1, degree):
-        table[:, j + 1] = ((2 * j + 1) * xi * table[:, j] - j * table[:, j - 1]) / (j + 1)
-    table *= np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+        table[j + 1] = ((2 * j + 1) * xi * table[j] - j * table[j - 1]) / (j + 1)
+    table *= np.sqrt(2.0 * np.arange(degree + 1) + 1.0).reshape((-1,) + (1,) * xi.ndim)
     return table
+
+
+def _block_rows(n_basis: int) -> int:
+    """Points per :func:`eval_basis_matrix` block for a basis of n_basis terms."""
+    return max(1, _BLOCK_BYTES // (8 * n_basis))
 
 
 def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
     """Evaluates every basis element at a batch of reference points.
+
+    Walks the parent recurrence of the module docstring one total degree at a
+    time: the terms of degree p form one slice of the graded order, and each
+    is its parent's value times one univariate factor. Points are processed in
+    blocks of :func:`_block_rows` rows in a (K, b) scratch buffer, which is
+    then written transposed into the result.
 
     Args:
         xi: Reference points of shape (n, N), componentwise within
@@ -234,7 +282,8 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
         index_set: Basis definition.
 
     Returns:
-        Design-style matrix of shape (n, K); entry (i, k) is Psi_k(xi_i).
+        C-contiguous design-style matrix of shape (n, K); entry (i, k) is
+        Psi_k(xi_i).
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if xi.shape[1] != index_set.input_dim:
@@ -242,29 +291,24 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
             f"points have dimension {xi.shape[1]}, basis expects {index_set.input_dim}"
         )
     xi = _clamp_reference(xi)
-    idx = index_set.as_array()
-    out = np.ones((xi.shape[0], len(index_set)))
-    for n in range(index_set.input_dim):
-        col_max = int(idx[:, n].max(initial=0))
-        table = legendre_table(col_max, xi[:, n])
-        out *= table[:, idx[:, n]]
+    n, k, dim = xi.shape[0], len(index_set), index_set.input_dim
+    # Row j * N + d of a block's flattened table holds psi_j in dimension d.
+    factor = index_set.last_degree * dim + index_set.last_dim
+    # The terms of total degree p sit at [C(N + p - 1, N), C(N + p, N)).
+    ends = [math.comb(dim + p, dim) for p in range(index_set.max_degree + 1)]
+    levels = [(slice(lo, hi), index_set.parent[lo:hi], factor[lo:hi])
+              for lo, hi in zip(ends, ends[1:])]
+
+    out = np.empty((n, k))
+    step = _block_rows(k)
+    scratch = np.empty((k, min(step, n)))
+    for start in range(0, n, step):
+        block = xi[start:start + step].T
+        tables = _legendre_rows(index_set.max_degree, block).reshape(-1, block.shape[1])
+        terms = scratch[:, :block.shape[1]]
+        terms[0] = 1.0
+        for level, parents, factors in levels:
+            np.take(tables, factors, axis=0, out=terms[level])
+            terms[level] *= terms[parents]
+        out[start:start + step] = terms.T
     return out
-
-
-def eval_basis_row(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
-    """Evaluates every basis element at one reference point.
-
-    Entry k is the product over dimensions of psi_{alpha_n}(xi_n) for the k-th
-    multi-index alpha; the zero index always evaluates to exactly 1.
-
-    Args:
-        xi: Reference point of shape (N,).
-        index_set: Basis definition.
-
-    Returns:
-        Vector of length K.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1:
-        raise ValueError("eval_basis_row expects a single point; use eval_basis_matrix for batches")
-    return eval_basis_matrix(xi[None, :], index_set)[0]

@@ -51,6 +51,8 @@ def _parse_ranges(text: str) -> InputSpec:
 def cmd_fit(args) -> int:
     if (args.data is None) == (args.benchmark is None):
         raise _ValidationError("provide exactly one data source: --data or --benchmark")
+    if args.degree < 0:
+        raise _ValidationError(f"--degree must be >= 0, got {args.degree}")
 
     if args.data is not None:
         try:
@@ -93,10 +95,7 @@ def cmd_fit(args) -> int:
         fh.write(pce.to_json(model))
         fh.write("\n")
 
-    if pce.output_variance(model) <= pce.VARIANCE_FLOOR:
-        rel = float("nan")
-    else:
-        rel = pce.relative_loo_error(model)
+    rel = pce.relative_loo_error_or_nan(model)
     print(
         f"K={model.n_basis} M={model.n_train} rel_loo_error={rel!r} "
         f"cond={model.condition_number!r} max_leverage={float(model.hat_diag.max())!r}"

@@ -138,6 +138,20 @@ def _chunk_rows(n_train: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n_train))
 
 
+def check_score(model: PceModel, score: str) -> None:
+    """The one check that tells the score types apart, see the module docstring.
+
+    Raises:
+        ZeroVarianceError: For normalized scores on a zero-variance target.
+    """
+    if score == "normalized":
+        variance = output_variance(model)
+        if variance <= VARIANCE_FLOOR:
+            raise ZeroVarianceError(
+                f"output variance {variance!r} too small to normalize scores"
+            )
+
+
 def interval_bounds(
     model: PceModel, rows: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,12 +165,7 @@ def interval_bounds(
         ZeroVarianceError: For normalized scores on a zero-variance target.
         IntervalError: If a bound is NaN or a lower bound exceeds its upper.
     """
-    if cfg.score == "normalized":
-        variance = output_variance(model)
-        if variance <= VARIANCE_FLOOR:
-            raise ZeroVarianceError(
-                f"output variance {variance!r} too small to normalize scores"
-            )
+    check_score(model, cfg.score)
     centers = rows @ model.coefficients
     a = np.abs(model.loo_residuals)
     m = a.shape[0]

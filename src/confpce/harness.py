@@ -23,9 +23,9 @@ import numpy as np
 
 from .basis import build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
-from .conformal import ConformalConfig, METHODS, empirical_coverage, interval_bounds
-from .errors import ConfpceError, UnderdeterminedError
-from .pce import VARIANCE_FLOOR, basis_rows, fit, output_variance, relative_loo_error
+from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
+from .errors import ConfpceError, UnderdeterminedError, ZeroVarianceError
+from .pce import basis_rows, fit, relative_loo_error_or_nan
 
 RECORD_COLUMNS = (
     "benchmark",
@@ -101,6 +101,12 @@ class ExperimentConfig:
         for method in self.methods:
             for score in self.scores:
                 ConformalConfig(method=method, score=score, significance=self.significance)
+        for degree in self.degrees:
+            if degree < 0:
+                raise ValueError(f"degrees must be >= 0, got {degree}")
+        for oversampling in self.oversampling:
+            if oversampling < 1:
+                raise ValueError(f"oversampling must be >= 1, got {oversampling}")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         if self.test_size < 1:
@@ -211,31 +217,37 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
     except ConfpceError as exc:
         return all_failed(exc)
 
-    if output_variance(model) <= VARIANCE_FLOOR:
-        rel_loo = float("nan")
-    else:
-        rel_loo = relative_loo_error(model)
-    truths = test.outputs
-    records = []
-    for method, score in cells:
-        cfg = ConformalConfig(method=method, score=score, significance=significance)
+    rel_loo = relative_loo_error_or_nan(model)
+
+    def score_method(method):
+        cfg = ConformalConfig(method=method, significance=significance)
         try:
             _, lowers, uppers = interval_bounds(model, rows, cfg)
         except ConfpceError as exc:
-            records.append(RunRecord(**coords, method=method, score=score, failure=_failure(exc)))
-            continue
+            return dict(failure=_failure(exc))
         widths = uppers - lowers
-        records.append(RunRecord(
-            **coords,
-            method=method,
-            score=score,
-            coverage=empirical_coverage(lowers, uppers, truths),
+        return dict(
+            coverage=empirical_coverage(lowers, uppers, test.outputs),
             mean_width=float(np.mean(widths)),
             median_width=float(np.median(widths)),
             rel_loo_error=rel_loo,
             condition_number=model.condition_number,
             n_unbounded=int(np.count_nonzero(np.isinf(lowers) | np.isinf(uppers))),
-        ))
+        )
+
+    # Both score types give the same bounds, so each method is scored once
+    # and a normalized cell adds only its zero-variance check.
+    scored = {}
+    records = []
+    for method, score in cells:
+        try:
+            check_score(model, score)
+        except ZeroVarianceError as exc:
+            records.append(RunRecord(**coords, method=method, score=score, failure=_failure(exc)))
+            continue
+        if method not in scored:
+            scored[method] = score_method(method)
+        records.append(RunRecord(**coords, method=method, score=score, **scored[method]))
     return records
 
 

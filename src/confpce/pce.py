@@ -235,11 +235,6 @@ def predict(model: PceModel, x: np.ndarray):
     return float(values[0]) if x.ndim == 1 else values
 
 
-def loo_residuals(model: PceModel) -> np.ndarray:
-    """Returns the stored closed-form LOO residuals, shape (M,)."""
-    return model.loo_residuals
-
-
 def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
     """Evaluates all M leave-one-out surrogates at new points without refits.
 
@@ -364,6 +359,15 @@ def relative_loo_error(model: PceModel, estimator: str | None = None) -> float:
             f"output variance {variance!r} too small for a relative error"
         )
     return float(np.mean(model.loo_residuals**2) / variance)
+
+
+def relative_loo_error_or_nan(model: PceModel) -> float:
+    """:func:`relative_loo_error`, or NaN when the output variance is at or
+    below VARIANCE_FLOOR, so that a degenerate target still gets a report."""
+    try:
+        return relative_loo_error(model)
+    except ZeroVarianceError:
+        return float("nan")
 
 
 MODEL_KEYS = ("input_spec", "multi_index_set", "variance_estimator", "inputs", "outputs")

@@ -49,6 +49,15 @@ class TestFit:
         assert code == 3
         assert "underdetermined" in capsys.readouterr().err.lower()
 
+    def test_negative_degree_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli(
+            "fit", "--benchmark", "meromorphic", "--m", "50", "--degree", "-1", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: validation: --degree must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -365,6 +374,20 @@ class TestExperiment:
         config = self.write_config(tmp_path, significance=0.75)
         assert run_cli("experiment", "--config", str(config)) == 2
         assert "jackknife_plus needs significance <= 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("degrees", [2, -1], "degrees must be >= 0, got -1"),
+            ("oversampling", [3, 0], "oversampling must be >= 1, got 0"),
+            ("oversampling", [-2], "oversampling must be >= 1, got -2"),
+        ],
+    )
+    def test_out_of_range_grid_axis_exit_2(self, tmp_path, capsys, field, value, message):
+        config = self.write_config(tmp_path, **{field: value})
+        assert run_cli("experiment", "--config", str(config)) == 2
+        assert f"error: validation: bad config: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -378,6 +378,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} needs integer values"):
             ExperimentConfig(**{**doc, field: value})
 
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="degrees must be >= 0, got -1"):
+            ExperimentConfig(benchmark="meromorphic", degrees=(2, -1), oversampling=(2,))
+        config = ExperimentConfig(benchmark="meromorphic", degrees=(0,), oversampling=(2,))
+        assert config.degrees == (0,)
+
+    def test_rejects_oversampling_below_one(self):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"oversampling must be >= 1, got {value}"):
+                ExperimentConfig(benchmark="meromorphic", degrees=(2,), oversampling=(2, value))
+        config = ExperimentConfig(benchmark="meromorphic", degrees=(2,), oversampling=(1,))
+        assert config.oversampling == (1,)
+
     def test_accepts_integral_floats(self):
         config = ExperimentConfig(
             benchmark="meromorphic", degrees=(2.0,), oversampling=(3.0,), n_seeds=4.0,

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from confpce.basis import InputSpec, build_total_degree_set, eval_basis_row, to_reference
+from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.errors import (
     LeverageError,
@@ -22,7 +22,6 @@ from confpce.pce import (
     fit,
     from_json,
     loo_predict,
-    loo_residuals,
     output_variance,
     pce_variance,
     predict,
@@ -128,13 +127,14 @@ class TestPredict:
             model = replace(fitted, coefficients=coeffs)
             for p in pts:
                 assert predict(model, p) == pytest.approx(
-                    eval_basis_row(p, iset)[k], rel=1e-14, abs=1e-15
+                    eval_basis_matrix(p[None, :], iset)[0, k], rel=1e-14, abs=1e-15
                 )
 
     def test_matches_manual_dot_product(self, otl_fit):
         model, _, iset, bench = otl_fit
         mid = (bench.input_spec.lower() + bench.input_spec.upper()) / 2.0
-        manual = float(eval_basis_row(to_reference(mid, bench.input_spec), iset) @ model.coefficients)
+        xi = to_reference(mid, bench.input_spec)
+        manual = float(eval_basis_matrix(xi[None, :], iset)[0] @ model.coefficients)
         assert predict(model, mid) == pytest.approx(manual, rel=1e-13)
 
     def test_batch_shape(self, otl_fit):
@@ -147,7 +147,7 @@ class TestClosedFormLoo:
     def test_exact_polynomial_collapses(self):
         data = unit_dataset(lambda x: 2.0 + 0.5 * x, m=25, seed=2)
         model = fit(data, build_total_degree_set(1, 3), UNIT_SPEC)
-        np.testing.assert_allclose(loo_residuals(model), 0.0, atol=1e-12)
+        np.testing.assert_allclose(model.loo_residuals, 0.0, atol=1e-12)
         x_star = np.array([0.37])
         lp = loo_predict(model, x_star)
         np.testing.assert_allclose(lp, predict(model, x_star), rtol=0, atol=1e-12)

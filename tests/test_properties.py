@@ -1,10 +1,11 @@
 """Generated-property tests: invariants checked over random inputs."""
 
 import numpy as np
+from helpers import product_basis_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confpce.basis import build_total_degree_set
+from confpce.basis import _block_rows, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import METHODS, ConformalConfig, interval_arrays
 from confpce.pce import VARIANCE_ESTIMATORS, fit, from_json, to_json
@@ -34,3 +35,35 @@ def test_model_file_refit_is_bitwise(name, degree, oversampling, seed, estimator
         cfg = ConformalConfig(method=method, significance=0.1)
         for got, want in zip(interval_arrays(restored, points, cfg), interval_arrays(model, points, cfg)):
             np.testing.assert_array_equal(got, want, err_msg=method)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 5),
+    size=st.sampled_from(("one", "few", "block-1", "block", "block+1")),
+    seed=st.integers(0, 2**16),
+)
+def test_basis_matrix_is_the_per_dimension_product(dim, degree, size, seed):
+    index_set = build_total_degree_set(dim, degree)
+    block = _block_rows(len(index_set))
+    n = {"one": 1, "few": 7, "block-1": block - 1, "block": block, "block+1": block + 1}[size]
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(-1.0, 1.0, size=(n, dim))
+    endpoints = rng.random((n, dim)) < 0.2
+    xi[endpoints] = rng.choice((-1.0, 1.0), size=int(endpoints.sum()))
+    xi[-1] = rng.choice((-1.0, 1.0), size=dim)
+    got = eval_basis_matrix(xi, index_set)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, product_basis_reference(xi, index_set))
+
+    alphas = np.array(index_set.indices)
+    assert index_set.parent[0] == 0 and index_set.last_degree[0] == 0
+    for k in range(1, len(index_set)):
+        parent, d = index_set.parent[k], index_set.last_dim[k]
+        assert parent < k
+        assert alphas[k, d] == index_set.last_degree[k] > 0
+        assert not alphas[k, d + 1:].any()
+        expected = alphas[k].copy()
+        expected[d] = 0
+        assert np.array_equal(alphas[parent], expected)
