@@ -46,6 +46,11 @@ REFERENCE_TOLERANCE = 1e-12
 # Guard against accidentally materializing an intractable basis.
 MAX_BASIS_SIZE = 10_000_000
 
+# Largest (n, K) matrix eval_basis_matrix will allocate, in bytes (4 GiB).
+# MAX_BASIS_SIZE bounds K alone: a piston design at P=12, C=3 has K=50,388
+# terms and M=151,164 points, about 61 GB.
+MAX_BASIS_BYTES = 2**32
+
 # eval_basis_matrix builds the basis in blocks of points whose (K, b) scratch
 # buffer holds about this many bytes, so its working memory beyond the result
 # does not grow with the number of points.
@@ -217,9 +222,14 @@ def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:
 def _clamp_reference(xi: np.ndarray, spec: InputSpec | None = None) -> np.ndarray:
     """Clamps reference coordinates within tolerance, errors beyond it.
 
-    Written as a negated comparison so nan coordinates count as out of
-    domain instead of slipping through.
+    Coordinates already inside [-1, 1], such as the output of
+    :func:`to_reference`, come back as they are after two reductions, so a
+    point is clamped once on its way into :func:`eval_basis_matrix`. The
+    check is written as a negated comparison so nan coordinates count as
+    out of domain instead of slipping through.
     """
+    if xi.size and -1.0 <= xi.min() and xi.max() <= 1.0:
+        return xi
     over = ~(np.abs(xi) <= 1.0 + REFERENCE_TOLERANCE)
     if np.any(over):
         rows, cols = np.nonzero(over)
@@ -284,14 +294,24 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
     Returns:
         C-contiguous design-style matrix of shape (n, K); entry (i, k) is
         Psi_k(xi_i).
+
+    Raises:
+        BasisSizeError: If the result would exceed MAX_BASIS_BYTES; raised
+            before anything is allocated.
+        DomainError: If a point lies outside the cube beyond tolerance.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if xi.shape[1] != index_set.input_dim:
         raise ValueError(
             f"points have dimension {xi.shape[1]}, basis expects {index_set.input_dim}"
         )
-    xi = _clamp_reference(xi)
     n, k, dim = xi.shape[0], len(index_set), index_set.input_dim
+    if 8 * n * k > MAX_BASIS_BYTES:
+        raise BasisSizeError(
+            f"basis matrix of {n} points by K={k} terms needs {8 * n * k} bytes, "
+            f"exceeding the limit of {MAX_BASIS_BYTES}"
+        )
+    xi = _clamp_reference(xi)
     # Row j * N + d of a block's flattened table holds psi_j in dimension d.
     factor = index_set.last_degree * dim + index_set.last_dim
     # The terms of total degree p sit at [C(N + p - 1, N), C(N + p, N)).

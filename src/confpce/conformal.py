@@ -24,6 +24,15 @@ convention: the upper quantile is the $\lceil (1-s)(M+1) \rceil$-th smallest
 value and the lower the $\lfloor s(M+1) \rfloor$-th, degrading to an
 unbounded interval (explicit infinities, never clamped) when the index falls
 outside 1..M.
+
+Jackknife+ needs the n x M matrix of leave-one-out predictions at the n
+query points. Each call allocates one workspace and fills the matrix in it
+one block of rows at a time: a buffer of about 8 MB takes a block's LOO
+predictions, from one product with the correction matrix, and a buffer of
+about 1 MB, small enough to stay in a core's L2 cache, takes a sub-block
+shifted down by the scores while the upward shift and both partitions run
+in place. The workspace is these two buffers, whatever n is, and no block
+allocates anything.
 """
 
 from __future__ import annotations
@@ -128,14 +137,24 @@ def interval_arrays(
     return interval_bounds(model, basis_rows(points, model.index_set, model.input_spec), cfg)
 
 
-# jackknife+ walks the n x M matrix of LOO predictions in blocks of rows of
-# about this many bytes, so its memory does not grow with the number of points.
+# The jackknife+ workspace of one call, whatever the number of points: a
+# buffer of about _CHUNK_BYTES for a block of the LOO matrix, filled by one
+# product, and one of about _SUB_BYTES for the shifted sub-blocks. The BLAS
+# may round a row differently depending on how many rows one product holds,
+# so the block size fixes every bound's last bits; the sub-block size only
+# decides what stays in cache.
 _CHUNK_BYTES = 8 * 2**20
+_SUB_BYTES = 2**20
 
 
 def _chunk_rows(n_train: int) -> int:
     """Test points per jackknife+ block for a model with n_train samples."""
     return max(1, _CHUNK_BYTES // (8 * n_train))
+
+
+def _sub_rows(n_train: int) -> int:
+    """Test points per jackknife+ sub-block for a model with n_train samples."""
+    return max(1, _SUB_BYTES // (8 * n_train))
 
 
 def check_score(model: PceModel, score: str) -> None:
@@ -159,7 +178,8 @@ def interval_bounds(
 
     Returns (centers, lowers, uppers), each shape (n,). Each jackknife+ bound
     is an order statistic of one row of the LOO matrix, so the matrix is
-    built and partitioned one block of test points at a time.
+    built and partitioned one block of test points at a time in a workspace
+    of fixed size, see the module docstring.
 
     Raises:
         ZeroVarianceError: For normalized scores on a zero-variance target.
@@ -178,16 +198,23 @@ def interval_bounds(
         lowers = -uppers
     else:
         lowers, uppers = np.empty_like(centers), np.empty_like(centers)
-        step = _chunk_rows(m)
-        for start in range(0, centers.shape[0], step):
-            block = slice(start, start + step)
-            loo = loo_values(model, rows[block], centers[block])
-            shifted = loo - a
-            shifted.partition(m - k, axis=1)
-            lowers[block] = shifted[:, m - k]
-            loo += a
-            loo.partition(k - 1, axis=1)
-            uppers[block] = loo[:, k - 1]
+        n, step, sub = centers.shape[0], _chunk_rows(m), _sub_rows(m)
+        loo_buffer = np.empty((min(step, n), m))
+        shift_buffer = np.empty((min(sub, step, n), m))
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            loo = loo_values(
+                model, rows[start:stop], centers[start:stop], out=loo_buffer[:stop - start]
+            )
+            for first in range(0, stop - start, sub):
+                part = loo[first:first + sub]
+                span = slice(start + first, start + first + part.shape[0])
+                shifted = np.subtract(part, a, out=shift_buffer[:part.shape[0]])
+                shifted.partition(m - k, axis=1)
+                lowers[span] = shifted[:, m - k]
+                part += a
+                part.partition(k - 1, axis=1)
+                uppers[span] = part[:, k - 1]
     bad = ~(lowers <= uppers)
     if np.any(bad):
         i = int(np.argmax(bad))

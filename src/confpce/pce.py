@@ -255,13 +255,18 @@ def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
     return values[0] if x.ndim == 1 else values
 
 
-def loo_values(model: PceModel, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def loo_values(
+    model: PceModel, rows: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """LOO predictions at precomputed basis rows (n, K), shape (n, M).
 
     `centers` are the full-model predictions rows @ coefficients; entry
     (i, m) is centers[i] - rows[i] @ G[m] with G the correction matrix.
+    Given `out`, a C-contiguous (n, M) array, the result is written there
+    and nothing is allocated.
     """
-    return centers[:, None] - rows @ model.loo_corrections.T
+    out = np.matmul(rows, model.loo_corrections.T, out=out)
+    return np.subtract(centers[:, None], out, out=out)
 
 
 def brute_force_loo(
@@ -374,7 +379,7 @@ MODEL_KEYS = ("input_spec", "multi_index_set", "variance_estimator", "inputs", "
 
 
 def to_json(model: PceModel) -> str:
-    """Serializes the model to a JSON document holding only its definition.
+    """Serializes the model to a compact JSON document holding only its definition.
 
     The keys are :data:`MODEL_KEYS`: the box, the basis (input dimension and
     total degree), the variance estimator and the training inputs and
@@ -390,7 +395,7 @@ def to_json(model: PceModel) -> str:
         "inputs": data.inputs.tolist(),
         "outputs": data.outputs.tolist(),
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def from_json(text: str) -> PceModel:

@@ -3,6 +3,8 @@
 import numpy as np
 
 from confpce.basis import eval_basis_matrix, legendre_table
+from confpce.conformal import _chunk_rows, _upper_index
+from confpce.pce import loo_values
 
 
 def gauss_legendre_gram(index_set, orders):
@@ -38,3 +40,28 @@ def product_basis_reference(xi, index_set):
         for n, degree in enumerate(alpha):
             out[:, k] *= tables[n][:, degree]
     return out
+
+
+def blocked_jackknife_plus_reference(model, rows, significance):
+    """Block-loop oracle for jackknife+ bounds at basis rows (n, K).
+
+    Builds each block of the LOO matrix as a fresh array with loo_values and
+    partitions fresh shifted copies, on the same block boundaries as
+    interval_bounds, so the products see the same row counts and every bound
+    must agree bit for bit. Returns (centers, lowers, uppers).
+    """
+    centers = rows @ model.coefficients
+    a = np.abs(model.loo_residuals)
+    m = a.shape[0]
+    k = _upper_index(m, significance)
+    if k > m:
+        uppers = np.full_like(centers, np.inf)
+        return centers, -uppers, uppers
+    lowers, uppers = np.empty_like(centers), np.empty_like(centers)
+    step = _chunk_rows(m)
+    for start in range(0, centers.shape[0], step):
+        block = slice(start, start + step)
+        loo = loo_values(model, rows[block], centers[block])
+        lowers[block] = np.partition(loo - a, m - k, axis=1)[:, m - k]
+        uppers[block] = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
+    return centers, lowers, uppers

@@ -1,6 +1,7 @@
 """Tests for multi-index sets, the affine input map, and basis evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,31 @@ class TestBasisEvaluation:
         s = build_total_degree_set(2, 2)
         with pytest.raises(DomainError):
             eval_basis_matrix(np.array([[0.0, 1.1]]), s)
+
+    def test_points_inside_cube_are_not_clamped_again(self):
+        inside = np.array([[-1.0, 0.3], [1.0, -0.0]])
+        assert basis._clamp_reference(inside) is inside
+        near = np.array([[1.0 + 4e-13, -1.0 - 4e-13]])
+        clamped = basis._clamp_reference(near)
+        assert clamped is not near and np.array_equal(clamped, [[1.0, -1.0]])
+        s = build_total_degree_set(2, 3)
+        np.testing.assert_array_equal(eval_basis_matrix(near, s), eval_basis_matrix(clamped, s))
+
+    def test_byte_budget_raises_before_allocating(self, monkeypatch):
+        s = build_total_degree_set(7, 3)
+        n, k = 20_000, len(s)
+        xi = np.zeros((n, 7))
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 8 * n * k - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BasisSizeError, match=f"{n} points by K={k} terms"):
+                eval_basis_matrix(xi, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"allocated {peak} bytes before refusing"
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 8 * n * k)
+        assert eval_basis_matrix(xi[:10], s).shape == (10, k)
 
     def test_legendre_recurrence_against_numpy(self):
         # Independent check: numpy's Legendre module times sqrt(2j+1).

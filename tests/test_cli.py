@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from confpce import basis
 from confpce.basis import InputSpec
 from confpce.benchmarks import Benchmark, register_benchmark, unregister_benchmark
 from confpce.cli import main
@@ -48,6 +49,18 @@ class TestFit:
         )
         assert code == 3
         assert "underdetermined" in capsys.readouterr().err.lower()
+
+    def test_basis_over_byte_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        # Piston at P=12, C=3 would need a 61 GB design; a lowered budget
+        # shows the same refusal on a small one without allocating it.
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 2**10)
+        code = run_cli(
+            "fit", "--benchmark", "piston", "--m", "100",
+            "--degree", "2", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: BasisSizeError: basis matrix of 100 points")
+        assert not (tmp_path / "m.json").exists()
 
     def test_negative_degree_exit_2(self, tmp_path, capsys):
         out = tmp_path / "m.json"

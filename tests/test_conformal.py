@@ -1,6 +1,7 @@
 """Tests for finite-sample quantiles and the two interval constructions."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,12 @@ from confpce.conformal import (
     finite_quantile_lower,
     finite_quantile_upper,
     interval_arrays,
+    interval_bounds,
 )
 from confpce.errors import IntervalError, ZeroVarianceError
 from confpce.pce import (
     Dataset,
+    basis_rows,
     brute_force_loo,
     fit,
     loo_predict,
@@ -280,6 +283,23 @@ class TestIntervalProperties:
         np.testing.assert_array_equal(centers, predict(model, points))
         np.testing.assert_array_equal(lowers, want_lo)
         np.testing.assert_array_equal(uppers, want_hi)
+
+    def test_jackknife_plus_workspace_is_bounded(self):
+        # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
+        # the workspace one 8 MB block buffer plus one 1 MB sub-block buffer.
+        bench = get_benchmark("piston")
+        data = sample_design("piston", design_size("piston", 4, 3), seed=3)
+        model = fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
+        points = sample_design("piston", 10_000, seed=3, stream="test").inputs
+        rows = basis_rows(points, model.index_set, model.input_spec)
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        tracemalloc.start()
+        try:
+            interval_bounds(model, rows, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestIntervalError:

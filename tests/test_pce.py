@@ -322,6 +322,10 @@ class TestSerialization:
         assert doc["multi_index_set"] == {"input_dim": 6, "max_degree": 2}
         assert len(doc["inputs"]) == len(doc["outputs"]) == len(train)
 
+    def test_file_is_compact(self, otl_fit):
+        text = to_json(otl_fit[0])
+        assert not any(c.isspace() for c in text)
+
     def test_rejects_inconsistent_document(self, otl_fit):
         model, _, _, _ = otl_fit
         doc = json.loads(to_json(model))

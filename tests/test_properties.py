@@ -1,14 +1,18 @@
 """Generated-property tests: invariants checked over random inputs."""
 
+from unittest import mock
+
 import numpy as np
-from helpers import product_basis_reference
+import pytest
+from helpers import blocked_jackknife_plus_reference, product_basis_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confpce import conformal
 from confpce.basis import _block_rows, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
-from confpce.conformal import METHODS, ConformalConfig, interval_arrays
-from confpce.pce import VARIANCE_ESTIMATORS, fit, from_json, to_json
+from confpce.conformal import METHODS, ConformalConfig, interval_arrays, interval_bounds
+from confpce.pce import VARIANCE_ESTIMATORS, basis_rows, fit, from_json, to_json
 
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
 
@@ -67,3 +71,40 @@ def test_basis_matrix_is_the_per_dimension_product(dim, degree, size, seed):
         expected = alphas[k].copy()
         expected[d] = 0
         assert np.array_equal(alphas[parent], expected)
+
+
+@pytest.mark.parametrize(
+    "significance", (0.05, 0.1, 1 / 3, 0.5), ids=("s0.05", "s0.1", "s1/3", "s0.5")
+)
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(("meromorphic", "otl_circuit", "piston", "wing_weight")),
+    degree=st.integers(1, 3),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    length=st.sampled_from(("sub-block", "block", "one-row sub-blocks")),
+    offset=st.integers(-1, 1),
+)
+def test_jackknife_plus_matches_blocked_oracle(
+    significance, name, degree, oversampling, seed, length, offset
+):
+    bench = get_benchmark(name)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=seed)
+    model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
+    m = model.n_train
+    # One-row sub-blocks: every sub-block is a single row, in blocks of 64
+    # rows, so that the row loop stays short for small M.
+    one_row = length == "one-row sub-blocks"
+    sub_bytes, chunk_bytes = (
+        (8, 64 * 8 * m) if one_row else (conformal._SUB_BYTES, conformal._CHUNK_BYTES)
+    )
+    with mock.patch.multiple(conformal, _SUB_BYTES=sub_bytes, _CHUNK_BYTES=chunk_bytes):
+        step = conformal._sub_rows(m) if length == "sub-block" else conformal._chunk_rows(m)
+        n = (2 * step if one_row else step) + offset
+        points = sample_design(name, n, seed=seed, stream="test").inputs
+        rows = basis_rows(points, model.index_set, model.input_spec)
+        cfg = ConformalConfig(method="jackknife_plus", significance=significance)
+        got = interval_bounds(model, rows, cfg)
+        want = blocked_jackknife_plus_reference(model, rows, significance)
+    for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
+        assert np.array_equal(g, w), label
