@@ -46,7 +46,8 @@ REFERENCE_TOLERANCE = 1e-12
 # Guard against accidentally materializing an intractable basis.
 MAX_BASIS_SIZE = 10_000_000
 
-# Largest (n, K) matrix eval_basis_matrix will allocate, in bytes (4 GiB).
+# Largest (n, K) matrix eval_basis_matrix will allocate, in bytes (4 GiB);
+# pce.fit refuses a design whose whole fit would need more than this.
 # MAX_BASIS_SIZE bounds K alone: a piston design at P=12, C=3 has K=50,388
 # terms and M=151,164 points, about 61 GB.
 MAX_BASIS_BYTES = 2**32
@@ -146,13 +147,7 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
 
-    size = math.comb(input_dim + max_degree, max_degree)
-    if size > MAX_BASIS_SIZE:
-        raise BasisSizeError(
-            f"total-degree basis with N={input_dim}, P={max_degree} has "
-            f"K={size} elements, exceeding the limit of {MAX_BASIS_SIZE}"
-        )
-
+    size = total_degree_size(input_dim, max_degree)
     indices: list[tuple[int, ...]] = []
     for degree in range(max_degree + 1):
         indices.extend(_compositions(degree, input_dim))
@@ -178,6 +173,21 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         last_dim=last_dim,
         last_degree=last_degree,
     )
+
+
+def total_degree_size(input_dim: int, max_degree: int) -> int:
+    """Cardinality K = (N+P)! / (N! P!) of the total-degree set, without building it.
+
+    Raises:
+        BasisSizeError: If K exceeds MAX_BASIS_SIZE.
+    """
+    size = math.comb(input_dim + max_degree, max_degree)
+    if size > MAX_BASIS_SIZE:
+        raise BasisSizeError(
+            f"total-degree basis with N={input_dim}, P={max_degree} has "
+            f"K={size} elements, exceeding the limit of {MAX_BASIS_SIZE}"
+        )
+    return size
 
 
 def _compositions(total: int, parts: int):

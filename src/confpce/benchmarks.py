@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import InputSpec, build_total_degree_set, to_reference
+from .basis import InputSpec, to_reference, total_degree_size
 from .errors import DomainError
 from .pce import Dataset
 
@@ -246,7 +246,12 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
 
     Univariate rule (meromorphic): M = C (P+1)^2, required for a well
     conditioned one-dimensional least-squares problem. Multivariate rule:
-    M = C K with K the total-degree basis size.
+    M = C K with K the total-degree basis size, counted without building the
+    basis.
+
+    Raises:
+        ValueError: If degree < 0 or oversampling < 1.
+        BasisSizeError: If K exceeds MAX_BASIS_SIZE.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
@@ -255,7 +260,7 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
     bench = get_benchmark(name)
     if bench.size_rule == "quadratic":
         return oversampling * (degree + 1) ** 2
-    return oversampling * len(build_total_degree_set(bench.dim, degree))
+    return oversampling * total_degree_size(bench.dim, degree)
 
 
 def dataset_to_csv(data: Dataset, path_or_buffer) -> None:

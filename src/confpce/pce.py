@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import basis
 from .basis import InputSpec, MultiIndexSet, build_total_degree_set, eval_basis_matrix, to_reference
 from .errors import (
+    BasisSizeError,
     LeverageError,
     NonFiniteFitError,
     RankDeficientError,
@@ -33,7 +35,19 @@ from .errors import (
 )
 
 # Condition numbers beyond this make LOO quantities meaningless in doubles.
+# fit gates on the Frobenius condition number kappa_F = ||R||_F ||R^-1||_F
+# = sqrt(sum sigma_i^2 * sum sigma_i^-2) over the K singular values of the
+# design, and kappa_2 <= kappa_F <= K kappa_2. The gate is conservative:
+# every design it accepts has kappa_2 <= 1e12; it may refuse one with
+# 1e12 / K < kappa_2 <= 1e12, never one with kappa_2 <= 1e12 / K. On the
+# benchmark designs kappa_2 stays below 1e6 and kappa_F / kappa_2 below 140,
+# so both gates decide alike there.
 CONDITION_LIMIT = 1e12
+
+# Peak resident memory of fit in units of its 8 M K byte design: the design,
+# numpy's copy of it, Q and LAPACK's two working copies during the QR (5),
+# plus the K x K factors, up to 1.4 more as M approaches K.
+_FIT_PEAK_DESIGNS = 7
 
 # Minimum allowed 1 - h_mm; smaller means a sample its own refit cannot spare.
 LEVERAGE_FLOOR = 1e-10
@@ -93,7 +107,9 @@ class PceModel:
         loo_corrections: Matrix G with row m = (A d_m) * r_m, shape (M, K),
             where A = (D^T D)^{-1}; the LOO prediction at x* is
             mu(x*) - G @ d_*.
-        condition_number: 2-norm condition number of the design matrix.
+        condition_number: Frobenius condition number of the design matrix,
+            ||R||_F ||R^-1||_F = sqrt(sum sigma_i^2 * sum sigma_i^-2) over its
+            singular values; between the 2-norm one and K times it.
         variance_estimator: Which output-variance estimate normalized scores
             and the relative LOO error use ("coefficients" or "empirical").
     """
@@ -141,8 +157,10 @@ def fit(
     Solves the least-squares problem through a thin QR factorization of the
     design matrix rather than the normal equations (which would square the
     condition number). Leverages are the squared row norms of the thin Q
-    factor, and (D^T D)^{-1} is assembled from the triangular factor. Total
-    cost is one factorization plus O(MK) postprocessing; no refits.
+    factor, and (D^T D)^{-1} is assembled from R^{-1}, which also gives the
+    Frobenius condition number ||R||_F ||R^{-1}||_F in O(K^2) more work.
+    Total cost is one factorization, one triangular inverse and one (M, K)
+    by (K, K) product; no refits and no SVD.
 
     Args:
         data: Training dataset with M samples.
@@ -157,7 +175,11 @@ def fit(
 
     Raises:
         UnderdeterminedError: If M < K.
-        RankDeficientError: If the design condition number exceeds 1e12.
+        BasisSizeError: If seven times the 8 M K bytes of the design, a bound
+            on the fit's peak memory, exceed MAX_BASIS_BYTES; raised before
+            the design is built.
+        RankDeficientError: If R has a zero on its diagonal or the design's
+            Frobenius condition number exceeds 1e12.
         LeverageError: If some 1 - h_mm < 1e-10 (e.g. the M = K
             interpolation regime, where the hat matrix is the identity).
         NonFiniteFitError: If the coefficients, the LOO residuals, their sum
@@ -172,13 +194,26 @@ def fit(
         raise UnderdeterminedError(
             f"underdetermined fit: M={m} training samples < K={k} basis terms"
         )
+    need = _FIT_PEAK_DESIGNS * 8 * m * k
+    if need > basis.MAX_BASIS_BYTES:
+        raise BasisSizeError(
+            f"basis matrix of {m} points by K={k} terms needs about {need} bytes to fit, "
+            f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
+        )
 
     design = basis_rows(data.inputs, index_set, spec)
     q, r = np.linalg.qr(design, mode="reduced")
-    condition = float(np.linalg.cond(r))
+    # kappa_F(D) = ||R||_F ||R^-1||_F from the R^-1 the LOO corrections need
+    # anyway; a zero pivot or an inverse that overflows leaves it infinite.
+    condition = np.inf
+    if np.all(np.diagonal(r)):
+        r_inv = solve_triangular(r, np.eye(k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            condition = float(np.linalg.norm(r) * np.linalg.norm(r_inv))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise RankDeficientError(
-            f"design matrix condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            f"design matrix Frobenius condition number {condition:.3e} "
+            f"exceeds {CONDITION_LIMIT:.0e}"
         )
 
     # h_mm = ||Q_m||^2 since H = Q Q^T; clip eps-level drift back into [0, 1].
@@ -195,23 +230,26 @@ def fit(
             f"1 - h below {LEVERAGE_FLOOR:.0e} makes LOO residuals undefined"
         )
 
-    r_inv = solve_triangular(r, np.eye(k))
     normal_inverse = r_inv @ r_inv.T
     # Huge outputs can overflow anywhere below; the finite checks after the
     # block turn that into one typed error rather than warnings and NaNs.
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
+        del q  # the last use; freeing Q caps the peak when M is near K
         residuals = data.outputs - design @ coeffs
         loo_residuals = residuals / one_minus_h
-        loo_corrections = (design @ normal_inverse) * loo_residuals[:, None]
+        loo_corrections = design @ normal_inverse
+        loo_corrections *= loo_residuals[:, None]
+        for derived in (coeffs, hat, loo_residuals, loo_corrections):
+            derived.setflags(write=False)
         model = PceModel(
             index_set=index_set,
             input_spec=spec,
             training_snapshot=data,
-            coefficients=_readonly(coeffs),
-            hat_diag=_readonly(hat),
-            loo_residuals=_readonly(loo_residuals),
-            loo_corrections=_readonly(loo_corrections),
+            coefficients=coeffs,
+            hat_diag=hat,
+            loo_residuals=loo_residuals,
+            loo_corrections=loo_corrections,
             condition_number=condition,
             variance_estimator=variance_estimator,
         )

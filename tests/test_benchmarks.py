@@ -20,8 +20,8 @@ from confpce.benchmarks import (
     sample_design,
     unregister_benchmark,
 )
-from confpce.basis import InputSpec
-from confpce.errors import DomainError
+from confpce.basis import MAX_BASIS_SIZE, InputSpec, build_total_degree_set
+from confpce.errors import BasisSizeError, DomainError
 
 # Midpoint values frozen from a throwaway transcription of each formula,
 # written independently of benchmarks.py before it existed.
@@ -140,6 +140,18 @@ class TestDesignSize:
         assert design_size("otl_circuit", 2, 3) == 84
         assert design_size("wing_weight", 1, 2) == 22
         assert design_size("piston", 2, 2) == 72
+
+    @pytest.mark.parametrize("name", ["otl_circuit", "piston", "wing_weight"])
+    def test_linear_rule_counts_the_basis(self, name):
+        dim = get_benchmark(name).dim
+        for p in range(6):
+            assert design_size(name, p, 3) == 3 * len(build_total_degree_set(dim, p))
+
+    def test_basis_over_size_limit(self):
+        # K = C(37, 7) = 10,295,472: refused from the count, nothing enumerated.
+        assert math.comb(37, 30) > MAX_BASIS_SIZE
+        with pytest.raises(BasisSizeError, match="K=10295472"):
+            design_size("piston", 30, 1)
 
     @pytest.mark.parametrize("name", ["meromorphic", "otl_circuit", "piston", "wing_weight"])
     def test_strictly_increasing(self, name):

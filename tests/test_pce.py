@@ -2,14 +2,17 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from confpce import basis, pce
 from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.errors import (
+    BasisSizeError,
     LeverageError,
     NonFiniteFitError,
     RankDeficientError,
@@ -73,6 +76,36 @@ class TestFitBasics:
         data = Dataset(inputs=x, outputs=np.ones(6))
         with pytest.raises(RankDeficientError):
             fit(data, build_total_degree_set(1, 2), UNIT_SPEC)
+
+    def test_exactly_singular_design(self):
+        # Six samples at the box midpoint, where psi_1 is 0: R is exactly
+        # [[-sqrt(6), 0], [0, 0]], on which a triangular solve fails outright.
+        data = Dataset(inputs=np.zeros((6, 1)), outputs=np.ones(6))
+        with pytest.raises(RankDeficientError, match="condition number inf"):
+            fit(data, build_total_degree_set(1, 1), UNIT_SPEC)
+
+    def test_memory_budget_refuses_before_building_the_design(self, monkeypatch):
+        bench = get_benchmark("piston")
+        iset = build_total_degree_set(bench.dim, 4)
+        data = sample_design("piston", design_size("piston", 4, 3), seed=0)
+        m, k = len(data), len(iset)
+        need = pce._FIT_PEAK_DESIGNS * 8 * m * k
+        # The 2.6 MB design alone is within the lowered budget; its fit is not.
+        assert 8 * m * k < need - 1 and 8 * m * k > 2**20
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BasisSizeError, match=f"{m} points by K={k} terms"):
+                fit(data, iset, bench.input_spec)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(basis, "MAX_BASIS_BYTES", need)
+            fit(data, iset, bench.input_spec)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused_peak < 2**20, f"allocated {refused_peak} bytes before refusing"
+        assert fit_peak < need
 
     def test_interpolation_regime_leverage(self):
         # M = K makes the hat matrix the identity: every leverage is 1.

@@ -5,13 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import blocked_jackknife_plus_reference, product_basis_reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confpce import conformal
 from confpce.basis import _block_rows, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import METHODS, ConformalConfig, interval_arrays, interval_bounds
+from confpce.errors import LeverageError
 from confpce.pce import VARIANCE_ESTIMATORS, basis_rows, fit, from_json, to_json
 
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
@@ -39,6 +40,30 @@ def test_model_file_refit_is_bitwise(name, degree, oversampling, seed, estimator
         cfg = ConformalConfig(method=method, significance=0.1)
         for got, want in zip(interval_arrays(restored, points, cfg), interval_arrays(model, points, cfg)):
             np.testing.assert_array_equal(got, want, err_msg=method)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(("meromorphic", "otl_circuit", "piston", "wing_weight")),
+    degree=st.integers(1, 3),
+    oversampling=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_condition_number_is_the_frobenius_one(name, degree, oversampling, seed):
+    bench = get_benchmark(name)
+    index_set = build_total_degree_set(bench.dim, degree)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=seed)
+    try:
+        model = fit(data, index_set, bench.input_spec)
+    except LeverageError:
+        # M = K (C = 1 under the linear rule): every leverage is 1.
+        assume(False)
+    sigma = np.linalg.svd(basis_rows(data.inputs, index_set, bench.input_spec), compute_uv=False)
+    kappa_f = np.sqrt(np.sum(sigma**2) * np.sum(sigma**-2.0))
+    kappa_2 = sigma[0] / sigma[-1]
+    got = model.condition_number
+    assert got == pytest.approx(kappa_f, rel=1e-10, abs=0.0)
+    assert kappa_2 * (1 - 1e-10) <= got <= len(index_set) * kappa_2 * (1 + 1e-10)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
