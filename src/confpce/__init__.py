@@ -61,7 +61,6 @@ from .pce import (
     from_json,
     loo_predict,
     loo_values,
-    output_variance,
     pce_variance,
     predict,
     relative_loo_error,

@@ -33,6 +33,7 @@ ascending dimension order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,6 +123,14 @@ class InputSpec:
         return np.array([hi for _, hi in self.ranges])
 
 
+def _integral(field: str, value) -> int:
+    """`value` as an int; a ValueError unless it is an integral real number."""
+    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{field} needs integer values, got {value!r}")
+    return int(value)
+
+
 def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     """Builds the multi-index set of all indices with total degree <= max_degree.
 
@@ -139,9 +148,13 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         :func:`eval_basis_matrix` walks.
 
     Raises:
+        ValueError: If an argument is not an integral real number (2.0 is
+            taken as 2) or is out of range.
         BasisSizeError: If the cardinality K exceeds MAX_BASIS_SIZE, or the
             enumeration does not produce exactly K indices.
     """
+    input_dim = _integral("input_dim", input_dim)
+    max_degree = _integral("max_degree", max_degree)
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     if max_degree < 0:

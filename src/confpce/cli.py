@@ -85,6 +85,8 @@ def cmd_fit(args) -> int:
             raise _ValidationError(str(exc.args[0])) from None
         if args.m < 1:
             raise _ValidationError(f"--m must be >= 1, got {args.m}")
+        if args.seed < 0:
+            raise _ValidationError(f"--seed must be >= 0, got {args.seed}")
         data = benchmarks.sample_design(args.benchmark, args.m, seed=args.seed)
         spec = bench.input_spec
 

@@ -50,7 +50,7 @@ from .pce import (
     basis_rows,
     loo_predict,  # noqa: F401  public name kept importable from this module
     loo_values,
-    output_variance,
+    pce_variance,
 )
 
 METHODS = ("jackknife", "jackknife_plus")
@@ -164,7 +164,7 @@ def check_score(model: PceModel, score: str) -> None:
         ZeroVarianceError: For normalized scores on a zero-variance target.
     """
     if score == "normalized":
-        variance = output_variance(model)
+        variance = pce_variance(model)
         if variance <= VARIANCE_FLOOR:
             raise ZeroVarianceError(
                 f"output variance {variance!r} too small to normalize scores"

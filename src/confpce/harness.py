@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .basis import build_total_degree_set
+from .basis import _integral, build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
 from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError, ZeroVarianceError
@@ -63,14 +62,6 @@ AGGREGATE_COLUMNS = (
     "width_min",
     "width_max",
 )
-
-
-def _integral(field: str, value) -> int:
-    """`value` as an int; a ValueError unless it is an integral real number."""
-    integral = isinstance(value, numbers.Real) and float(value).is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{field} needs integer values, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

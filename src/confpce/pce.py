@@ -54,8 +54,6 @@ LEVERAGE_FLOOR = 1e-10
 
 VARIANCE_FLOOR = 1e-300
 
-VARIANCE_ESTIMATORS = ("coefficients", "empirical")
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -94,8 +92,8 @@ class Dataset:
 class PceModel:
     """Fitted surrogate plus everything needed for leave-one-out reuse.
 
-    :func:`fit` derives every field from the basis, box, training data and
-    variance estimator, which are all that a model file holds.
+    A model is its basis, its box and its training data, which are all that
+    a model file holds; :func:`fit` derives every other field from them.
 
     Attributes:
         index_set: Polynomial basis definition.
@@ -110,8 +108,6 @@ class PceModel:
         condition_number: Frobenius condition number of the design matrix,
             ||R||_F ||R^-1||_F = sqrt(sum sigma_i^2 * sum sigma_i^-2) over its
             singular values; between the 2-norm one and K times it.
-        variance_estimator: Which output-variance estimate normalized scores
-            and the relative LOO error use ("coefficients" or "empirical").
     """
 
     index_set: MultiIndexSet
@@ -122,7 +118,6 @@ class PceModel:
     loo_residuals: np.ndarray
     loo_corrections: np.ndarray
     condition_number: float
-    variance_estimator: str
 
     @property
     def n_train(self) -> int:
@@ -146,12 +141,7 @@ def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) ->
     return eval_basis_matrix(to_reference(points, spec), index_set)
 
 
-def fit(
-    data: Dataset,
-    index_set: MultiIndexSet,
-    spec: InputSpec,
-    variance_estimator: str = "coefficients",
-) -> PceModel:
+def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     """Fits the surrogate and precomputes all leave-one-out quantities.
 
     Solves the least-squares problem through a thin QR factorization of the
@@ -166,9 +156,6 @@ def fit(
         data: Training dataset with M samples.
         index_set: Basis with K elements.
         spec: Input box; dimensions must agree with data and basis.
-        variance_estimator: "coefficients" (sum of squared non-constant
-            coefficients) or "empirical" (sample variance of the training
-            outputs), consumed by downstream normalized quantities.
 
     Returns:
         A frozen PceModel.
@@ -183,10 +170,8 @@ def fit(
         LeverageError: If some 1 - h_mm < 1e-10 (e.g. the M = K
             interpolation regime, where the hat matrix is the identity).
         NonFiniteFitError: If the coefficients, the LOO residuals, their sum
-            of squares or the output variance overflow.
+            of squares or :func:`pce_variance` overflow.
     """
-    if variance_estimator not in VARIANCE_ESTIMATORS:
-        raise ValueError(f"unknown variance estimator {variance_estimator!r}")
     if index_set.input_dim != spec.dim:
         raise ValueError("basis and input spec dimensions disagree")
     m, k = len(data), len(index_set)
@@ -251,12 +236,11 @@ def fit(
             loo_residuals=loo_residuals,
             loo_corrections=loo_corrections,
             condition_number=condition,
-            variance_estimator=variance_estimator,
         )
         finite = (
             np.all(np.isfinite(loo_corrections))
             and np.isfinite(loo_residuals @ loo_residuals)
-            and np.isfinite(output_variance(model))
+            and np.isfinite(pce_variance(model))
         )
     if not finite:
         raise NonFiniteFitError("the fit overflows: training outputs are too large in magnitude")
@@ -360,33 +344,16 @@ def brute_force_loo(
 
 
 def pce_variance(model: PceModel) -> float:
-    """Output-variance estimate from the coefficients: sum of c_k^2, k != 0.
+    """The model's output-variance estimate: sum of c_k^2 over k != 0.
 
-    Valid because the basis is orthonormal; the zero multi-index carries the
-    mean and is excluded.
+    Valid because the basis is orthonormal. The zero multi-index, first in
+    graded order, carries the mean and is excluded. Normalized scores and
+    the relative LOO error use this estimate and no other.
     """
-    nonconstant = [i for i, alpha in enumerate(model.index_set.indices) if any(alpha)]
-    return float(np.sum(model.coefficients[nonconstant] ** 2))
+    return float(np.sum(model.coefficients[1:] ** 2))
 
 
-def output_variance(model: PceModel, estimator: str | None = None) -> float:
-    """Output variance per the model's (or an explicit) estimator choice.
-
-    "coefficients" uses :func:`pce_variance`; "empirical" uses the unbiased
-    sample variance of the training outputs.
-    """
-    estimator = estimator or model.variance_estimator
-    if estimator == "coefficients":
-        return pce_variance(model)
-    if estimator == "empirical":
-        outputs = model.training_snapshot.outputs
-        if outputs.shape[0] < 2:
-            raise ValueError("empirical variance needs at least two samples")
-        return float(np.var(outputs, ddof=1))
-    raise ValueError(f"unknown variance estimator {estimator!r}")
-
-
-def relative_loo_error(model: PceModel, estimator: str | None = None) -> float:
+def relative_loo_error(model: PceModel) -> float:
     """Mean squared LOO residual divided by the output variance.
 
     Scale-free model-quality diagnostic: multiplying all outputs by a constant
@@ -396,7 +363,7 @@ def relative_loo_error(model: PceModel, estimator: str | None = None) -> float:
         ZeroVarianceError: If the variance estimate is below 1e-300 (e.g. a
             constant target).
     """
-    variance = output_variance(model, estimator)
+    variance = pce_variance(model)
     if variance <= VARIANCE_FLOOR:
         raise ZeroVarianceError(
             f"output variance {variance!r} too small for a relative error"
@@ -413,15 +380,15 @@ def relative_loo_error_or_nan(model: PceModel) -> float:
         return float("nan")
 
 
-MODEL_KEYS = ("input_spec", "multi_index_set", "variance_estimator", "inputs", "outputs")
+MODEL_KEYS = ("input_spec", "multi_index_set", "inputs", "outputs")
 
 
 def to_json(model: PceModel) -> str:
     """Serializes the model to a compact JSON document holding only its definition.
 
     The keys are :data:`MODEL_KEYS`: the box, the basis (input dimension and
-    total degree), the variance estimator and the training inputs and
-    outputs. Reals render in shortest round-trip decimal, so the refit in
+    total degree) and the training inputs and outputs, which is all a model
+    is. Reals render in shortest round-trip decimal, so the refit in
     :func:`from_json` sees the exact training data and, with the same numpy
     and LAPACK build, reproduces every derived array bit for bit.
     """
@@ -429,7 +396,6 @@ def to_json(model: PceModel) -> str:
     doc = {
         "input_spec": {"ranges": [[lo, hi] for lo, hi in model.input_spec.ranges]},
         "multi_index_set": {"input_dim": iset.input_dim, "max_degree": iset.max_degree},
-        "variance_estimator": model.variance_estimator,
         "inputs": data.inputs.tolist(),
         "outputs": data.outputs.tolist(),
     }
@@ -441,8 +407,9 @@ def from_json(text: str) -> PceModel:
 
     Raises:
         ValueError: If the document does not hold exactly :data:`MODEL_KEYS`
-            (as in the older derived-array format), a field is malformed, or a
-            training number is non-finite or outside the box.
+            (as in the older formats), a field is malformed (including a
+            non-integral input_dim or max_degree), or a training number is
+            non-finite or outside the box.
         ConfpceError: If the refit fails, as in :func:`fit`.
     """
     doc = json.loads(text)
@@ -457,8 +424,8 @@ def from_json(text: str) -> PceModel:
     try:
         spec = InputSpec(ranges=doc["input_spec"]["ranges"])
         mis = doc["multi_index_set"]
-        index_set = build_total_degree_set(int(mis["input_dim"]), int(mis["max_degree"]))
+        index_set = build_total_degree_set(mis["input_dim"], mis["max_degree"])
         data = Dataset(inputs=doc["inputs"], outputs=doc["outputs"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model field: {exc!r}") from None
-    return fit(data, index_set, spec, doc["variance_estimator"])
+    return fit(data, index_set, spec)

@@ -61,6 +61,11 @@ class TestTotalDegreeSet:
             build_total_degree_set(0, 2)
         with pytest.raises(ValueError):
             build_total_degree_set(2, -1)
+        for args in ((1.5, 2), (2, True), (2, "2")):
+            with pytest.raises(ValueError, match="needs integer values"):
+                build_total_degree_set(*args)
+        iset = build_total_degree_set(2.0, 2.0)
+        assert type(iset.input_dim) is int and type(iset.max_degree) is int
 
     def test_enumeration_count_checked(self, monkeypatch):
         # An explicit check, not an assert, so it also holds under python -O.

@@ -71,6 +71,16 @@ class TestFit:
         assert capsys.readouterr().err == "error: validation: --degree must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli(
+            "fit", "--benchmark", "meromorphic", "--m", "40", "--seed", "-1",
+            "--degree", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: validation: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -255,6 +265,21 @@ class TestInterval:
         )
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integral_basis_field_exit_2(self, tmp_path, zero_model, query_points, capsys):
+        doc = json.loads(zero_model.read_text())
+        doc["multi_index_set"]["max_degree"] = 2.5
+        zero_model.write_text(json.dumps(doc))
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(zero_model), "--points", str(query_points),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: validation: malformed model file: max_degree needs integer values, got 2.5\n"
+        )
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -29,7 +29,7 @@ from confpce.harness import (
     run_cell,
     run_grid,
 )
-from confpce.pce import VARIANCE_FLOOR, fit, output_variance, relative_loo_error
+from confpce.pce import VARIANCE_FLOOR, fit, pce_variance, relative_loo_error
 
 
 @pytest.fixture()
@@ -260,7 +260,7 @@ def per_cell_record(benchmark, degree, oversampling, method, score, significance
     except ConfpceError as exc:
         return RunRecord(**coords, failure=f"{type(exc).__name__}: {exc}")
     widths = uppers - lowers
-    rel = math.nan if output_variance(model) <= VARIANCE_FLOOR else relative_loo_error(model)
+    rel = math.nan if pce_variance(model) <= VARIANCE_FLOOR else relative_loo_error(model)
     return RunRecord(
         **coords,
         coverage=coverage,

@@ -25,7 +25,6 @@ from confpce.pce import (
     fit,
     from_json,
     loo_predict,
-    output_variance,
     pce_variance,
     predict,
     relative_loo_error,
@@ -283,12 +282,6 @@ class TestVarianceAndError:
         model = fit(train, build_total_degree_set(1, 3), bench.input_spec)
         assert relative_loo_error(model) < 1e-2
 
-    def test_empirical_estimator_switch(self, otl_fit):
-        model, train, _, _ = otl_fit
-        empirical = output_variance(model, "empirical")
-        assert empirical == pytest.approx(float(np.var(train.outputs, ddof=1)), rel=1e-14)
-        assert output_variance(model) == pce_variance(model)
-
 
 class TestStructuralInvariants:
     def test_affine_target_maps_coefficients(self, otl_fit):
@@ -350,7 +343,6 @@ class TestSerialization:
             "inputs",
             "multi_index_set",
             "outputs",
-            "variance_estimator",
         ]
         assert doc["multi_index_set"] == {"input_dim": 6, "max_degree": 2}
         assert len(doc["inputs"]) == len(doc["outputs"]) == len(train)
@@ -375,8 +367,23 @@ class TestSerialization:
             from_json(json.dumps(doc))
         with pytest.raises(ValueError, match="exactly the keys"):
             from_json(json.dumps({**doc, "coefficients": [1.0]}))
+        with pytest.raises(ValueError, match="found .*'variance_estimator'"):
+            from_json(json.dumps({**doc, "variance_estimator": "coefficients"}))
         with pytest.raises(ValueError, match="derived-array model file.*refit"):
             from_json(json.dumps({**doc, "loo_corrections": [[0.0]]}))
+
+    # A basis field names the basis to refit; a non-integral one is refused, never rounded.
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_degree", 2.5), ("max_degree", True), ("max_degree", "3"), ("input_dim", 1.9)],
+    )
+    def test_rejects_non_integral_basis_field(self, field, value):
+        bench = get_benchmark("meromorphic")
+        train = sample_design("meromorphic", design_size("meromorphic", 3, 3), seed=2)
+        doc = json.loads(to_json(fit(train, build_total_degree_set(1, 3), bench.input_spec)))
+        doc["multi_index_set"][field] = value
+        with pytest.raises(ValueError, match=f"{field} needs integer values, got {value!r}"):
+            from_json(json.dumps(doc))
 
     # Every derived array is rebuilt from the training data, so a non-finite
     # number that would reach it is stopped at the training array it comes from.

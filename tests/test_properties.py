@@ -13,7 +13,7 @@ from confpce.basis import _block_rows, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import METHODS, ConformalConfig, interval_arrays, interval_bounds
 from confpce.errors import LeverageError
-from confpce.pce import VARIANCE_ESTIMATORS, basis_rows, fit, from_json, to_json
+from confpce.pce import Dataset, basis_rows, fit, from_json, to_json
 
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
 
@@ -24,17 +24,15 @@ DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
     degree=st.integers(1, 3),
     oversampling=st.integers(2, 5),
     seed=st.integers(0, 2**16),
-    estimator=st.sampled_from(VARIANCE_ESTIMATORS),
 )
-def test_model_file_refit_is_bitwise(name, degree, oversampling, seed, estimator):
+def test_model_file_refit_is_bitwise(name, degree, oversampling, seed):
     bench = get_benchmark(name)
     data = sample_design(name, design_size(name, degree, oversampling), seed=seed)
-    model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec, estimator)
+    model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
     restored = from_json(to_json(model))
     for field in DERIVED:
         np.testing.assert_array_equal(getattr(restored, field), getattr(model, field), err_msg=field)
     assert restored.condition_number == model.condition_number
-    assert restored.variance_estimator == model.variance_estimator
     points = sample_design(name, 9, seed=seed, stream="test").inputs
     for method in METHODS:
         cfg = ConformalConfig(method=method, significance=0.1)
@@ -133,3 +131,68 @@ def test_jackknife_plus_matches_blocked_oracle(
         want = blocked_jackknife_plus_reference(model, rows, significance)
     for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
         assert np.array_equal(g, w), label
+
+
+BENCHMARKS = st.sampled_from(("meromorphic", "otl_circuit", "piston", "wing_weight"))
+
+
+def _fit_benchmark(name, degree, oversampling, seed, transform=lambda y: y):
+    bench = get_benchmark(name)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=seed)
+    data = Dataset(inputs=data.inputs, outputs=transform(data.outputs))
+    return fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    name=BENCHMARKS,
+    degree=st.integers(1, 3),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    method=st.sampled_from(METHODS),
+)
+def test_intervals_nest_as_significance_shrinks(name, degree, oversampling, seed, method):
+    # Every s reads its bounds off the same LOO matrix, so nesting is exact.
+    model = _fit_benchmark(name, degree, oversampling, seed)
+    points = sample_design(name, 50, seed=seed, stream="test").inputs
+    previous = None
+    for significance in (0.5, 0.3, 0.2, 0.1, 0.05):
+        bounds = interval_arrays(model, points, ConformalConfig(method, significance=significance))
+        if previous is not None:
+            assert np.array_equal(bounds[0], previous[0])
+            assert np.all(bounds[1] <= previous[1]), significance
+            assert np.all(bounds[2] >= previous[2]), significance
+        previous = bounds
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    name=BENCHMARKS,
+    degree=st.integers(1, 3),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    method=st.sampled_from(METHODS),
+    significance=st.sampled_from((0.05, 0.1, 0.2)),
+    a=st.floats(1e-3, 1e3),
+    b=st.floats(-1e3, 1e3),
+)
+def test_intervals_are_affine_equivariant(
+    name, degree, oversampling, seed, method, significance, a, b
+):
+    # y -> a y + b with a > 0 maps every LOO residual to a r_m and every LOO
+    # prediction to a mu_m + b, so each bound maps to a bound + b, up to roundoff.
+    cfg = ConformalConfig(method, significance=significance)
+    points = sample_design(name, 50, seed=seed, stream="test").inputs
+    centers, lowers, uppers = interval_arrays(
+        _fit_benchmark(name, degree, oversampling, seed), points, cfg
+    )
+    moved = _fit_benchmark(name, degree, oversampling, seed, lambda y: a * y + b)
+    got_centers, got_lowers, got_uppers = interval_arrays(moved, points, cfg)
+    # Unbounded intervals have infinite bounds on both sides, which must map exactly.
+    width = np.where(np.isfinite(uppers), uppers - lowers, 0.0)
+    scale = a * width + np.abs(a * centers + b)
+    for got, want in ((got_centers, centers), (got_lowers, lowers), (got_uppers, uppers)):
+        want = a * want + b
+        bounded = np.isfinite(want)
+        assert np.array_equal(got[~bounded], want[~bounded])
+        assert np.all(np.abs(got[bounded] - want[bounded]) <= 1e-8 * scale[bounded])
