@@ -402,14 +402,27 @@ def to_json(model: PceModel) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _json_numbers(field: str, value):
+    """`value` unchanged; a ValueError unless every entry is a JSON number.
+
+    Strings and booleans would otherwise be coerced by float(): "0.25" to
+    0.25 and true to 1.
+    """
+    for entry in np.asarray(value, dtype=object).ravel():
+        if type(entry) not in (int, float):
+            raise ValueError(f"{field} needs numbers, got {entry!r}")
+    return value
+
+
 def from_json(text: str) -> PceModel:
     """Rebuilds a model from :func:`to_json` output by refitting it.
 
     Raises:
         ValueError: If the document does not hold exactly :data:`MODEL_KEYS`
             (as in the older formats), a field is malformed (including a
-            non-integral input_dim or max_degree), or a training number is
-            non-finite or outside the box.
+            non-integral input_dim or max_degree, or a string or boolean
+            among the box bounds or training numbers), or a training number
+            is non-finite or outside the box.
         ConfpceError: If the refit fails, as in :func:`fit`.
     """
     doc = json.loads(text)
@@ -422,10 +435,13 @@ def from_json(text: str) -> PceModel:
         found = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
         raise ValueError(f"model file must hold exactly the keys {MODEL_KEYS}, found {found}")
     try:
-        spec = InputSpec(ranges=doc["input_spec"]["ranges"])
+        spec = InputSpec(ranges=_json_numbers("input_spec.ranges", doc["input_spec"]["ranges"]))
         mis = doc["multi_index_set"]
         index_set = build_total_degree_set(mis["input_dim"], mis["max_degree"])
-        data = Dataset(inputs=doc["inputs"], outputs=doc["outputs"])
+        data = Dataset(
+            inputs=_json_numbers("inputs", doc["inputs"]),
+            outputs=_json_numbers("outputs", doc["outputs"]),
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model field: {exc!r}") from None
     return fit(data, index_set, spec)

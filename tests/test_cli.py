@@ -282,6 +282,21 @@ class TestInterval:
         )
         assert not out.exists()
 
+    def test_string_training_number_exit_2(self, tmp_path, zero_model, query_points, capsys):
+        doc = json.loads(zero_model.read_text())
+        doc["outputs"][0] = "0"
+        zero_model.write_text(json.dumps(doc))
+        out = tmp_path / "iv.csv"
+        code = run_cli(
+            "interval", "--model", str(zero_model), "--points", str(query_points),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: validation: malformed model file: outputs needs numbers, got '0'\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_model_exit_3(self, tmp_path, capsys):
         # Finite but huge outputs: the refit on load overflows.

@@ -1,12 +1,20 @@
 """Tests for finite-sample quantiles and the two interval constructions."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import confpce
+from confpce import conformal
 from confpce.basis import InputSpec, build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import (
@@ -286,7 +294,7 @@ class TestIntervalProperties:
 
     def test_jackknife_plus_workspace_is_bounded(self):
         # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
-        # the workspace one 8 MB block buffer plus one 1 MB sub-block buffer.
+        # the workspace two workers × (4 MB block + 1 MB sub-block).
         bench = get_benchmark("piston")
         data = sample_design("piston", design_size("piston", 4, 3), seed=3)
         model = fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
@@ -300,6 +308,26 @@ class TestIntervalProperties:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+
+    def test_import_starts_no_thread(self):
+        paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = "import threading, confpce; print([t.name for t in threading.enumerate()])"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['MainThread']"
+
+    def test_multi_block_jackknife_plus_leaves_no_thread(self, otl_model):
+        model, _ = otl_model
+        points = sample_design("otl_circuit", 5 * _chunk_rows(model.n_train), seed=93,
+                               stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        before = threading.enumerate()
+        with mock.patch.object(conformal, "_WORKERS", 2):
+            interval_arrays(model, points, cfg)
+        assert threading.enumerate() == before
 
 
 class TestIntervalError:

@@ -385,6 +385,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{field} needs integer values, got {value!r}"):
             from_json(json.dumps(doc))
 
+    # The box and the training data are numbers; a string or boolean among
+    # them is refused, never coerced by float() ("0.25" to 0.25, true to 1).
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("input_spec", "ranges", 0, 1), True),
+            (("input_spec", "ranges", 0, 0), "-1"),
+            (("inputs", 0, 0), "0.25"),
+            (("inputs", 1, 0), True),
+            (("outputs", 0), "1"),
+            (("outputs", 2), False),
+        ],
+        ids=("range-true", "range-string", "input-string", "input-true", "output-string",
+             "output-false"),
+    )
+    def test_rejects_non_number_box_or_data(self, path, value):
+        bench = get_benchmark("meromorphic")
+        train = sample_design("meromorphic", design_size("meromorphic", 3, 3), seed=2)
+        doc = json.loads(to_json(fit(train, build_total_degree_set(1, 3), bench.input_spec)))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        field = "input_spec.ranges" if path[0] == "input_spec" else path[0]
+        with pytest.raises(ValueError, match=rf"^{field} needs numbers, got {value!r}$"):
+            from_json(json.dumps(doc))
+
     # Every derived array is rebuilt from the training data, so a non-finite
     # number that would reach it is stopped at the training array it comes from.
     @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 """Generated-property tests: invariants checked over random inputs."""
 
+import math
+import sys
+import threading
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,13 @@ from hypothesis import strategies as st
 from confpce import conformal
 from confpce.basis import _block_rows, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
-from confpce.conformal import METHODS, ConformalConfig, interval_arrays, interval_bounds
+from confpce.conformal import (
+    METHODS,
+    ConformalConfig,
+    _upper_index,
+    interval_arrays,
+    interval_bounds,
+)
 from confpce.errors import LeverageError
 from confpce.pce import Dataset, basis_rows, fit, from_json, to_json
 
@@ -143,6 +153,103 @@ def _fit_benchmark(name, degree, oversampling, seed, transform=lambda y: y):
     return fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
 
 
+def _small_blocks(m):
+    # 16-row blocks of 5-row sub-blocks, so that a few dozen points span
+    # blocks, a sub-block boundary falls inside each block, and the last
+    # sub-block of a block is short.
+    return mock.patch.multiple(conformal, _CHUNK_BYTES=16 * 8 * m, _SUB_BYTES=5 * 8 * m)
+
+
+@pytest.mark.parametrize(
+    "significance", (0.05, 0.1, 1 / 3, 0.5), ids=("s0.05", "s0.1", "s1/3", "s0.5")
+)
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    name=BENCHMARKS,
+    degree=st.integers(1, 3),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    blocks=st.integers(1, 2),
+    offset=st.integers(-1, 1),
+)
+def test_jackknife_plus_bits_do_not_depend_on_worker_count(
+    significance, name, degree, oversampling, seed, blocks, offset
+):
+    model = _fit_benchmark(name, degree, oversampling, seed)
+    cfg = ConformalConfig(method="jackknife_plus", significance=significance)
+    with _small_blocks(model.n_train):
+        n = blocks * conformal._chunk_rows(model.n_train) + offset
+        points = sample_design(name, n, seed=seed, stream="test").inputs
+        rows = basis_rows(points, model.index_set, model.input_spec)
+        with mock.patch.object(conformal, "_WORKERS", 1):
+            serial = interval_bounds(model, rows, cfg)
+        with mock.patch.object(conformal, "_WORKERS", 2):
+            shared = interval_bounds(model, rows, cfg)
+        want = blocked_jackknife_plus_reference(model, rows, significance)
+    for label, one, two, w in zip(("centers", "lowers", "uppers"), serial, shared, want):
+        assert np.array_equal(one, two), label
+        assert np.array_equal(one, w), label
+
+
+@pytest.mark.parametrize("failing", ("helper", "caller"))
+def test_jackknife_plus_block_failure_reaches_the_caller(failing):
+    model = _fit_benchmark("otl_circuit", 2, 3, 5)
+    caller, started, both = threading.current_thread(), set(), threading.Barrier(2, timeout=10)
+    loo_values = conformal.loo_values
+
+    def flaky_loo_values(*args, **kwargs):
+        thread = "caller" if threading.current_thread() is caller else "helper"
+        if thread not in started:
+            # Each thread's first block waits for the other's, so both hold one.
+            started.add(thread)
+            both.wait()
+        if thread == failing:
+            raise RuntimeError(f"block failed in the {thread}")
+        return loo_values(*args, **kwargs)
+
+    cfg = ConformalConfig(method="jackknife_plus", significance=0.1)
+    with _small_blocks(model.n_train):
+        points = sample_design("otl_circuit", 10 * conformal._chunk_rows(model.n_train),
+                               seed=5, stream="test").inputs
+        rows = basis_rows(points, model.index_set, model.input_spec)
+        before = threading.active_count()
+        with mock.patch.object(conformal, "_WORKERS", 2), \
+                mock.patch.object(conformal, "loo_values", flaky_loo_values):
+            with pytest.raises(RuntimeError, match=f"block failed in the {failing}"):
+                interval_bounds(model, rows, cfg)
+    assert started == {"caller", "helper"}
+    assert threading.active_count() == before
+
+
+def test_jackknife_plus_workers_take_each_block_once():
+    # One-row blocks and a 1 us switch interval make the two workers race for
+    # the shared starts; a block taken twice or never shows in the calls or bits.
+    model = _fit_benchmark("piston", 2, 3, 4)
+    m, n = model.n_train, 400
+    points = sample_design("piston", n, seed=4, stream="test").inputs
+    rows = basis_rows(points, model.index_set, model.input_spec)
+    cfg = ConformalConfig(method="jackknife_plus", significance=0.05)
+    loo_values, taken = conformal.loo_values, []
+
+    def counted_loo_values(model, rows, centers, out):
+        taken.append(len(rows))
+        return loo_values(model, rows, centers, out=out)
+
+    with mock.patch.multiple(conformal, _CHUNK_BYTES=8 * m, _SUB_BYTES=8 * m):
+        with mock.patch.object(conformal, "_WORKERS", 1):
+            serial = interval_bounds(model, rows, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.multiple(conformal, _WORKERS=2, loo_values=counted_loo_values):
+                shared = interval_bounds(model, rows, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+    assert taken == [1] * n
+    for one, two in zip(serial, shared):
+        assert np.array_equal(one, two)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     name=BENCHMARKS,
@@ -196,3 +303,51 @@ def test_intervals_are_affine_equivariant(
         bounded = np.isfinite(want)
         assert np.array_equal(got[~bounded], want[~bounded])
         assert np.all(np.abs(got[bounded] - want[bounded]) <= 1e-8 * scale[bounded])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    name=BENCHMARKS,
+    degree=st.integers(1, 3),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    method=st.sampled_from(METHODS),
+    order=st.integers(0, 2**16),
+)
+def test_intervals_do_not_depend_on_training_order(
+    name, degree, oversampling, seed, method, order
+):
+    # The scores and LOO predictions form a set indexed by the training
+    # samples, so reordering the samples moves each bound by roundoff only.
+    bench = get_benchmark(name)
+    train = sample_design(name, design_size(name, degree, oversampling), seed=seed)
+    perm = np.random.default_rng(order).permutation(len(train))
+    shuffled = Dataset(inputs=train.inputs[perm], outputs=train.outputs[perm])
+    index_set = build_total_degree_set(bench.dim, degree)
+    cfg = ConformalConfig(method=method, significance=0.05)
+    points = sample_design(name, 20, seed=seed, stream="test").inputs
+    _, lo_a, hi_a = interval_arrays(fit(train, index_set, bench.input_spec), points, cfg)
+    _, lo_b, hi_b = interval_arrays(fit(shuffled, index_set, bench.input_spec), points, cfg)
+    for a, b in ((lo_a, lo_b), (hi_a, hi_b)):
+        bounded = np.isfinite(a)
+        assert np.array_equal(a[~bounded], b[~bounded])
+        a, b = a[bounded], b[bounded]
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
+
+
+@pytest.mark.parametrize(
+    "significance, rational",
+    ((0.05, Fraction(1, 20)), (0.1, Fraction(1, 10)), (1 / 3, Fraction(1, 3)), (0.5, Fraction(1, 2))),
+    ids=("s0.05", "s0.1", "s1/3", "s0.5"),
+)
+def test_upper_index_is_exact(significance, rational):
+    # The exact value of the float s is p / q, so ceil((1 - s)(M + 1)) is an
+    # integer ceiling division. The floats 0.05, 0.1 and 0.5 are at or just
+    # above their rationals, which gives the rational's index; the float 1/3
+    # is just below 1/3, which gives one more whenever 3 divides M + 1.
+    p, q = significance.as_integer_ratio()
+    for m in range(1, 2001):
+        k = _upper_index(m, significance)
+        assert k == -(-(q - p) * (m + 1) // q), m
+        extra = rational == Fraction(1, 3) and (m + 1) % 3 == 0
+        assert k == math.ceil((1 - rational) * (m + 1)) + extra, m
