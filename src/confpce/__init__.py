@@ -17,9 +17,7 @@ from .benchmarks import (
     Benchmark,
     benchmark_names,
     dataset_from_csv,
-    dataset_to_csv,
     design_size,
-    evaluate,
     get_benchmark,
     register_benchmark,
     sample_design,
@@ -27,7 +25,6 @@ from .benchmarks import (
 from .conformal import (
     ConformalConfig,
     empirical_coverage,
-    finite_quantile_lower,
     finite_quantile_upper,
     interval_arrays,
     interval_bounds,
@@ -62,7 +59,6 @@ from .pce import (
     loo_predict,
     loo_values,
     pce_variance,
-    predict,
     relative_loo_error,
     to_json,
 )

@@ -266,23 +266,6 @@ def _clamp_reference(xi: np.ndarray, spec: InputSpec | None = None) -> np.ndarra
     return np.clip(xi, -1.0, 1.0)
 
 
-def legendre_table(degree: int, xi: np.ndarray) -> np.ndarray:
-    """Evaluates orthonormal Legendre polynomials psi_0..psi_degree.
-
-    Uses the standard three-term recurrence for P_j and scales each degree by
-    sqrt(2j + 1) so that the family is orthonormal under the uniform density
-    on [-1, 1].
-
-    Args:
-        degree: Highest degree to evaluate.
-        xi: Evaluation points of shape (n,).
-
-    Returns:
-        Array of shape (n, degree + 1); column j holds psi_j(xi).
-    """
-    return _legendre_rows(degree, np.asarray(xi, dtype=float)).T
-
-
 def _legendre_rows(degree: int, xi: np.ndarray) -> np.ndarray:
     """psi_0..psi_degree at points of any shape: shape (degree + 1,) + xi.shape."""
     table = np.empty((degree + 1,) + xi.shape)

@@ -24,8 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import InputSpec, to_reference, total_degree_size
-from .errors import DomainError
+from . import basis
+from .basis import InputSpec, total_degree_size
+from .errors import BasisSizeError, DomainError
 from .pce import Dataset
 
 _STREAM_IDS = {"train": 0, "test": 1}
@@ -109,10 +110,6 @@ def register_benchmark(benchmark: Benchmark) -> None:
     if benchmark.size_rule not in ("quadratic", "linear"):
         raise ValueError(f"size_rule must be 'quadratic' or 'linear', got {benchmark.size_rule!r}")
     _REGISTRY[benchmark.name] = benchmark
-
-
-def unregister_benchmark(name: str) -> None:
-    _REGISTRY.pop(name, None)
 
 
 def get_benchmark(name: str) -> Benchmark:
@@ -202,22 +199,6 @@ register_benchmark(
 )
 
 
-def evaluate(name: str, x: np.ndarray):
-    """Evaluates a benchmark at a point (N,) or batch (n, N).
-
-    Raises:
-        DomainError: If any coordinate lies outside the benchmark's box.
-    """
-    bench = get_benchmark(name)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    # Reuse the reference-map tolerance rule as the box membership check.
-    to_reference(pts, bench.input_spec)
-    values = bench.fn(pts)
-    return float(values[0]) if single else values
-
-
 def _seed_entropy(name: str, seed, stream: str) -> list[int]:
     if stream not in _STREAM_IDS:
         raise ValueError(f"stream must be one of {sorted(_STREAM_IDS)}, got {stream!r}")
@@ -232,10 +213,19 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     from [crc32(name), stream id, *seed], so the same arguments always return
     bitwise-identical datasets and train/test streams never overlap. `seed`
     may be an int or a tuple of ints.
+
+    Raises:
+        BasisSizeError: If the 8 m N bytes of the inputs exceed
+            MAX_BASIS_BYTES; raised before anything is allocated.
     """
     if m < 1:
         raise ValueError(f"design size must be >= 1, got {m}")
     bench = get_benchmark(name)
+    if 8 * m * bench.dim > basis.MAX_BASIS_BYTES:
+        raise BasisSizeError(
+            f"design of {m} points of dimension {bench.dim} needs {8 * m * bench.dim} bytes, "
+            f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(name, seed, stream)))
     inputs = rng.uniform(bench.input_spec.lower(), bench.input_spec.upper(), size=(m, bench.dim))
     return Dataset(inputs=inputs, outputs=bench.fn(inputs))
@@ -261,22 +251,6 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
     if bench.size_rule == "quadratic":
         return oversampling * (degree + 1) ** 2
     return oversampling * total_degree_size(bench.dim, degree)
-
-
-def dataset_to_csv(data: Dataset, path_or_buffer) -> None:
-    """Writes `x1,...,xN,y` rows with shortest round-trip decimals."""
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        n = data.inputs.shape[1]
-        writer.writerow([f"x{i + 1}" for i in range(n)] + ["y"])
-        for row, y in zip(data.inputs, data.outputs):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
-
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        with open(path_or_buffer, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buffer)
 
 
 def read_csv_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
@@ -312,7 +286,7 @@ def read_csv_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
 
 
 def dataset_from_csv(path_or_buffer) -> Dataset:
-    """Reads a dataset written by :func:`dataset_to_csv`.
+    """Reads a dataset from a CSV with header x1,...,xN,y and one row per sample.
 
     Raises:
         ValueError: On a malformed header or non-numeric/ragged rows.

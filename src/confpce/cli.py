@@ -97,7 +97,7 @@ def cmd_fit(args) -> int:
         fh.write(pce.to_json(model))
         fh.write("\n")
 
-    rel = pce.relative_loo_error_or_nan(model)
+    rel = pce.relative_loo_error(model)
     print(
         f"K={model.n_basis} M={model.n_train} rel_loo_error={rel!r} "
         f"cond={model.condition_number!r} max_leverage={float(model.hat_diag.max())!r}"

@@ -23,7 +23,8 @@ exchangeability. Empirical quantiles use the conformal finite-sample
 convention: the upper quantile is the $\lceil (1-s)(M+1) \rceil$-th smallest
 value and the lower the $\lfloor s(M+1) \rfloor$-th, degrading to an
 unbounded interval (explicit infinities, never clamped) when the index falls
-outside 1..M.
+outside 1..M. Both indices take the exact binary value of the float s, see
+:func:`_upper_index`.
 
 Jackknife+ needs the n x M matrix of leave-one-out predictions at the n
 query points. Each call fills the matrix one block of rows at a time, on at
@@ -99,7 +100,10 @@ def _upper_index(n: int, significance: float) -> int:
     """1-based order-statistic index ceil((1-s)(n+1)), computed exactly.
 
     Fractions avoid float boundary accidents such as 0.95 * 20 evaluating
-    just above 19 and spuriously overflowing the sample.
+    just above 19 and spuriously overflowing the sample. The s here is the
+    exact binary value of the float, not the decimal or rational it was
+    written as: the float 1/3 lies just below 1/3, so at s = 1/3 the index
+    is one above the rational ceil(2(n+1)/3) whenever 3 divides n + 1.
     """
     s = Fraction(significance)
     return math.ceil((1 - s) * (n + 1))
@@ -118,21 +122,6 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
     if k > values.size:
         return float("inf")
     return float(np.partition(values, k - 1)[k - 1])
-
-
-def finite_quantile_lower(values: np.ndarray, significance: float) -> float:
-    """Finite-sample lower quantile: the floor(s(M+1))-th smallest value.
-
-    Returns -inf when the index falls below 1. Identical to
-    -finite_quantile_upper(-values, significance).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot take a quantile of an empty sample")
-    j = values.size + 1 - _upper_index(values.size, significance)
-    if j < 1:
-        return float("-inf")
-    return float(np.partition(values, j - 1)[j - 1])
 
 
 def interval_arrays(

@@ -24,7 +24,7 @@ from .basis import _integral, build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
 from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError, ZeroVarianceError
-from .pce import basis_rows, fit, relative_loo_error_or_nan
+from .pce import basis_rows, fit, relative_loo_error
 
 RECORD_COLUMNS = (
     "benchmark",
@@ -208,7 +208,7 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
     except ConfpceError as exc:
         return all_failed(exc)
 
-    rel_loo = relative_loo_error_or_nan(model)
+    rel_loo = relative_loo_error(model)
 
     def score_method(method):
         cfg = ConformalConfig(method=method, significance=significance)

@@ -31,7 +31,6 @@ from .errors import (
     NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
-    ZeroVarianceError,
 )
 
 # Condition numbers beyond this make LOO quantities meaningless in doubles.
@@ -247,16 +246,6 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     return model
 
 
-def predict(model: PceModel, x: np.ndarray):
-    """Evaluates the surrogate at a point (N,) or batch (n, N).
-
-    Returns a float for a single point, an array of shape (n,) for a batch.
-    """
-    x = np.asarray(x, dtype=float)
-    values = basis_rows(np.atleast_2d(x), model.index_set, model.input_spec) @ model.coefficients
-    return float(values[0]) if x.ndim == 1 else values
-
-
 def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
     """Evaluates all M leave-one-out surrogates at new points without refits.
 
@@ -357,27 +346,14 @@ def relative_loo_error(model: PceModel) -> float:
     """Mean squared LOO residual divided by the output variance.
 
     Scale-free model-quality diagnostic: multiplying all outputs by a constant
-    leaves it unchanged.
-
-    Raises:
-        ZeroVarianceError: If the variance estimate is below 1e-300 (e.g. a
-            constant target).
+    leaves it unchanged. NaN when the variance estimate is at or below
+    VARIANCE_FLOOR (e.g. a constant target), so that a degenerate target
+    still gets a report.
     """
     variance = pce_variance(model)
     if variance <= VARIANCE_FLOOR:
-        raise ZeroVarianceError(
-            f"output variance {variance!r} too small for a relative error"
-        )
-    return float(np.mean(model.loo_residuals**2) / variance)
-
-
-def relative_loo_error_or_nan(model: PceModel) -> float:
-    """:func:`relative_loo_error`, or NaN when the output variance is at or
-    below VARIANCE_FLOOR, so that a degenerate target still gets a report."""
-    try:
-        return relative_loo_error(model)
-    except ZeroVarianceError:
         return float("nan")
+    return float(np.mean(model.loo_residuals**2) / variance)
 
 
 MODEL_KEYS = ("input_spec", "multi_index_set", "inputs", "outputs")

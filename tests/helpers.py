@@ -1,10 +1,42 @@
-"""Shared test oracles, independent of the library's evaluation paths."""
+"""Shared test oracles and helpers."""
+
+import contextlib
+import csv
 
 import numpy as np
 
-from confpce.basis import eval_basis_matrix, legendre_table
+from confpce import benchmarks
+from confpce.basis import _legendre_rows, eval_basis_matrix
 from confpce.conformal import _chunk_rows, _upper_index
-from confpce.pce import loo_values
+from confpce.pce import basis_rows, loo_values
+
+
+def legendre_table(degree, xi):
+    """psi_0..psi_degree at points xi (n,): shape (n, degree + 1), column j is psi_j."""
+    return _legendre_rows(degree, np.asarray(xi, dtype=float)).T
+
+
+def surrogate(model, points):
+    """Full-model predictions at box points (n, N), shape (n,): the interval centers."""
+    return basis_rows(np.atleast_2d(points), model.index_set, model.input_spec) @ model.coefficients
+
+
+def write_dataset_csv(data, fh):
+    """Writes `x1,...,xN,y` rows to an open text file, in shortest round-trip decimals."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow([f"x{i + 1}" for i in range(data.inputs.shape[1])] + ["y"])
+    for row, y in zip(data.inputs, data.outputs):
+        writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+
+
+@contextlib.contextmanager
+def registered(benchmark):
+    """Registers `benchmark` for the body of a with block, then removes it."""
+    benchmarks.register_benchmark(benchmark)
+    try:
+        yield benchmark
+    finally:
+        benchmarks._REGISTRY.pop(benchmark.name, None)
 
 
 def gauss_legendre_gram(index_set, orders):

@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import gauss_legendre_gram
+from helpers import gauss_legendre_gram, legendre_table
 
 from confpce import basis
 from confpce.basis import (
     InputSpec,
     build_total_degree_set,
     eval_basis_matrix,
-    legendre_table,
     to_reference,
 )
 from confpce.errors import BasisSizeError, DomainError

@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from helpers import registered
 
 from confpce import basis
 from confpce.basis import InputSpec
-from confpce.benchmarks import Benchmark, register_benchmark, unregister_benchmark
+from confpce.benchmarks import Benchmark
 from confpce.cli import main
 
 
@@ -52,14 +53,28 @@ class TestFit:
 
     def test_basis_over_byte_budget_exit_3(self, tmp_path, capsys, monkeypatch):
         # Piston at P=12, C=3 would need a 61 GB design; a lowered budget
-        # shows the same refusal on a small one without allocating it.
-        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 2**10)
+        # shows the same refusal on a small one without allocating it. The
+        # budget still holds the 5,600-byte sample of 100 points in 7 inputs.
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 2**14)
         code = run_cli(
             "fit", "--benchmark", "piston", "--m", "100",
             "--degree", "2", "--out", str(tmp_path / "m.json"),
         )
         assert code == 3
         assert capsys.readouterr().err.startswith("error: BasisSizeError: basis matrix of 100 points")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_oversized_benchmark_sample_exit_3(self, tmp_path, capsys):
+        # 10**15 points in 7 inputs would need 56 PB; the sample is refused
+        # before anything is allocated.
+        code = run_cli(
+            "fit", "--benchmark", "piston", "--m", str(10**15),
+            "--degree", "1", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: BasisSizeError: design of 1000000000000000 points of dimension 7"
+        )
         assert not (tmp_path / "m.json").exists()
 
     def test_negative_degree_exit_2(self, tmp_path, capsys):
@@ -477,8 +492,7 @@ class TestExperiment:
             size_rule="quadratic",
             degree_grid=(1, 3),
         )
-        register_benchmark(bench)
-        try:
+        with registered(bench):
             config = self.write_config(
                 tmp_path, benchmark="cli_partial_hook", degrees=[1, 3], oversampling=[2],
                 methods=["jackknife"], significance=0.2,
@@ -487,8 +501,19 @@ class TestExperiment:
             captured = capsys.readouterr()
             assert "failed cell" in captured.err
             assert "failures=3" in captured.out  # P=3 seeds fail, P=1 seeds pass
-        finally:
-            unregister_benchmark("cli_partial_hook")
+
+    def test_oversized_test_set_fails_every_cell_exit_4(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, test_size=10**15)
+        assert run_cli("experiment", "--config", str(config)) == 4
+        captured = capsys.readouterr()
+        assert "cells=12 failures=12" in captured.out
+        with open(tmp_path / "report" / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        assert all(
+            row["failure"].startswith("BasisSizeError: design of 1000000000000000 points")
+            for row in rows
+        )
 
     def test_all_cells_failed_exit_4(self, tmp_path, capsys):
         bench = Benchmark(
@@ -499,14 +524,11 @@ class TestExperiment:
             size_rule="quadratic",
             degree_grid=(3,),
         )
-        register_benchmark(bench)
-        try:
+        with registered(bench):
             config = self.write_config(
                 tmp_path, benchmark="cli_skinny_hook", degrees=[3], oversampling=[2]
             )
             assert run_cli("experiment", "--config", str(config)) == 4
-        finally:
-            unregister_benchmark("cli_skinny_hook")
 
 
 class TestBenchmarksListing:

@@ -7,11 +7,13 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from helpers import surrogate
 
 import confpce
 from confpce import conformal
@@ -19,9 +21,9 @@ from confpce.basis import InputSpec, build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import (
     _chunk_rows,
+    _upper_index,
     ConformalConfig,
     empirical_coverage,
-    finite_quantile_lower,
     finite_quantile_upper,
     interval_arrays,
     interval_bounds,
@@ -29,11 +31,11 @@ from confpce.conformal import (
 from confpce.errors import IntervalError, ZeroVarianceError
 from confpce.pce import (
     Dataset,
+    PceModel,
     basis_rows,
     brute_force_loo,
     fit,
     loo_predict,
-    predict,
 )
 
 UNIT_SPEC = InputSpec(ranges=((-1.0, 1.0),))
@@ -42,6 +44,30 @@ UNIT_SPEC = InputSpec(ranges=((-1.0, 1.0),))
 def one_interval(model, x, cfg):
     """(center, lower, upper) at the single point x, as floats."""
     return tuple(float(v[0]) for v in interval_arrays(model, x, cfg))
+
+
+def order_statistics(values, s):
+    """(lower, upper) jackknife+ bounds of a model whose LOO row is `values`.
+
+    With zero scores, zero coefficients and correction column -values, the
+    LOO predictions at the basis row [1] are `values` themselves, so the
+    bounds are their floor(s(M+1))-th and ceil((1-s)(M+1))-th smallest.
+    """
+    values = np.asarray(values, dtype=float)
+    m = values.size
+    model = PceModel(
+        index_set=build_total_degree_set(1, 0),
+        input_spec=UNIT_SPEC,
+        training_snapshot=Dataset(inputs=np.zeros((m, 1)), outputs=np.zeros(m)),
+        coefficients=np.zeros(1),
+        hat_diag=np.zeros(m),
+        loo_residuals=np.zeros(m),
+        loo_corrections=-values[:, None],
+        condition_number=1.0,
+    )
+    cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=s)
+    _, lowers, uppers = interval_bounds(model, np.ones((1, 1)), cfg)
+    return float(lowers[0]), float(uppers[0])
 
 
 @pytest.fixture(scope="module")
@@ -64,20 +90,22 @@ class TestQuantiles:
         assert finite_quantile_upper(values, 0.1) == 10.0
 
     def test_lower_hand_example(self):
-        values = np.arange(1.0, 11.0)
-        # floor(0.1 * 11) = 1 -> smallest
-        assert finite_quantile_lower(values, 0.1) == 1.0
+        values = np.arange(10.0, 0.0, -1.0)
+        # floor(0.1 * 11) = 1 -> smallest; ceil(0.9 * 11) = 10 -> largest
+        assert order_statistics(values, 0.1) == (1.0, 10.0)
+        # floor(0.25 * 11) = 2, ceil(0.75 * 11) = 9
+        assert order_statistics(values, 0.25) == (2.0, 9.0)
 
     def test_all_equal(self):
         values = np.full(8, 2.5)
         assert finite_quantile_upper(values, 0.2) == 2.5
-        assert finite_quantile_lower(values, 0.2) == 2.5
+        assert order_statistics(values, 0.2) == (2.5, 2.5)
 
     def test_overflow_gives_infinities(self):
         values = np.arange(1.0, 6.0)
         # ceil(0.95 * 6) = 6 > 5
         assert finite_quantile_upper(values, 0.05) == math.inf
-        assert finite_quantile_lower(values, 0.05) == -math.inf
+        assert order_statistics(values, 0.05) == (-math.inf, math.inf)
 
     def test_exact_boundary_not_misclassified(self):
         # (1 - 0.05) * 20 must index the 19th value, not overflow: the naive
@@ -90,13 +118,18 @@ class TestQuantiles:
     def test_mirror_identity(self, seed, s):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=rng.integers(1, 40))
-        assert finite_quantile_lower(values, s) == -finite_quantile_upper(-values, s)
+        n = values.size
+        # The lower index floor(s(n+1)) is n + 1 minus the upper one, so the
+        # lower quantile of v is minus the upper quantile of -v.
+        assert n + 1 - _upper_index(n, s) == math.floor(Fraction(s) * (n + 1))
+        if s <= 0.5:  # jackknife+ refuses s > 1/2
+            lower, upper = order_statistics(values, s)
+            assert lower == -finite_quantile_upper(-values, s)
+            assert upper == finite_quantile_upper(values, s)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             finite_quantile_upper(np.array([]), 0.1)
-        with pytest.raises(ValueError):
-            finite_quantile_lower(np.array([]), 0.1)
 
 
 class TestConfig:
@@ -154,7 +187,7 @@ class TestHandWorkedIntervals:
         np.testing.assert_allclose(hand_model.coefficients, [1.0 / 3.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(hand_model.hat_diag, [5.0 / 6.0, 1.0 / 3.0, 5.0 / 6.0], rtol=1e-13)
         np.testing.assert_allclose(hand_model.loo_residuals, [-2.0, 1.0, -2.0], rtol=1e-12)
-        assert predict(hand_model, np.array([0.5])) == pytest.approx(1.0 / 3.0, rel=1e-13)
+        assert surrogate(hand_model, np.array([0.5]))[0] == pytest.approx(1.0 / 3.0, rel=1e-13)
 
     def test_jackknife_hand_values(self, hand_model):
         cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.5)
@@ -288,7 +321,7 @@ class TestIntervalProperties:
         want_lo = np.partition(loo - a, m - k, axis=1)[:, m - k]
         want_hi = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
         centers, lowers, uppers = interval_arrays(model, points, cfg)
-        np.testing.assert_array_equal(centers, predict(model, points))
+        np.testing.assert_array_equal(centers, surrogate(model, points))
         np.testing.assert_array_equal(lowers, want_lo)
         np.testing.assert_array_equal(uppers, want_hi)
 

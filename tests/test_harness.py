@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import registered
 
 from confpce import harness
 from confpce.basis import InputSpec, build_total_degree_set
@@ -12,9 +13,7 @@ from confpce.benchmarks import (
     Benchmark,
     design_size,
     get_benchmark,
-    register_benchmark,
     sample_design,
-    unregister_benchmark,
 )
 from confpce.conformal import ConformalConfig, empirical_coverage, interval_arrays
 from confpce.errors import ConfpceError
@@ -29,7 +28,7 @@ from confpce.harness import (
     run_cell,
     run_grid,
 )
-from confpce.pce import VARIANCE_FLOOR, fit, pce_variance, relative_loo_error
+from confpce.pce import fit, relative_loo_error
 
 
 @pytest.fixture()
@@ -43,9 +42,8 @@ def zero_benchmark():
         size_rule="linear",
         degree_grid=(1,),
     )
-    register_benchmark(bench)
-    yield bench
-    unregister_benchmark("zero_hook")
+    with registered(bench):
+        yield bench
 
 
 @pytest.fixture()
@@ -59,9 +57,8 @@ def skinny_benchmark():
         size_rule="quadratic",
         degree_grid=(3,),
     )
-    register_benchmark(bench)
-    yield bench
-    unregister_benchmark("skinny_hook")
+    with registered(bench):
+        yield bench
 
 
 class TestRunCell:
@@ -260,7 +257,7 @@ def per_cell_record(benchmark, degree, oversampling, method, score, significance
     except ConfpceError as exc:
         return RunRecord(**coords, failure=f"{type(exc).__name__}: {exc}")
     widths = uppers - lowers
-    rel = math.nan if pce_variance(model) <= VARIANCE_FLOOR else relative_loo_error(model)
+    rel = relative_loo_error(model)
     return RunRecord(
         **coords,
         coverage=coverage,

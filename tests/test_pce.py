@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import surrogate
 
 from confpce import basis, pce
 from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
@@ -17,7 +18,6 @@ from confpce.errors import (
     NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
-    ZeroVarianceError,
 )
 from confpce.pce import (
     Dataset,
@@ -26,7 +26,6 @@ from confpce.pce import (
     from_json,
     loo_predict,
     pce_variance,
-    predict,
     relative_loo_error,
     to_json,
 )
@@ -135,7 +134,7 @@ class TestHatIdentities:
 
     def test_loo_times_one_minus_h_is_training_residual(self, otl_fit):
         model, train, _, _ = otl_fit
-        plain = train.outputs - predict(model, train.inputs)
+        plain = train.outputs - surrogate(model, train.inputs)
         recovered = model.loo_residuals * (1.0 - model.hat_diag)
         np.testing.assert_allclose(recovered, plain, rtol=1e-10, atol=1e-14)
 
@@ -144,7 +143,7 @@ class TestPredict:
     def test_constant_model(self):
         data = unit_dataset(lambda x: np.full_like(x, 1.0), m=12)
         model = fit(data, build_total_degree_set(1, 2), UNIT_SPEC)
-        assert predict(model, np.array([0.3])) == pytest.approx(1.0, rel=1e-13)
+        assert surrogate(model, np.array([0.3]))[0] == pytest.approx(1.0, rel=1e-13)
 
     def test_one_hot_coefficients_reproduce_basis(self):
         iset = build_total_degree_set(2, 2)
@@ -158,7 +157,7 @@ class TestPredict:
             coeffs[k] = 1.0
             model = replace(fitted, coefficients=coeffs)
             for p in pts:
-                assert predict(model, p) == pytest.approx(
+                assert surrogate(model, p)[0] == pytest.approx(
                     eval_basis_matrix(p[None, :], iset)[0, k], rel=1e-14, abs=1e-15
                 )
 
@@ -167,11 +166,11 @@ class TestPredict:
         mid = (bench.input_spec.lower() + bench.input_spec.upper()) / 2.0
         xi = to_reference(mid, bench.input_spec)
         manual = float(eval_basis_matrix(xi[None, :], iset)[0] @ model.coefficients)
-        assert predict(model, mid) == pytest.approx(manual, rel=1e-13)
+        assert surrogate(model, mid)[0] == pytest.approx(manual, rel=1e-13)
 
     def test_batch_shape(self, otl_fit):
         model, train, _, _ = otl_fit
-        values = predict(model, train.inputs[:7])
+        values = surrogate(model, train.inputs[:7])
         assert values.shape == (7,)
 
 
@@ -182,7 +181,7 @@ class TestClosedFormLoo:
         np.testing.assert_allclose(model.loo_residuals, 0.0, atol=1e-12)
         x_star = np.array([0.37])
         lp = loo_predict(model, x_star)
-        np.testing.assert_allclose(lp, predict(model, x_star), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lp, surrogate(model, x_star)[0], rtol=0, atol=1e-12)
 
     def test_loo_predict_at_training_point(self, otl_fit):
         # Substituting d_* = d_m collapses the rank-one update to y_m - r_m.
@@ -240,14 +239,18 @@ class TestVarianceAndError:
         model = fit(data, build_total_degree_set(1, 2), UNIT_SPEC)
         assert pce_variance(model) == pytest.approx(0.0, abs=1e-25)
 
-    def test_zero_target_raises_zero_variance(self):
+    def test_zero_target_relative_error_is_nan(self):
         # The zero target is the one case whose fit is float-exact, so the
         # coefficient-based variance is exactly 0 and the guard must fire.
         data = unit_dataset(lambda x: np.zeros_like(x), m=15)
         model = fit(data, build_total_degree_set(1, 2), UNIT_SPEC)
         assert pce_variance(model) == 0.0
-        with pytest.raises(ZeroVarianceError):
-            relative_loo_error(model)
+        assert math.isnan(relative_loo_error(model))
+        # A variance below VARIANCE_FLOOR (1e-300) gives NaN, one above it a number.
+        below = replace(model, coefficients=np.array([0.0, 1e-151, 0.0]))
+        assert math.isnan(relative_loo_error(below))
+        above = replace(model, coefficients=np.array([0.0, 1e-149, 0.0]))
+        assert relative_loo_error(above) == 0.0
 
     def test_linear_target_variance_third(self):
         # Var(xi) = 1/3 for xi ~ U(-1, 1); also c_1^2 = 1/3.
@@ -316,9 +319,9 @@ class TestStructuralInvariants:
         def make(c):
             return replace(fitted, coefficients=c)
 
-        combined = predict(make(c1 + 2.0 * c2), pts)
+        combined = surrogate(make(c1 + 2.0 * c2), pts)
         np.testing.assert_allclose(
-            combined, predict(make(c1), pts) + 2.0 * predict(make(c2), pts), rtol=1e-12
+            combined, surrogate(make(c1), pts) + 2.0 * surrogate(make(c2), pts), rtol=1e-12
         )
 
 
@@ -327,7 +330,7 @@ class TestSerialization:
         model, train, _, _ = otl_fit
         restored = from_json(to_json(model))
         pts = sample_design("otl_circuit", 25, seed=6, stream="test").inputs
-        np.testing.assert_array_equal(predict(restored, pts), predict(model, pts))
+        np.testing.assert_array_equal(surrogate(restored, pts), surrogate(model, pts))
         np.testing.assert_array_equal(loo_predict(restored, pts), loo_predict(model, pts))
         np.testing.assert_array_equal(restored.loo_residuals, model.loo_residuals)
         np.testing.assert_array_equal(restored.hat_diag, model.hat_diag)
