@@ -550,3 +550,295 @@ class TestUsage:
 
     def test_no_subcommand_exit_2(self, capsys):
         assert run_cli() == 2
+
+
+# The CLI's error contract: every bad-input path, its exit code and the exact
+# last line it prints on standard error ("{d}" is the directory of the input
+# files). The argparse cases print a usage line first.
+ZERO_CSV = "x1,y\n" + "".join(f"{x!r},0.0\n" for x in np.linspace(-1.0, 1.0, 30).tolist())
+ZERO_MODEL = {
+    "input_spec": {"ranges": [[-1.0, 1.0]]},
+    "multi_index_set": {"input_dim": 1, "max_degree": 1},
+    "inputs": [[x] for x in np.linspace(-1.0, 1.0, 30).tolist()],
+    "outputs": [0.0] * 30,
+}
+KEYS = "('input_spec', 'multi_index_set', 'inputs', 'outputs')"
+
+
+def _model(**changes):
+    doc = json.loads(json.dumps(ZERO_MODEL))
+    for path, value in changes.items():
+        *parents, last = path.split("__")
+        target = doc
+        for key in parents:
+            target = target[int(key) if key.isdigit() else key]
+        if value is None:
+            del target[last]
+        else:
+            target[int(last) if last.isdigit() else last] = value
+    return json.dumps(doc)
+
+
+def _config(**changes):
+    doc = {"benchmark": "meromorphic", "degrees": [2], "oversampling": [3], "n_seeds": 2,
+           "test_size": 50, "output": "report"}
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+CONTRACT_FILES = {
+    "zero.csv": ZERO_CSV,
+    "bad_header.csv": "a,b\n1,2\n",
+    "empty.csv": "",
+    "header_only.csv": "x1,y\n",
+    "ragged.csv": "x1,y\n0.1,1\n0.2\n",
+    "text.csv": "x1,y\nabc,1\n",
+    "nan.csv": "x1,y\nnan,1\n0.5,2\n",
+    "flat.csv": "x1,y\n0.5,1\n0.5,2\n",
+    "pts.csv": "x1\n0.25\n",
+    "pts_header.csv": "y1\n0.1\n",
+    "pts_ragged.csv": "x1\n0.1\n0.2,0.3\n",
+    "pts_text.csv": "x1\n0.1\nabc\n",
+    "pts_header_only.csv": "x1\n",
+    "pts_far.csv": "x1\n5.0\n",
+    "pts_nan.csv": "x1\nnan\n",
+    "model.json": _model(),
+    "model_text.json": "{not json",
+    "model_list.json": "[]",
+    "model_missing.json": _model(outputs=None),
+    "model_extra.json": _model(variance_estimator="coefficients"),
+    "model_derived.json": _model(outputs=None, loo_corrections=[[0.0]]),
+    "model_degree.json": _model(multi_index_set__max_degree=2.5),
+    "model_string.json": _model(outputs__0="0"),
+    "model_bool.json": _model(input_spec__ranges__0__1=True),
+    "model_nan.json": _model(outputs__0=float("nan")),
+    "model_dims.json": _model(multi_index_set__input_dim=2),
+    "model_far.json": _model(inputs__0__0=3.0),
+    "model_field.json": _model(multi_index_set=5),
+    "config_text.json": "{not json",
+    "config_list.json": "[]",
+    "config_unknown.json": _config(bogus=1),
+    "config_required.json": _config(degrees=None),
+    "config_benchmark.json": _config(benchmark="nope"),
+    "config_empty.json": _config(degrees=[]),
+    "config_negative.json": _config(degrees=[2, -1]),
+    "config_fraction.json": _config(degrees=[2.5]),
+    "config_scalar.json": _config(degrees=5),
+    "config_methods.json": _config(methods="jackknife"),
+    "config_method.json": _config(methods=["bogus"]),
+    "config_score.json": _config(scores=["huber"]),
+    "config_alpha.json": _config(significance="0.05"),
+    "config_half.json": _config(significance=0.75),
+    "config_seeds.json": _config(n_seeds=0),
+    "config_output.json": _config(output=None),
+}
+
+FIT = ("fit", "--degree", "1", "--out", "{d}/m.json")
+INTERVAL = ("interval", "--points", "{d}/pts.csv", "--out", "{d}/iv.csv")
+KNOWN = "meromorphic, otl_circuit, piston, wing_weight"
+NOT_FOUND = "[Errno 2] No such file or directory"
+IS_DIR = "[Errno 21] Is a directory"
+
+ERROR_CONTRACT = [
+    # fit: training CSV
+    ("fit-data-missing", FIT + ("--data", "{d}/no.csv"), 2,
+     f"error: validation: cannot read {{d}}/no.csv: {NOT_FOUND}: '{{d}}/no.csv'"),
+    ("fit-data-directory", FIT + ("--data", "{d}/dir"), 2,
+     f"error: validation: cannot read {{d}}/dir: {IS_DIR}: '{{d}}/dir'"),
+    ("fit-data-header", FIT + ("--data", "{d}/bad_header.csv"), 2,
+     "error: validation: malformed CSV: malformed header ['a', 'b']; expected x1,...,xN,y"),
+    ("fit-data-empty", FIT + ("--data", "{d}/empty.csv"), 2,
+     "error: validation: malformed CSV: empty CSV: expected a header row"),
+    ("fit-data-header-only", FIT + ("--data", "{d}/header_only.csv"), 2,
+     "error: validation: malformed CSV: CSV contains a header but no data rows"),
+    ("fit-data-ragged", FIT + ("--data", "{d}/ragged.csv"), 2,
+     "error: validation: malformed CSV: line 3: expected 2 fields, got 1"),
+    ("fit-data-non-numeric", FIT + ("--data", "{d}/text.csv"), 2,
+     "error: validation: malformed CSV: line 2: non-numeric field in ['abc', '1']"),
+    ("fit-data-nan", FIT + ("--data", "{d}/nan.csv"), 2,
+     "error: validation: malformed CSV: inputs contain non-finite values"),
+    ("fit-data-flat-hull", FIT + ("--data", "{d}/flat.csv"), 2,
+     "error: validation: degenerate data hull; pass --ranges to define the input box"),
+    ("fit-data-out-of-box", FIT + ("--data", "{d}/zero.csv", "--ranges=0:1"), 2,
+     "error: validation: point 0 maps outside [0.0, 1.0] in dimension 0 "
+     "(reference value np.float64(-3.0))"),
+    # fit: --ranges
+    ("fit-ranges-no-colon", FIT + ("--data", "{d}/zero.csv", "--ranges", "1;2"), 2,
+     "error: validation: bad range '1;2'; expected lo:hi"),
+    ("fit-ranges-non-numeric", FIT + ("--data", "{d}/zero.csv", "--ranges", "a:1"), 2,
+     "error: validation: non-numeric range bound in 'a:1'"),
+    ("fit-ranges-reversed", FIT + ("--data", "{d}/zero.csv", "--ranges", "1:0"), 2,
+     "error: validation: dimension 0: lower bound 1.0 must be < upper bound 0.0"),
+    ("fit-ranges-infinite", FIT + ("--data", "{d}/zero.csv", "--ranges", "0:inf"), 2,
+     "error: validation: dimension 0: bounds must be finite, got (0.0, inf)"),
+    ("fit-ranges-dims", FIT + ("--data", "{d}/zero.csv", "--ranges=-1:1,-1:1"), 2,
+     "error: validation: --ranges has 2 dimensions, data has 1"),
+    # fit: numbers and sources
+    ("fit-degree-negative", ("fit", "--degree", "-1", "--out", "{d}/m.json",
+                             "--benchmark", "meromorphic", "--m", "50"), 2,
+     "error: validation: --degree must be >= 0, got -1"),
+    ("fit-degree-text", ("fit", "--degree", "x", "--out", "{d}/m.json"), 2,
+     "confpce fit: error: argument --degree: invalid int value: 'x'"),
+    ("fit-m-zero", FIT + ("--benchmark", "meromorphic", "--m", "0"), 2,
+     "error: validation: --m must be >= 1, got 0"),
+    ("fit-m-missing", FIT + ("--benchmark", "meromorphic"), 2,
+     "error: validation: --benchmark requires --m"),
+    ("fit-m-text", FIT + ("--benchmark", "meromorphic", "--m", "1e3"), 2,
+     "confpce fit: error: argument --m: invalid int value: '1e3'"),
+    ("fit-seed-negative", FIT + ("--benchmark", "meromorphic", "--m", "40", "--seed", "-1"), 2,
+     "error: validation: --seed must be >= 0, got -1"),
+    ("fit-benchmark-unknown", FIT + ("--benchmark", "nope", "--m", "40"), 2,
+     f"error: validation: unknown benchmark 'nope'; known: {KNOWN}"),
+    ("fit-both-sources", FIT + ("--data", "{d}/zero.csv", "--benchmark", "meromorphic"), 2,
+     "error: validation: provide exactly one data source: --data or --benchmark"),
+    ("fit-no-source", FIT, 2,
+     "error: validation: provide exactly one data source: --data or --benchmark"),
+    ("fit-out-unwritable", ("fit", "--degree", "1", "--out", "{d}/no/m.json",
+                            "--benchmark", "meromorphic", "--m", "40"), 2,
+     f"error: io: {NOT_FOUND}: '{{d}}/no/m.json'"),
+    ("fit-underdetermined", FIT + ("--benchmark", "meromorphic", "--m", "1"), 3,
+     "error: UnderdeterminedError: underdetermined fit: M=1 training samples < K=2 basis terms"),
+    # interval: model file
+    ("model-missing", INTERVAL + ("--model", "{d}/no.json"), 2,
+     f"error: validation: cannot read {{d}}/no.json: {NOT_FOUND}: '{{d}}/no.json'"),
+    ("model-directory", INTERVAL + ("--model", "{d}/dir"), 2,
+     f"error: validation: cannot read {{d}}/dir: {IS_DIR}: '{{d}}/dir'"),
+    ("model-not-json", INTERVAL + ("--model", "{d}/model_text.json"), 2,
+     "error: validation: malformed model file: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ("model-list", INTERVAL + ("--model", "{d}/model_list.json"), 2,
+     f"error: validation: malformed model file: model file must hold exactly the keys {KEYS}, "
+     "found list"),
+    ("model-missing-key", INTERVAL + ("--model", "{d}/model_missing.json"), 2,
+     f"error: validation: malformed model file: model file must hold exactly the keys {KEYS}, "
+     "found ['input_spec', 'inputs', 'multi_index_set']"),
+    ("model-extra-key", INTERVAL + ("--model", "{d}/model_extra.json"), 2,
+     f"error: validation: malformed model file: model file must hold exactly the keys {KEYS}, "
+     "found ['input_spec', 'inputs', 'multi_index_set', 'outputs', 'variance_estimator']"),
+    ("model-derived-arrays", INTERVAL + ("--model", "{d}/model_derived.json"), 2,
+     "error: validation: malformed model file: derived-array model file (coefficients, "
+     "hat_diag, loo_residuals, loo_corrections) from before models refit on load; "
+     "refit it with 'confpce fit'"),
+    ("model-fractional-degree", INTERVAL + ("--model", "{d}/model_degree.json"), 2,
+     "error: validation: malformed model file: max_degree needs integer values, got 2.5"),
+    ("model-string-number", INTERVAL + ("--model", "{d}/model_string.json"), 2,
+     "error: validation: malformed model file: outputs needs numbers, got '0'"),
+    ("model-bool-bound", INTERVAL + ("--model", "{d}/model_bool.json"), 2,
+     "error: validation: malformed model file: input_spec.ranges needs numbers, got True"),
+    ("model-nan-output", INTERVAL + ("--model", "{d}/model_nan.json"), 2,
+     "error: validation: malformed model file: outputs contain non-finite values"),
+    ("model-dims", INTERVAL + ("--model", "{d}/model_dims.json"), 2,
+     "error: validation: malformed model file: basis and input spec dimensions disagree"),
+    ("model-out-of-box", INTERVAL + ("--model", "{d}/model_far.json"), 2,
+     "error: validation: malformed model file: point 0 maps outside [-1.0, 1.0] in dimension 0 "
+     "(reference value np.float64(3.0))"),
+    ("model-field-type", INTERVAL + ("--model", "{d}/model_field.json"), 2,
+     "error: validation: malformed model file: malformed model field: "
+     "TypeError(\"'int' object is not subscriptable\")"),
+    # interval: points CSV
+    ("points-missing", ("interval", "--model", "{d}/model.json", "--points", "{d}/no.csv",
+                        "--out", "{d}/iv.csv"), 2,
+     f"error: validation: cannot read {{d}}/no.csv: {NOT_FOUND}: '{{d}}/no.csv'"),
+    ("points-directory", ("interval", "--model", "{d}/model.json", "--points", "{d}/dir",
+                          "--out", "{d}/iv.csv"), 2,
+     f"error: validation: cannot read {{d}}/dir: {IS_DIR}: '{{d}}/dir'"),
+    ("points-header", ("interval", "--model", "{d}/model.json", "--points",
+                       "{d}/pts_header.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: {d}/pts_header.csv: header ['y1'] is not x1[,y]"),
+    ("points-ragged", ("interval", "--model", "{d}/model.json", "--points",
+                       "{d}/pts_ragged.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: {d}/pts_ragged.csv: line 3: expected 1 fields, got 2"),
+    ("points-non-numeric", ("interval", "--model", "{d}/model.json", "--points",
+                            "{d}/pts_text.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: {d}/pts_text.csv: line 3: non-numeric field in ['abc']"),
+    ("points-header-only", ("interval", "--model", "{d}/model.json", "--points",
+                            "{d}/pts_header_only.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: {d}/pts_header_only.csv: CSV contains a header but no data rows"),
+    ("points-empty", ("interval", "--model", "{d}/model.json", "--points",
+                      "{d}/empty.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: {d}/empty.csv: empty CSV: expected a header row"),
+    ("points-out-of-box", ("interval", "--model", "{d}/model.json", "--points",
+                           "{d}/pts_far.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: point 0 maps outside [-1.0, 1.0] in dimension 0 "
+     "(reference value np.float64(5.0))"),
+    ("points-nan", ("interval", "--model", "{d}/model.json", "--points",
+                    "{d}/pts_nan.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: point 0 maps outside [-1.0, 1.0] in dimension 0 "
+     "(reference value np.float64(nan))"),
+    # interval: options and output
+    ("alpha-above-one", INTERVAL + ("--model", "{d}/model.json", "--method", "jk",
+                                    "--alpha", "1.5"), 2,
+     "error: validation: significance must lie in (0, 1), got 1.5"),
+    ("alpha-above-half", INTERVAL + ("--model", "{d}/model.json", "--alpha", "0.75"), 2,
+     "error: validation: jackknife_plus needs significance <= 1/2, got 0.75"),
+    ("alpha-nan", INTERVAL + ("--model", "{d}/model.json", "--alpha", "nan"), 2,
+     "error: validation: significance must lie in (0, 1), got nan"),
+    ("alpha-text", INTERVAL + ("--model", "{d}/model.json", "--alpha", "x"), 2,
+     "confpce interval: error: argument --alpha: invalid float value: 'x'"),
+    ("interval-out-unwritable", ("interval", "--model", "{d}/model.json", "--points",
+                                 "{d}/pts.csv", "--out", "{d}/no/iv.csv"), 2,
+     f"error: io: {NOT_FOUND}: '{{d}}/no/iv.csv'"),
+    # experiment: config file
+    ("config-missing", ("experiment", "--config", "{d}/no.json"), 2,
+     f"error: validation: cannot read {{d}}/no.json: {NOT_FOUND}: '{{d}}/no.json'"),
+    ("config-directory", ("experiment", "--config", "{d}/dir"), 2,
+     f"error: validation: cannot read {{d}}/dir: {IS_DIR}: '{{d}}/dir'"),
+    ("config-not-json", ("experiment", "--config", "{d}/config_text.json"), 2,
+     "error: validation: malformed config JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ("config-list", ("experiment", "--config", "{d}/config_list.json"), 2,
+     "error: validation: config JSON must be an object"),
+    ("config-unknown-field", ("experiment", "--config", "{d}/config_unknown.json"), 2,
+     "error: validation: bad config: unknown config fields: ['bogus']"),
+    ("config-missing-field", ("experiment", "--config", "{d}/config_required.json"), 2,
+     "error: validation: bad config: config requires benchmark, degrees and oversampling"),
+    ("config-unknown-benchmark", ("experiment", "--config", "{d}/config_benchmark.json"), 2,
+     f"error: validation: bad config: \"unknown benchmark 'nope'; known: {KNOWN}\""),
+    ("config-empty-axis", ("experiment", "--config", "{d}/config_empty.json"), 2,
+     "error: validation: bad config: degrees list must be non-empty"),
+    ("config-negative-degree", ("experiment", "--config", "{d}/config_negative.json"), 2,
+     "error: validation: bad config: degrees must be >= 0, got -1"),
+    ("config-fractional-degree", ("experiment", "--config", "{d}/config_fraction.json"), 2,
+     "error: validation: bad config: degrees needs integer values, got 2.5"),
+    ("config-scalar-axis", ("experiment", "--config", "{d}/config_scalar.json"), 2,
+     "error: validation: bad config: 'int' object is not iterable"),
+    ("config-string-axis", ("experiment", "--config", "{d}/config_methods.json"), 2,
+     "error: validation: bad config: method must be one of ('jackknife', 'jackknife_plus'), "
+     "got 'j'"),
+    ("config-unknown-method", ("experiment", "--config", "{d}/config_method.json"), 2,
+     "error: validation: bad config: method must be one of ('jackknife', 'jackknife_plus'), "
+     "got 'bogus'"),
+    ("config-unknown-score", ("experiment", "--config", "{d}/config_score.json"), 2,
+     "error: validation: bad config: score must be one of ('absolute', 'normalized'), "
+     "got 'huber'"),
+    ("config-string-significance", ("experiment", "--config", "{d}/config_alpha.json"), 2,
+     "error: validation: bad config: '<' not supported between instances of 'float' and 'str'"),
+    ("config-significance-above-half", ("experiment", "--config", "{d}/config_half.json"), 2,
+     "error: validation: bad config: jackknife_plus needs significance <= 1/2, got 0.75"),
+    ("config-no-seeds", ("experiment", "--config", "{d}/config_seeds.json"), 2,
+     "error: validation: bad config: n_seeds must be >= 1, got 0"),
+    ("config-no-output", ("experiment", "--config", "{d}/config_output.json"), 2,
+     "error: validation: no output directory: set 'output' in the config or pass --out"),
+]
+
+
+@pytest.fixture()
+def contract_dir(tmp_path):
+    (tmp_path / "dir").mkdir()
+    for name, text in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, code, line", [case[1:] for case in ERROR_CONTRACT], ids=[c[0] for c in ERROR_CONTRACT]
+)
+def test_error_contract(contract_dir, capsys, argv, code, line):
+    d = str(contract_dir)
+    assert run_cli(*(arg.replace("{d}", d) for arg in argv)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == line.replace("{d}", d)
+    if line.startswith("error: "):
+        assert len(err) == 1
+    assert not (contract_dir / "m.json").exists() and not (contract_dir / "iv.csv").exists()
+    assert not (contract_dir / "report").exists()
