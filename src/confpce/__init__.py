@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
+    ValidationError,
     ZeroVarianceError,
 )
 from .harness import (

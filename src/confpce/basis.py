@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisSizeError, DomainError
+from .errors import BasisSizeError, DomainError, ValidationError
 
 # Reference-domain slack: affine maps may land an endpoint a few ulps outside
 # [-1, 1]; values within this tolerance are clamped, anything beyond errors.
@@ -101,14 +101,14 @@ class InputSpec:
 
     def __post_init__(self):
         if len(self.ranges) == 0:
-            raise ValueError("InputSpec needs at least one dimension")
+            raise ValidationError("InputSpec needs at least one dimension")
         clean = []
         for n, (lo, hi) in enumerate(self.ranges):
             lo, hi = float(lo), float(hi)
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"dimension {n}: bounds must be finite, got ({lo}, {hi})")
+                raise ValidationError(f"dimension {n}: bounds must be finite, got ({lo}, {hi})")
             if not lo < hi:
-                raise ValueError(f"dimension {n}: lower bound {lo} must be < upper bound {hi}")
+                raise ValidationError(f"dimension {n}: lower bound {lo} must be < upper bound {hi}")
             clean.append((lo, hi))
         object.__setattr__(self, "ranges", tuple(clean))
 
@@ -124,10 +124,10 @@ class InputSpec:
 
 
 def _integral(field: str, value) -> int:
-    """`value` as an int; a ValueError unless it is an integral real number."""
+    """`value` as an int; a ValidationError unless it is an integral real number."""
     integral = isinstance(value, numbers.Real) and float(value).is_integer()
     if isinstance(value, bool) or not integral:
-        raise ValueError(f"{field} needs integer values, got {value!r}")
+        raise ValidationError(f"{field} needs integer values, got {value!r}")
     return int(value)
 
 
@@ -148,7 +148,7 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         :func:`eval_basis_matrix` walks.
 
     Raises:
-        ValueError: If an argument is not an integral real number (2.0 is
+        ValidationError: If an argument is not an integral real number (2.0 is
             taken as 2) or is out of range.
         BasisSizeError: If the cardinality K exceeds MAX_BASIS_SIZE, or the
             enumeration does not produce exactly K indices.
@@ -156,9 +156,9 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     input_dim = _integral("input_dim", input_dim)
     max_degree = _integral("max_degree", max_degree)
     if input_dim < 1:
-        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+        raise ValidationError(f"input_dim must be >= 1, got {input_dim}")
     if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+        raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
 
     size = total_degree_size(input_dim, max_degree)
     indices: list[tuple[int, ...]] = []
@@ -235,7 +235,7 @@ def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != spec.dim:
-        raise ValueError(f"expected {spec.dim}-dimensional points, got shape {x.shape}")
+        raise ValidationError(f"expected {spec.dim}-dimensional points, got shape {x.shape}")
     lo, hi = spec.lower(), spec.upper()
     xi = 2.0 * (pts - lo) / (hi - lo) - 1.0
     xi = _clamp_reference(xi, spec)
@@ -262,7 +262,7 @@ def _clamp_reference(xi: np.ndarray, spec: InputSpec | None = None) -> np.ndarra
             detail = f"maps outside [{lo}, {hi}] in dimension {n}"
         else:
             detail = f"outside [-1, 1] in dimension {n}"
-        raise DomainError(f"point {r} {detail} (reference value {xi[rows[0], cols[0]]!r})")
+        raise DomainError(f"point {r} {detail} (reference value {float(xi[r, n])!r})")
     return np.clip(xi, -1.0, 1.0)
 
 
@@ -308,7 +308,7 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if xi.shape[1] != index_set.input_dim:
-        raise ValueError(
+        raise ValidationError(
             f"points have dimension {xi.shape[1]}, basis expects {index_set.input_dim}"
         )
     n, k, dim = xi.shape[0], len(index_set), index_set.input_dim

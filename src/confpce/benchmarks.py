@@ -26,7 +26,7 @@ import numpy as np
 
 from . import basis
 from .basis import InputSpec, total_degree_size
-from .errors import BasisSizeError, DomainError
+from .errors import BasisSizeError, DomainError, ValidationError
 from .pce import Dataset
 
 _STREAM_IDS = {"train": 0, "test": 1}
@@ -215,11 +215,12 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     may be an int or a tuple of ints.
 
     Raises:
+        ValidationError: If m < 1.
         BasisSizeError: If the 8 m N bytes of the inputs exceed
             MAX_BASIS_BYTES; raised before anything is allocated.
     """
     if m < 1:
-        raise ValueError(f"design size must be >= 1, got {m}")
+        raise ValidationError(f"design size must be >= 1, got {m}")
     bench = get_benchmark(name)
     if 8 * m * bench.dim > basis.MAX_BASIS_BYTES:
         raise BasisSizeError(
@@ -240,59 +241,56 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
     basis.
 
     Raises:
-        ValueError: If degree < 0 or oversampling < 1.
+        ValidationError: If degree < 0 or oversampling < 1.
         BasisSizeError: If K exceeds MAX_BASIS_SIZE.
     """
     if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+        raise ValidationError(f"degree must be >= 0, got {degree}")
     if oversampling < 1:
-        raise ValueError(f"oversampling must be >= 1, got {oversampling}")
+        raise ValidationError(f"oversampling must be >= 1, got {oversampling}")
     bench = get_benchmark(name)
     if bench.size_rule == "quadratic":
         return oversampling * (degree + 1) ** 2
     return oversampling * total_degree_size(bench.dim, degree)
 
 
-def read_csv_table(path_or_buffer) -> tuple[list[str], np.ndarray]:
-    """Reads a numeric CSV: (header fields stripped of spaces, rows as floats).
+def read_csv_table(fh) -> tuple[list[str], np.ndarray]:
+    """Reads a numeric CSV from an open file: (header fields stripped of spaces, rows as floats).
 
     Blank lines are skipped. The table has shape (rows, len(header)).
 
     Raises:
-        ValueError: On an empty file, a header with no rows, or a
+        ValidationError: On an empty file, a header with no rows, or a
             non-numeric or ragged row.
     """
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        with open(path_or_buffer, newline="") as fh:
-            return read_csv_table(fh)
-    reader = csv.reader(path_or_buffer)
+    reader = csv.reader(fh)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
-        raise ValueError("empty CSV: expected a header row") from None
+        raise ValidationError("empty CSV: expected a header row") from None
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(header):
-            raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            raise ValidationError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
             rows.append([float(v) for v in row])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in {row!r}") from None
+            raise ValidationError(f"line {lineno}: non-numeric field in {row!r}") from None
     if not rows:
-        raise ValueError("CSV contains a header but no data rows")
+        raise ValidationError("CSV contains a header but no data rows")
     return header, np.asarray(rows)
 
 
-def dataset_from_csv(path_or_buffer) -> Dataset:
-    """Reads a dataset from a CSV with header x1,...,xN,y and one row per sample.
+def dataset_from_csv(fh) -> Dataset:
+    """Reads a dataset from an open CSV file with header x1,...,xN,y, one row per sample.
 
     Raises:
-        ValueError: On a malformed header or non-numeric/ragged rows.
+        ValidationError: On a malformed header or a bad row or number.
     """
-    header, table = read_csv_table(path_or_buffer)
+    header, table = read_csv_table(fh)
     n = len(header) - 1
     if n < 1 or header != [f"x{i + 1}" for i in range(n)] + ["y"]:
-        raise ValueError(f"malformed header {header!r}; expected x1,...,xN,y")
+        raise ValidationError(f"malformed header {header!r}; expected x1,...,xN,y")
     return Dataset(inputs=table[:, :-1], outputs=table[:, -1])

@@ -1,8 +1,8 @@
 """Command-line front end: fit surrogates, query intervals, run experiments.
 
-Exit codes are a stable contract: 0 success, 2 usage/validation error,
-3 numerical/fit error, 4 every experiment cell failed. Errors print a single
-machine-parsable line ``error: <kind>: <detail>`` on standard error.
+Exit codes are a stable contract: 0 success, 2 a ValidationError or a file
+error, 3 any other ConfpceError, 4 every experiment cell failed. Errors print
+a single machine-parsable line ``error: <kind>: <detail>`` on standard error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import benchmarks, conformal, harness, pce
 from .basis import InputSpec, build_total_degree_set
-from .errors import ConfpceError, DomainError
+from .errors import ConfpceError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -27,44 +27,46 @@ _METHOD_FLAGS = {"jk": "jackknife", "jk+": "jackknife_plus"}
 _SCORE_FLAGS = {"abs": "absolute", "norm": "normalized"}
 
 
-class _ValidationError(Exception):
-    """A bad argument, input file or config; exits 2 with kind `validation`."""
-
-
 def _parse_ranges(text: str) -> InputSpec:
     """Parses 'lo:hi,lo:hi,...' into an InputSpec."""
     pairs = []
     for part in text.split(","):
         lo, sep, hi = part.partition(":")
         if not sep:
-            raise _ValidationError(f"bad range {part!r}; expected lo:hi")
+            raise ValidationError(f"bad range {part!r}; expected lo:hi")
         try:
             pairs.append((float(lo), float(hi)))
         except ValueError:
-            raise _ValidationError(f"non-numeric range bound in {part!r}") from None
+            raise ValidationError(f"non-numeric range bound in {part!r}") from None
+    return InputSpec(ranges=tuple(pairs))
+
+
+def _read(path, parse, context: str):
+    """parse(fh) on the open file at `path`; the one reader of every input file.
+
+    A file that cannot be read, or a ValueError from parse, is a ValidationError.
+    """
     try:
-        return InputSpec(ranges=tuple(pairs))
+        with open(path, newline="") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
-        raise _ValidationError(str(exc)) from None
+        raise ValidationError(f"{context}{exc}") from None
 
 
 def cmd_fit(args) -> int:
     if (args.data is None) == (args.benchmark is None):
-        raise _ValidationError("provide exactly one data source: --data or --benchmark")
+        raise ValidationError("provide exactly one data source: --data or --benchmark")
     if args.degree < 0:
-        raise _ValidationError(f"--degree must be >= 0, got {args.degree}")
+        raise ValidationError(f"--degree must be >= 0, got {args.degree}")
 
     if args.data is not None:
-        try:
-            data = benchmarks.dataset_from_csv(args.data)
-        except OSError as exc:
-            raise _ValidationError(f"cannot read {args.data}: {exc}") from None
-        except ValueError as exc:
-            raise _ValidationError(f"malformed CSV: {exc}") from None
+        data = _read(args.data, benchmarks.dataset_from_csv, "malformed CSV: ")
         if args.ranges is not None:
             spec = _parse_ranges(args.ranges)
             if spec.dim != data.inputs.shape[1]:
-                raise _ValidationError(
+                raise ValidationError(
                     f"--ranges has {spec.dim} dimensions, data has {data.inputs.shape[1]}"
                 )
         else:
@@ -72,21 +74,19 @@ def cmd_fit(args) -> int:
             lo = data.inputs.min(axis=0)
             hi = data.inputs.max(axis=0)
             if np.any(lo >= hi):
-                raise _ValidationError(
-                    "degenerate data hull; pass --ranges to define the input box"
-                )
+                raise ValidationError("degenerate data hull; pass --ranges to define the input box")
             spec = InputSpec(ranges=tuple(zip(lo, hi)))
     else:
         if args.m is None:
-            raise _ValidationError("--benchmark requires --m")
+            raise ValidationError("--benchmark requires --m")
         try:
             bench = benchmarks.get_benchmark(args.benchmark)
         except KeyError as exc:
-            raise _ValidationError(str(exc.args[0])) from None
+            raise ValidationError(str(exc.args[0])) from None
         if args.m < 1:
-            raise _ValidationError(f"--m must be >= 1, got {args.m}")
+            raise ValidationError(f"--m must be >= 1, got {args.m}")
         if args.seed < 0:
-            raise _ValidationError(f"--seed must be >= 0, got {args.seed}")
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         data = benchmarks.sample_design(args.benchmark, args.m, seed=args.seed)
         spec = bench.input_spec
 
@@ -94,8 +94,7 @@ def cmd_fit(args) -> int:
     model = pce.fit(data, index_set, spec)
 
     with open(args.out, "w") as fh:
-        fh.write(pce.to_json(model))
-        fh.write("\n")
+        fh.write(pce.to_json(model) + "\n")
 
     rel = pce.relative_loo_error(model)
     print(
@@ -105,49 +104,29 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _read_points(path, dim: int) -> np.ndarray:
-    """Query points (n, dim) from a CSV with header x1,...,xN and an optional y."""
-    try:
-        header, table = benchmarks.read_csv_table(path)
-    except OSError as exc:
-        raise _ValidationError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise _ValidationError(f"{path}: {exc}") from None
-    expected = [f"x{i + 1}" for i in range(dim)]
-    if header not in (expected, expected + ["y"]):
-        raise _ValidationError(f"{path}: header {header!r} is not {','.join(expected)}[,y]")
-    return table[:, :dim]
-
-
 def cmd_interval(args) -> int:
-    try:
-        cfg = conformal.ConformalConfig(
-            method=_METHOD_FLAGS[args.method],
-            score=_SCORE_FLAGS[args.score],
-            significance=args.alpha,
-        )
-    except ValueError as exc:
-        raise _ValidationError(str(exc)) from None
-    try:
-        with open(args.model) as fh:
-            model = pce.from_json(fh.read())
-    except OSError as exc:
-        raise _ValidationError(f"cannot read {args.model}: {exc}") from None
-    except ValueError as exc:
-        raise _ValidationError(f"malformed model file: {exc}") from None
+    cfg = conformal.ConformalConfig(
+        method=_METHOD_FLAGS[args.method], score=_SCORE_FLAGS[args.score], significance=args.alpha
+    )
+    model = _read(args.model, lambda fh: pce.from_json(fh.read()), "malformed model file: ")
+    expected = [f"x{i + 1}" for i in range(model.input_spec.dim)]
 
-    points = _read_points(args.points, model.input_spec.dim)
+    def parse_points(fh):
+        """Query points from a CSV with header x1,...,xN and an optional y."""
+        header, table = benchmarks.read_csv_table(fh)
+        if header not in (expected, expected + ["y"]):
+            raise ValidationError(f"header {header!r} is not {','.join(expected)}[,y]")
+        return table[:, :len(expected)]
+
+    points = _read(args.points, parse_points, f"{args.points}: ")
     centers, lowers, uppers = conformal.interval_arrays(model, points, cfg)
 
     n_unbounded = int(np.sum(~np.isfinite(lowers) | ~np.isfinite(uppers)))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(points.shape[1])] + ["center", "lower", "upper"])
+        writer.writerow(expected + ["center", "lower", "upper"])
         for row, c, lo, hi in zip(points, centers, lowers, uppers):
-            writer.writerow(
-                [repr(float(v)) for v in row]
-                + [repr(float(c)), repr(float(lo)), repr(float(hi))]
-            )
+            writer.writerow([repr(float(v)) for v in (*row, c, lo, hi)])
     if n_unbounded:
         print(
             f"warning: {n_unbounded} unbounded interval(s); "
@@ -158,24 +137,18 @@ def cmd_interval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise _ValidationError(f"cannot read {args.config}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise _ValidationError(f"malformed config JSON: {exc}") from None
+    doc = _read(args.config, json.load, "malformed config JSON: ")
     if not isinstance(doc, dict):
-        raise _ValidationError("config JSON must be an object")
+        raise ValidationError("config JSON must be an object")
     try:
         config = harness.ExperimentConfig.from_dict(doc)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _ValidationError(f"bad config: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"bad config: {exc}") from None
     if args.quick:
         config = config.quick()
     out_dir = args.out or config.output
     if out_dir is None:
-        raise _ValidationError("no output directory: set 'output' in the config or pass --out")
+        raise ValidationError("no output directory: set 'output' in the config or pass --out")
 
     report = harness.run_grid(config)
     paths = harness.emit_report(report, "csv", out_dir)
@@ -260,7 +233,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (_ValidationError, DomainError) as exc:
+    except ValidationError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConfpceError as exc:

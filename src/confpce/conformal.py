@@ -47,6 +47,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IntervalError, ZeroVarianceError
+from .errors import IntervalError, ValidationError, ZeroVarianceError
 from .pce import (
     VARIANCE_FLOOR,
     PceModel,
@@ -85,15 +86,17 @@ class ConformalConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.score not in SCORES:
-            raise ValueError(f"score must be one of {SCORES}, got {self.score!r}")
+            raise ValidationError(f"score must be one of {SCORES}, got {self.score!r}")
+        if isinstance(self.significance, bool) or not isinstance(self.significance, numbers.Real):
+            raise ValidationError(f"significance must be a real number, got {self.significance!r}")
         if not 0.0 < self.significance < 1.0:
-            raise ValueError(f"significance must lie in (0, 1), got {self.significance!r}")
+            raise ValidationError(f"significance must lie in (0, 1), got {self.significance!r}")
         # For s <= 1/2, floor(s(M+1)) <= ceil((1-s)(M+1)), so the jackknife+
         # lower order statistic of loo - a never passes the upper one of loo + a.
         if self.method == "jackknife_plus" and self.significance > 0.5:
-            raise ValueError(f"jackknife_plus needs significance <= 1/2, got {self.significance!r}")
+            raise ValidationError(f"jackknife_plus needs significance <= 1/2, got {self.significance!r}")
 
 
 def _upper_index(n: int, significance: float) -> int:
@@ -285,7 +288,7 @@ def interval_bounds(
     if np.any(bad):
         i = int(np.argmax(bad))
         raise IntervalError(
-            f"interval at point {i} has lower {lowers[i]!r} and upper {uppers[i]!r}"
+            f"interval at point {i} has lower {float(lowers[i])!r} and upper {float(uppers[i])!r}"
         )
     return centers, lowers, uppers
 

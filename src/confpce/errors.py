@@ -1,11 +1,23 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+Every error the library raises on purpose is a :class:`ConfpceError`. A
+:class:`ValidationError`, also a ``ValueError``, is outside input that fails
+its check (a CSV, model file, config, argument or, as :class:`DomainError`, a
+point outside its box); the CLI exits 2 on it. The other subclasses are
+numerical failures on valid input; the CLI exits 3 on them. A plain
+``ValueError`` is a broken program invariant and ends in a traceback.
+"""
 
 
 class ConfpceError(Exception):
     """Base class for all library errors."""
 
 
-class DomainError(ConfpceError, ValueError):
+class ValidationError(ConfpceError, ValueError):
+    """An input from outside the program fails its check."""
+
+
+class DomainError(ValidationError):
     """An input point lies outside its declared box, beyond tolerance."""
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import _integral, build_total_degree_set
 from .benchmarks import design_size, get_benchmark, sample_design
 from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
-from .errors import ConfpceError, UnderdeterminedError, ZeroVarianceError
+from .errors import ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError
 from .pce import basis_rows, fit, relative_loo_error
 
 RECORD_COLUMNS = (
@@ -66,7 +66,11 @@ AGGREGATE_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid definition mirrored by the JSON config document."""
+    """Grid definition mirrored by the JSON config document.
+
+    Every field is checked, type first, when it is built: a ValidationError
+    names the first bad field, before any fit.
+    """
 
     benchmark: str
     degrees: tuple[int, ...]
@@ -79,39 +83,41 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        for field in ("degrees", "oversampling"):
-            values = tuple(_integral(field, v) for v in getattr(self, field))
-            object.__setattr__(self, field, values)
+        for field in ("degrees", "oversampling", "methods", "scores"):
+            values = getattr(self, field)
+            if not isinstance(values, (list, tuple)):
+                raise ValidationError(f"{field} must be a list, got {values!r}")
+            if not values:
+                raise ValidationError(f"{field} list must be non-empty")
+            if field in ("degrees", "oversampling"):
+                values = [_integral(field, v) for v in values]
+            object.__setattr__(self, field, tuple(values))
         for field in ("n_seeds", "test_size"):
             object.__setattr__(self, field, _integral(field, getattr(self, field)))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "scores", tuple(self.scores))
-        for field in ("degrees", "oversampling", "methods", "scores"):
-            if not getattr(self, field):
-                raise ValueError(f"{field} list must be non-empty")
         for method in self.methods:
             for score in self.scores:
                 ConformalConfig(method=method, score=score, significance=self.significance)
-        for degree in self.degrees:
-            if degree < 0:
-                raise ValueError(f"degrees must be >= 0, got {degree}")
-        for oversampling in self.oversampling:
-            if oversampling < 1:
-                raise ValueError(f"oversampling must be >= 1, got {oversampling}")
-        if self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.test_size < 1:
-            raise ValueError(f"test_size must be >= 1, got {self.test_size}")
-        get_benchmark(self.benchmark)
+        for field, low in (("degrees", 0), ("oversampling", 1), ("n_seeds", 1), ("test_size", 1)):
+            value = getattr(self, field)
+            for v in value if isinstance(value, tuple) else (value,):
+                if v < low:
+                    raise ValidationError(f"{field} must be >= {low}, got {v}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValidationError(f"output must be a string or null, got {self.output!r}")
+        if not isinstance(self.benchmark, str):
+            raise ValidationError(f"benchmark must be a string, got {self.benchmark!r}")
+        try:
+            get_benchmark(self.benchmark)
+        except KeyError as exc:
+            raise ValidationError(exc.args[0]) from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         if "benchmark" not in doc or "degrees" not in doc or "oversampling" not in doc:
-            raise ValueError("config requires benchmark, degrees and oversampling")
+            raise ValidationError("config requires benchmark, degrees and oversampling")
         return cls(**doc)
 
     def quick(self) -> "ExperimentConfig":

@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
+    ValidationError,
 )
 
 # Condition numbers beyond this make LOO quantities meaningless in doubles.
@@ -62,7 +63,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training data: input points paired with scalar responses."""
+    """Training data: input points paired with scalar responses, all finite."""
 
     inputs: np.ndarray
     outputs: np.ndarray
@@ -71,15 +72,15 @@ class Dataset:
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         outputs = np.asarray(self.outputs, dtype=float).ravel()
         if inputs.shape[0] != outputs.shape[0]:
-            raise ValueError(
+            raise ValidationError(
                 f"{inputs.shape[0]} input rows but {outputs.shape[0]} outputs"
             )
         if outputs.shape[0] < 1:
-            raise ValueError("dataset must contain at least one sample")
+            raise ValidationError("dataset must contain at least one sample")
         if not np.all(np.isfinite(inputs)):
-            raise ValueError("inputs contain non-finite values")
+            raise ValidationError("inputs contain non-finite values")
         if not np.all(np.isfinite(outputs)):
-            raise ValueError("outputs contain non-finite values")
+            raise ValidationError("outputs contain non-finite values")
         object.__setattr__(self, "inputs", _readonly(inputs))
         object.__setattr__(self, "outputs", _readonly(outputs))
 
@@ -210,7 +211,7 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     if np.any(one_minus_h < LEVERAGE_FLOOR):
         worst = int(np.argmin(one_minus_h))
         raise LeverageError(
-            f"sample {worst} has leverage {hat[worst]!r}; "
+            f"sample {worst} has leverage {float(hat[worst])!r}; "
             f"1 - h below {LEVERAGE_FLOOR:.0e} makes LOO residuals undefined"
         )
 
@@ -379,14 +380,14 @@ def to_json(model: PceModel) -> str:
 
 
 def _json_numbers(field: str, value):
-    """`value` unchanged; a ValueError unless every entry is a JSON number.
+    """`value` unchanged; a ValidationError unless every entry is a JSON number.
 
     Strings and booleans would otherwise be coerced by float(): "0.25" to
     0.25 and true to 1.
     """
     for entry in np.asarray(value, dtype=object).ravel():
         if type(entry) not in (int, float):
-            raise ValueError(f"{field} needs numbers, got {entry!r}")
+            raise ValidationError(f"{field} needs numbers, got {entry!r}")
     return value
 
 
@@ -394,22 +395,25 @@ def from_json(text: str) -> PceModel:
     """Rebuilds a model from :func:`to_json` output by refitting it.
 
     Raises:
-        ValueError: If the document does not hold exactly :data:`MODEL_KEYS`
-            (as in the older formats), a field is malformed (including a
-            non-integral input_dim or max_degree, or a string or boolean
-            among the box bounds or training numbers), or a training number
-            is non-finite or outside the box.
+        ValidationError: If the text is not JSON, the document does not hold
+            exactly :data:`MODEL_KEYS` (as in the older formats), a field is
+            malformed (a non-integral input_dim or max_degree, a string or
+            boolean among the numbers, a basis and box of unequal dimension),
+            or a training number is non-finite or outside the box.
         ConfpceError: If the refit fails, as in :func:`fit`.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(str(exc)) from None
     if not isinstance(doc, dict) or set(doc) != set(MODEL_KEYS):
         if isinstance(doc, dict) and "loo_corrections" in doc:
-            raise ValueError(
+            raise ValidationError(
                 "derived-array model file (coefficients, hat_diag, loo_residuals, "
                 "loo_corrections) from before models refit on load; refit it with 'confpce fit'"
             )
         found = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
-        raise ValueError(f"model file must hold exactly the keys {MODEL_KEYS}, found {found}")
+        raise ValidationError(f"model file must hold exactly the keys {MODEL_KEYS}, found {found}")
     try:
         spec = InputSpec(ranges=_json_numbers("input_spec.ranges", doc["input_spec"]["ranges"]))
         mis = doc["multi_index_set"]
@@ -419,5 +423,7 @@ def from_json(text: str) -> PceModel:
             outputs=_json_numbers("outputs", doc["outputs"]),
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model field: {exc!r}") from None
+        raise ValidationError(f"malformed model field: {exc!r}") from None
+    if index_set.input_dim != spec.dim:
+        raise ValidationError("basis and input spec dimensions disagree")
     return fit(data, index_set, spec)

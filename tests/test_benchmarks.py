@@ -203,7 +203,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "design.csv"
         with open(path, "w", newline="") as fh:
             write_dataset_csv(data, fh)
-        back = dataset_from_csv(path)
+        with open(path, newline="") as fh:
+            back = dataset_from_csv(fh)
         np.testing.assert_array_equal(back.inputs, data.inputs)
         np.testing.assert_array_equal(back.outputs, data.outputs)
 

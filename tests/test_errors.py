@@ -1,0 +1,80 @@
+"""Bad outside input raises ValidationError; a broken invariant a plain ValueError."""
+
+import io
+
+import numpy as np
+import pytest
+
+from confpce import ConfpceError, DomainError, ValidationError
+from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
+from confpce.benchmarks import (
+    dataset_from_csv,
+    design_size,
+    get_benchmark,
+    read_csv_table,
+    register_benchmark,
+    sample_design,
+)
+from confpce.conformal import ConformalConfig, empirical_coverage, finite_quantile_upper
+from confpce.harness import CoverageReport, ExperimentConfig, emit_report
+from confpce.pce import Dataset, fit, from_json
+
+UNIT = InputSpec(ranges=((-1.0, 1.0),))
+
+BAD_INPUT = {
+    "spec-empty": lambda: InputSpec(ranges=()),
+    "spec-reversed": lambda: InputSpec(ranges=((1.0, 0.0),)),
+    "basis-degree": lambda: build_total_degree_set(1, -1),
+    "basis-fraction": lambda: build_total_degree_set(1.5, 2),
+    "sample-size": lambda: sample_design("meromorphic", 0, seed=0),
+    "design-degree": lambda: design_size("meromorphic", -1, 2),
+    "reference-dims": lambda: to_reference(np.zeros((1, 2)), UNIT),
+    "basis-dims": lambda: eval_basis_matrix(np.zeros((1, 2)), build_total_degree_set(1, 1)),
+    "dataset-nan": lambda: Dataset(inputs=[[0.0]], outputs=[np.nan]),
+    "model-not-json": lambda: from_json("{not json"),
+    "model-list": lambda: from_json("[]"),
+    "csv-empty": lambda: read_csv_table(io.StringIO("")),
+    "csv-header": lambda: dataset_from_csv(io.StringIO("a,b\n1,2\n")),
+    "conformal-range": lambda: ConformalConfig(significance=2.0),
+    "conformal-type": lambda: ConformalConfig(significance="0.05"),
+    "config-fields": lambda: ExperimentConfig.from_dict({"benchmark": "meromorphic"}),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_domain_error_is_a_validation_error():
+    with pytest.raises(DomainError) as info:
+        to_reference(np.array([[5.0]]), UNIT)
+    assert isinstance(info.value, ValidationError) and isinstance(info.value, ValueError)
+    assert str(info.value) == (
+        "point 0 maps outside [-1.0, 1.0] in dimension 0 (reference value 5.0)"
+    )
+
+
+BROKEN_INVARIANT = {
+    "register-twice": lambda: register_benchmark(get_benchmark("piston")),
+    "stream": lambda: sample_design("meromorphic", 5, seed=0, stream="bogus"),
+    "coverage-empty": lambda: empirical_coverage([], [], []),
+    "quantile-empty": lambda: finite_quantile_upper([], 0.1),
+    "fit-dims": lambda: fit(
+        sample_design("meromorphic", 9, seed=0), build_total_degree_set(2, 1), UNIT
+    ),
+}
+
+
+@pytest.mark.parametrize("call", BROKEN_INVARIANT.values(), ids=BROKEN_INVARIANT.keys())
+def test_broken_invariant_raises_plain_value_error(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, ConfpceError)
+
+
+def test_unknown_report_format_raises_plain_value_error(tmp_path):
+    with pytest.raises(ValueError) as info:
+        emit_report(CoverageReport((), ()), "xml", tmp_path)
+    assert not isinstance(info.value, ConfpceError)

@@ -16,7 +16,7 @@ from confpce.benchmarks import (
     sample_design,
 )
 from confpce.conformal import ConformalConfig, empirical_coverage, interval_arrays
-from confpce.errors import ConfpceError
+from confpce.errors import ConfpceError, ValidationError
 from confpce.harness import (
     AGGREGATE_COLUMNS,
     CoverageReport,
@@ -137,6 +137,15 @@ class TestRunCell:
         )
         assert rec.failed
         assert "ZeroVarianceError" in rec.failure
+
+    def test_leverage_failure_text_has_plain_floats(self):
+        # At M = K every leverage is 1; the record shows it as 1.0, not as
+        # numpy's np.float64(1.0).
+        rec = run_cell("piston", 2, 1, "jackknife", "absolute", 0.05, 0, 100)
+        assert rec.failure == (
+            "LeverageError: sample 3 has leverage 1.0; "
+            "1 - h below 1e-10 makes LOO residuals undefined"
+        )
 
 
 class TestRunGrid:
@@ -326,6 +335,25 @@ class TestSharedDesign:
         assert all(r.failure.startswith("IntervalError: ") for r in report.records)
         assert all(a["n_failed"] == 2 for a in report.aggregates)
 
+    def test_nan_outputs_fail_their_cells_not_the_grid(self):
+        bench = Benchmark(
+            name="nan_hook",
+            input_spec=InputSpec(ranges=((-1.0, 1.0),)),
+            fn=lambda x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]),
+            param_names=("x",),
+            size_rule="quadratic",
+            degree_grid=(2,),
+        )
+        with registered(bench):
+            report = run_grid(ExperimentConfig(
+                benchmark="nan_hook", degrees=(2,), oversampling=(3, 5), n_seeds=3, test_size=100
+            ))
+        assert len(report.records) == 12
+        assert {r.failure for r in report.records} == {
+            "ValidationError: outputs contain non-finite values"
+        }
+        assert all(a["n_failed"] == 3 for a in report.aggregates)
+
 
 class TestConfigValidation:
     def test_rejects_empty_lists(self):
@@ -335,7 +363,7 @@ class TestConfigValidation:
             ExperimentConfig(benchmark="meromorphic", degrees=(2,), oversampling=())
 
     def test_rejects_unknowns(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError, match="^unknown benchmark 'nope'; known: meromorphic"):
             ExperimentConfig(benchmark="nope", degrees=(2,), oversampling=(2,))
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -387,6 +415,26 @@ class TestConfigValidation:
                 ExperimentConfig(benchmark="meromorphic", degrees=(2,), oversampling=(2, value))
         config = ExperimentConfig(benchmark="meromorphic", degrees=(2,), oversampling=(1,))
         assert config.oversampling == (1,)
+
+    # Every field's type is checked when the config is built, before any fit.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("degrees", 5, "degrees must be a list, got 5"),
+            ("oversampling", "3", "oversampling must be a list, got '3'"),
+            ("methods", "jackknife", "methods must be a list, got 'jackknife'"),
+            ("scores", "absolute", "scores must be a list, got 'absolute'"),
+            ("significance", "0.05", "significance must be a real number, got '0.05'"),
+            ("significance", True, "significance must be a real number, got True"),
+            ("output", 5, "output must be a string or null, got 5"),
+            ("benchmark", ["piston"], "benchmark must be a string, got ['piston']"),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value, message):
+        doc = {"benchmark": "meromorphic", "degrees": [2], "oversampling": [2]}
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig.from_dict({**doc, field: value})
+        assert str(info.value) == message
 
     def test_accepts_integral_floats(self):
         config = ExperimentConfig(

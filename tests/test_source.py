@@ -49,3 +49,22 @@ def test_benchmark_uses_only_existing_names(path):
         if not _has(module, name)
     ]
     assert not missing, f"{path.name} uses names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "errors.py"], ids=lambda p: p.name
+)
+def test_exception_classes_only_in_errors(path):
+    # One home for error types, so no parallel "bad input" class can grow
+    # beside ValidationError. Every class must be a module attribute to be checked.
+    module = importlib.import_module(
+        "confpce" if path.stem == "__init__" else f"confpce.{path.stem}"
+    )
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    bad = [
+        name for name in names
+        if not isinstance(getattr(module, name, None), type)
+        or issubclass(getattr(module, name), BaseException)
+    ]
+    assert not bad, f"{path.name} defines exception or unchecked classes {bad}"
