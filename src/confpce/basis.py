@@ -103,8 +103,14 @@ class InputSpec:
         if len(self.ranges) == 0:
             raise ValidationError("InputSpec needs at least one dimension")
         clean = []
-        for n, (lo, hi) in enumerate(self.ranges):
-            lo, hi = float(lo), float(hi)
+        for n, pair in enumerate(self.ranges):
+            try:
+                lo, hi = pair
+                lo, hi = float(lo), float(hi)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"dimension {n}: range must be a (lower, upper) pair of numbers, got {pair!r}"
+                ) from None
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValidationError(f"dimension {n}: bounds must be finite, got ({lo}, {hi})")
             if not lo < hi:

@@ -206,6 +206,11 @@ def _seed_entropy(name: str, seed, stream: str) -> list[int]:
     return [zlib.crc32(name.encode()), _STREAM_IDS[stream], *(int(p) for p in parts)]
 
 
+def input_bytes(name: str, m: int) -> int:
+    """Bytes of the (m, N) inputs sample_design draws for the benchmark."""
+    return 8 * m * get_benchmark(name).dim
+
+
 def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     """Draws m i.i.d. uniform points in the box, paired with exact outputs.
 
@@ -222,9 +227,10 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     if m < 1:
         raise ValidationError(f"design size must be >= 1, got {m}")
     bench = get_benchmark(name)
-    if 8 * m * bench.dim > basis.MAX_BASIS_BYTES:
+    need = input_bytes(name, m)
+    if need > basis.MAX_BASIS_BYTES:
         raise BasisSizeError(
-            f"design of {m} points of dimension {bench.dim} needs {8 * m * bench.dim} bytes, "
+            f"design of {m} points of dimension {bench.dim} needs {need} bytes, "
             f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(name, seed, stream)))

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import basis
 from .basis import _integral, build_total_degree_set
-from .benchmarks import design_size, get_benchmark, sample_design
+from .benchmarks import design_size, get_benchmark, input_bytes, sample_design
 from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError
 from .pce import basis_rows, fit, relative_loo_error
@@ -110,6 +111,13 @@ class ExperimentConfig:
             get_benchmark(self.benchmark)
         except KeyError as exc:
             raise ValidationError(exc.args[0]) from None
+        # sample_design's own bound, checked here so no design is fit first.
+        need = input_bytes(self.benchmark, self.test_size)
+        if need > basis.MAX_BASIS_BYTES:
+            raise ValidationError(
+                f"test_size {self.test_size} needs {need} bytes of test inputs, "
+                f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -378,6 +386,8 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
     stay parseable by strict JSON readers. Output is byte-stable for a given
     report.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -395,7 +405,7 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
             for row in report.aggregates:
                 writer.writerow([_fmt(row[col]) for col in AGGREGATE_COLUMNS])
         written += [records_path, aggregates_path]
-    elif fmt == "json":
+    else:
         doc = {
             "records": [
                 {col: _jsonable(v) for col, v in zip(RECORD_COLUMNS, _typed_row(rec))}
@@ -411,7 +421,5 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
             json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
         written.append(json_path)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
     return written
 

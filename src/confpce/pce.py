@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from . import basis
 from .basis import InputSpec, MultiIndexSet, build_total_degree_set, eval_basis_matrix, to_reference
@@ -45,8 +45,10 @@ from .errors import (
 CONDITION_LIMIT = 1e12
 
 # Peak resident memory of fit in units of its 8 M K byte design: the design,
-# numpy's copy of it, Q and LAPACK's two working copies during the QR (5),
-# plus the K x K factors, up to 1.4 more as M approaches K.
+# the Fortran copy scipy factors into Q and Q's C-order copy (3), plus the
+# K x K factors. Measured growth of ru_maxrss over a fit: 2.93 designs at
+# piston P=3, M=100,000, 3.01 at P=4, M=20,000 and 5.8-6.0 at wing_weight
+# P=4, M=1,100, K=1,001, where the factors count most.
 _FIT_PEAK_DESIGNS = 7
 
 # Minimum allowed 1 - h_mm; smaller means a sample its own refit cannot spare.
@@ -71,6 +73,10 @@ class Dataset:
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         outputs = np.asarray(self.outputs, dtype=float).ravel()
+        if inputs.ndim > 2:
+            raise ValidationError(
+                f"inputs must be a 2-D array of points, got {inputs.ndim} dimensions"
+            )
         if inputs.shape[0] != outputs.shape[0]:
             raise ValidationError(
                 f"{inputs.shape[0]} input rows but {outputs.shape[0]} outputs"
@@ -187,7 +193,13 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
         )
 
     design = basis_rows(data.inputs, index_set, spec)
-    q, r = np.linalg.qr(design, mode="reduced")
+    # scipy factors one Fortran copy of the design and builds Q in place over
+    # it. No overwrite_a: a K = 1 design is also Fortran-contiguous, so scipy
+    # would factor the design itself, which is needed below. The products
+    # below round differently on a Fortran-ordered Q, so Q is copied to C
+    # order at once, which also frees the Fortran copy.
+    q, r = qr(design, mode="economic", check_finite=False)
+    q = np.ascontiguousarray(q)
     # kappa_F(D) = ||R||_F ||R^-1||_F from the R^-1 the LOO corrections need
     # anyway; a zero pivot or an inverse that overflows leaves it infinite.
     condition = np.inf
@@ -367,7 +379,8 @@ def to_json(model: PceModel) -> str:
     total degree) and the training inputs and outputs, which is all a model
     is. Reals render in shortest round-trip decimal, so the refit in
     :func:`from_json` sees the exact training data and, with the same numpy
-    and LAPACK build, reproduces every derived array bit for bit.
+    and scipy builds and BLAS thread count, reproduces every derived array
+    bit for bit.
     """
     iset, data = model.index_set, model.training_snapshot
     doc = {

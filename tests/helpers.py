@@ -4,6 +4,7 @@ import contextlib
 import csv
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from confpce import benchmarks
 from confpce.basis import _legendre_rows, eval_basis_matrix
@@ -19,6 +20,28 @@ def legendre_table(degree, xi):
 def surrogate(model, points):
     """Full-model predictions at box points (n, N), shape (n,): the interval centers."""
     return basis_rows(np.atleast_2d(points), model.index_set, model.input_spec) @ model.coefficients
+
+
+def numpy_qr_fit_reference(data, index_set, spec):
+    """The derived fields of fit, rebuilt with numpy's QR and fit's formulas.
+
+    Returns a dict keyed by the PceModel field names coefficients, hat_diag,
+    loo_residuals, loo_corrections and condition_number. No gates: the
+    caller compares it only with a fit that succeeded.
+    """
+    design = basis_rows(data.inputs, index_set, spec)
+    q, r = np.linalg.qr(design, mode="reduced")
+    r_inv = solve_triangular(r, np.eye(len(index_set)))
+    hat = np.clip(np.einsum("ij,ij->i", q, q), 0.0, 1.0)
+    coefficients = solve_triangular(r, q.T @ data.outputs, check_finite=False)
+    loo_residuals = (data.outputs - design @ coefficients) / (1.0 - hat)
+    return {
+        "coefficients": coefficients,
+        "hat_diag": hat,
+        "loo_residuals": loo_residuals,
+        "loo_corrections": design @ (r_inv @ r_inv.T) * loo_residuals[:, None],
+        "condition_number": float(np.linalg.norm(r) * np.linalg.norm(r_inv)),
+    }
 
 
 def write_dataset_csv(data, fh):

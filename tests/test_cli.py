@@ -502,19 +502,6 @@ class TestExperiment:
             assert "failed cell" in captured.err
             assert "failures=3" in captured.out  # P=3 seeds fail, P=1 seeds pass
 
-    def test_oversized_test_set_fails_every_cell_exit_4(self, tmp_path, capsys):
-        config = self.write_config(tmp_path, test_size=10**15)
-        assert run_cli("experiment", "--config", str(config)) == 4
-        captured = capsys.readouterr()
-        assert "cells=12 failures=12" in captured.out
-        with open(tmp_path / "report" / "records.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 12
-        assert all(
-            row["failure"].startswith("BasisSizeError: design of 1000000000000000 points")
-            for row in rows
-        )
-
     def test_all_cells_failed_exit_4(self, tmp_path, capsys):
         bench = Benchmark(
             name="cli_skinny_hook",
@@ -615,6 +602,8 @@ CONTRACT_FILES = {
     "model_dims.json": _model(multi_index_set__input_dim=2),
     "model_far.json": _model(inputs__0__0=3.0),
     "model_field.json": _model(multi_index_set=5),
+    "model_range.json": _model(input_spec__ranges__0=[-1, 1, 2]),
+    "model_3d.json": _model(inputs=[[[x]] for x in np.linspace(-1.0, 1.0, 30).tolist()]),
     "config_text.json": "{not json",
     "config_list.json": "[]",
     "config_unknown.json": _config(bogus=1),
@@ -632,6 +621,7 @@ CONTRACT_FILES = {
     "config_seeds.json": _config(n_seeds=0),
     "config_output.json": _config(output=None),
     "config_output_type.json": _config(output=5),
+    "config_test_size.json": _config(test_size=10**15),
 }
 
 FIT = ("fit", "--degree", "1", "--out", "{d}/m.json")
@@ -736,6 +726,12 @@ ERROR_CONTRACT = [
     ("model-field-type", INTERVAL + ("--model", "{d}/model_field.json"), 2,
      "error: validation: malformed model file: malformed model field: "
      "TypeError(\"'int' object is not subscriptable\")"),
+    ("model-range-triple", INTERVAL + ("--model", "{d}/model_range.json"), 2,
+     "error: validation: malformed model file: dimension 0: range must be a (lower, upper) "
+     "pair of numbers, got [-1, 1, 2]"),
+    ("model-inputs-3d", INTERVAL + ("--model", "{d}/model_3d.json"), 2,
+     "error: validation: malformed model file: inputs must be a 2-D array of points, "
+     "got 3 dimensions"),
     # interval: points CSV
     ("points-missing", ("interval", "--model", "{d}/model.json", "--points", "{d}/no.csv",
                         "--out", "{d}/iv.csv"), 2,
@@ -821,6 +817,9 @@ ERROR_CONTRACT = [
      "error: validation: no output directory: set 'output' in the config or pass --out"),
     ("config-output-type", ("experiment", "--config", "{d}/config_output_type.json"), 2,
      "error: validation: bad config: output must be a string or null, got 5"),
+    ("config-oversized-test-set", ("experiment", "--config", "{d}/config_test_size.json"), 2,
+     "error: validation: bad config: test_size 1000000000000000 needs 8000000000000000 bytes "
+     "of test inputs, exceeding the limit of 4294967296"),
 ]
 
 

@@ -24,6 +24,8 @@ UNIT = InputSpec(ranges=((-1.0, 1.0),))
 BAD_INPUT = {
     "spec-empty": lambda: InputSpec(ranges=()),
     "spec-reversed": lambda: InputSpec(ranges=((1.0, 0.0),)),
+    "spec-triple": lambda: InputSpec(ranges=([-1.0, 1.0, 2.0],)),
+    "spec-scalar": lambda: InputSpec(ranges=(1.0,)),
     "basis-degree": lambda: build_total_degree_set(1, -1),
     "basis-fraction": lambda: build_total_degree_set(1.5, 2),
     "sample-size": lambda: sample_design("meromorphic", 0, seed=0),
@@ -31,6 +33,7 @@ BAD_INPUT = {
     "reference-dims": lambda: to_reference(np.zeros((1, 2)), UNIT),
     "basis-dims": lambda: eval_basis_matrix(np.zeros((1, 2)), build_total_degree_set(1, 1)),
     "dataset-nan": lambda: Dataset(inputs=[[0.0]], outputs=[np.nan]),
+    "dataset-3d": lambda: Dataset(inputs=[[[0.0]], [[0.5]]], outputs=[0.0, 1.0]),
     "model-not-json": lambda: from_json("{not json"),
     "model-list": lambda: from_json("[]"),
     "csv-empty": lambda: read_csv_table(io.StringIO("")),
@@ -76,5 +79,6 @@ def test_broken_invariant_raises_plain_value_error(call):
 
 def test_unknown_report_format_raises_plain_value_error(tmp_path):
     with pytest.raises(ValueError) as info:
-        emit_report(CoverageReport((), ()), "xml", tmp_path)
+        emit_report(CoverageReport((), ()), "xml", tmp_path / "report")
     assert not isinstance(info.value, ConfpceError)
+    assert not (tmp_path / "report").exists()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import registered
 
-from confpce import harness
+from confpce import basis, harness
 from confpce.basis import InputSpec, build_total_degree_set
 from confpce.benchmarks import (
     Benchmark,
@@ -409,6 +409,17 @@ class TestConfigValidation:
         config = ExperimentConfig(benchmark="meromorphic", degrees=(0,), oversampling=(2,))
         assert config.degrees == (0,)
 
+    def test_rejects_test_set_over_byte_budget(self, monkeypatch):
+        # otl_circuit has 6 inputs: test_size n needs 48 n bytes of inputs.
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 48 * 1000)
+        doc = dict(benchmark="otl_circuit", degrees=(1,), oversampling=(2,))
+        assert ExperimentConfig(**doc, test_size=1000).test_size == 1000
+        with pytest.raises(
+            ValidationError,
+            match="^test_size 1001 needs 48048 bytes of test inputs, exceeding the limit of 48000$",
+        ):
+            ExperimentConfig(**doc, test_size=1001)
+
     def test_rejects_oversampling_below_one(self):
         for value in (0, -3):
             with pytest.raises(ValueError, match=f"oversampling must be >= 1, got {value}"):
@@ -547,8 +558,9 @@ class TestEmitReport:
         assert set(doc["aggregates"][0]) == set(AGGREGATE_COLUMNS)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(CoverageReport(records=(), aggregates=()), "xml", tmp_path)
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            emit_report(CoverageReport(records=(), aggregates=()), "xml", tmp_path / "unused")
+        assert not (tmp_path / "unused").exists()
 
 
 class TestAggregates:

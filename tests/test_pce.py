@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import surrogate
 
+import confpce
 from confpce import basis, pce
 from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
 from confpce.benchmarks import design_size, get_benchmark, sample_design
@@ -31,6 +36,29 @@ from confpce.pce import (
 )
 
 UNIT_SPEC = InputSpec(ranges=((-1.0, 1.0),))
+
+# Prints the growth of the process's resident peak over one piston P=3 fit
+# (K=120) of M points, in units of the 8 M K byte design.
+FIT_PEAK_CHILD = """
+import resource, sys
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import get_benchmark, sample_design
+from confpce.pce import fit
+m = int(sys.argv[1])
+bench = get_benchmark("piston")
+small, index_set = build_total_degree_set(7, 1), build_total_degree_set(7, 3)
+fit(sample_design("piston", 32, seed=1), small, bench.input_spec)  # load the libraries
+data = sample_design("piston", m, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit(data, index_set, bench.input_spec)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (8 * m * len(index_set)))
+"""
+
+# On Linux a new process's ru_maxrss starts at the resident size of the
+# process that spawned it, so the fit runs in a grandchild spawned from this
+# bare interpreter, which is smaller than numpy alone.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 
 
 def unit_dataset(fn, m, seed=0):
@@ -104,6 +132,22 @@ class TestFitBasics:
             tracemalloc.stop()
         assert refused_peak < 2**20, f"allocated {refused_peak} bytes before refusing"
         assert fit_peak < need
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB only on Linux")
+    def test_resident_peak_is_three_designs_when_m_dwarfs_k(self):
+        # A 38.4 MB design: the peak is the design, scipy's Fortran copy
+        # that becomes Q and Q's C-order copy, plus the small K x K factors.
+        # One BLAS thread, so that no thread buffers of the BLAS are counted.
+        paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        done = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-c", FIT_PEAK_CHILD, "40000"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        designs = float(done.stdout)
+        assert 2.0 < designs < 3.5
 
     def test_interpolation_regime_leverage(self):
         # M = K makes the hat matrix the identity: every leverage is 1.

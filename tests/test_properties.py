@@ -8,7 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import blocked_jackknife_plus_reference, product_basis_reference
+from helpers import (
+    blocked_jackknife_plus_reference,
+    numpy_qr_fit_reference,
+    product_basis_reference,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +30,33 @@ from confpce.errors import LeverageError
 from confpce.pce import Dataset, basis_rows, fit, from_json, to_json
 
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
+
+# (benchmark, P) with K <= 120 basis terms. From about 200 terms up the QR's
+# bits change with the BLAS thread count, in numpy's and scipy's OpenBLAS
+# alike, and the two differ when threaded; tests/test_reproducibility.py
+# checks those sizes with the BLAS on one thread.
+SMALL_FITS = tuple(
+    (name, degree)
+    for name in ("meromorphic", "otl_circuit", "piston", "wing_weight")
+    for degree in (1, 2, 3)
+    if math.comb(get_benchmark(name).dim + degree, degree) <= 120
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    fit_size=st.sampled_from(SMALL_FITS),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_is_the_numpy_qr_fit_bit_for_bit(fit_size, oversampling, seed):
+    name, degree = fit_size
+    bench = get_benchmark(name)
+    index_set = build_total_degree_set(bench.dim, degree)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=seed)
+    model = fit(data, index_set, bench.input_spec)
+    for field, want in numpy_qr_fit_reference(data, index_set, bench.input_spec).items():
+        assert np.array_equal(getattr(model, field), want), field
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

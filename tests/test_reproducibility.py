@@ -3,7 +3,9 @@
 The grid and one `confpce interval` call run in new interpreters: with the
 BLAS on one thread, on two threads, and with the process pinned to one CPU
 before confpce is imported (so jackknife+ runs on one worker). Every file
-they write must be the same bytes in all three.
+they write must be the same bytes in all three. A fit of a few hundred
+terms, run with the BLAS on one thread, must also be the same bits as the
+one numpy's QR gives.
 """
 
 import json
@@ -97,3 +99,35 @@ def test_outputs_are_the_same_bytes_across_blas_threads_and_cpus(tmp_path):
     for mode in ("2", "one-cpu"):
         for name, data in files.items():
             assert runs[mode][1][name] == data, f"{name} differs under {mode}"
+
+
+LARGE_FIT_CHILD = """
+import numpy as np
+from helpers import numpy_qr_fit_reference
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+from confpce.pce import fit
+for name, degree in (("otl_circuit", 4), ("wing_weight", 3), ("piston", 4)):
+    bench = get_benchmark(name)
+    index_set = build_total_degree_set(bench.dim, degree)
+    data = sample_design(name, design_size(name, degree, 2), seed=5)
+    model = fit(data, index_set, bench.input_spec)
+    for field, want in numpy_qr_fit_reference(data, index_set, bench.input_spec).items():
+        if not np.array_equal(getattr(model, field), want):
+            print(name, field)
+"""
+
+
+def test_fit_is_the_numpy_qr_fit_bit_for_bit_at_one_blas_thread():
+    # K = 210, 286 and 330: sizes at which the QR's bits depend on the BLAS
+    # thread count, so the comparison runs with the BLAS on one thread.
+    paths = (str(Path(__file__).parent), str(Path(confpce.__file__).parents[1]),
+             os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE_FIT_CHILD],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
