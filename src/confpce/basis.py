@@ -167,10 +167,7 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
 
     size = total_degree_size(input_dim, max_degree)
-    indices: list[tuple[int, ...]] = []
-    for degree in range(max_degree + 1):
-        indices.extend(_compositions(degree, input_dim))
-    indices.sort(key=lambda alpha: (sum(alpha), alpha[::-1]))
+    indices = _graded_indices(input_dim, max_degree)
     if len(indices) != size:
         raise BasisSizeError(f"enumerated {len(indices)} multi-indices, expected K={size}")
 
@@ -209,14 +206,27 @@ def total_degree_size(input_dim: int, max_degree: int) -> int:
     return size
 
 
-def _compositions(total: int, parts: int):
-    """Yields all tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _graded_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:
+    """All indices of total degree <= max_degree, in the order of the set.
+
+    Within a degree, each index follows from the one before it without
+    recursion: the first nonzero entry, less one, moves to the front, and
+    the entry after it gains one. That steps through the degree's indices
+    lexicographically on the reversed index, from (p, 0, ..., 0) to
+    (0, ..., 0, p).
+    """
+    indices = []
+    for degree in range(max_degree + 1):
+        alpha = [degree] + [0] * (dim - 1)
+        indices.append(tuple(alpha))
+        while alpha[-1] != degree:
+            j = 0
+            while not alpha[j]:
+                j += 1
+            alpha[j], alpha[0] = 0, alpha[j] - 1
+            alpha[j + 1] += 1
+            indices.append(tuple(alpha))
+    return indices
 
 
 def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:

@@ -113,12 +113,10 @@ def register_benchmark(benchmark: Benchmark) -> None:
 
 
 def get_benchmark(name: str) -> Benchmark:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown benchmark {name!r}; known: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+    """The registered benchmark; a ValidationError names the known ones otherwise."""
+    if name not in _REGISTRY:
+        raise ValidationError(f"unknown benchmark {name!r}; known: {', '.join(sorted(_REGISTRY))}")
+    return _REGISTRY[name]
 
 
 def benchmark_names() -> list[str]:
@@ -220,7 +218,7 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     may be an int or a tuple of ints.
 
     Raises:
-        ValidationError: If m < 1.
+        ValidationError: If the benchmark is unknown or m < 1.
         BasisSizeError: If the 8 m N bytes of the inputs exceed
             MAX_BASIS_BYTES; raised before anything is allocated.
     """
@@ -247,7 +245,7 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
     basis.
 
     Raises:
-        ValidationError: If degree < 0 or oversampling < 1.
+        ValidationError: If the benchmark is unknown, degree < 0 or oversampling < 1.
         BasisSizeError: If K exceeds MAX_BASIS_SIZE.
     """
     if degree < 0:

@@ -79,10 +79,7 @@ def cmd_fit(args) -> int:
     else:
         if args.m is None:
             raise ValidationError("--benchmark requires --m")
-        try:
-            bench = benchmarks.get_benchmark(args.benchmark)
-        except KeyError as exc:
-            raise ValidationError(str(exc.args[0])) from None
+        bench = benchmarks.get_benchmark(args.benchmark)
         if args.m < 1:
             raise ValidationError(f"--m must be >= 1, got {args.m}")
         if args.seed < 0:

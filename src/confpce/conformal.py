@@ -282,7 +282,7 @@ def interval_bounds(
             functools.partial(
                 fill_blocks, np.empty((min(step, n), m)), np.empty((min(sub, step, n), m))
             )
-            for _ in range(min(_WORKERS, len(starts)))
+            for _ in range(max(1, min(_WORKERS, len(starts))))
         ])
     bad = ~(lowers <= uppers)
     if np.any(bad):

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,44 +27,6 @@ from .benchmarks import design_size, get_benchmark, input_bytes, sample_design
 from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
 from .errors import ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError
 from .pce import basis_rows, fit, relative_loo_error
-
-RECORD_COLUMNS = (
-    "benchmark",
-    "P",
-    "C",
-    "method",
-    "score",
-    "seed",
-    "coverage",
-    "mean_width",
-    "median_width",
-    "rel_loo_error",
-    "n_unbounded",
-    "failure",
-)
-
-AGGREGATE_COLUMNS = (
-    "benchmark",
-    "P",
-    "C",
-    "method",
-    "score",
-    "n_seeds",
-    "n_failed",
-    "coverage_mean",
-    "coverage_median",
-    "coverage_q1",
-    "coverage_q3",
-    "coverage_min",
-    "coverage_max",
-    "width_mean",
-    "width_median",
-    "width_q1",
-    "width_q3",
-    "width_min",
-    "width_max",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -107,10 +70,7 @@ class ExperimentConfig:
             raise ValidationError(f"output must be a string or null, got {self.output!r}")
         if not isinstance(self.benchmark, str):
             raise ValidationError(f"benchmark must be a string, got {self.benchmark!r}")
-        try:
-            get_benchmark(self.benchmark)
-        except KeyError as exc:
-            raise ValidationError(exc.args[0]) from None
+        get_benchmark(self.benchmark)
         # sample_design's own bound, checked here so no design is fit first.
         need = input_bytes(self.benchmark, self.test_size)
         if need > basis.MAX_BASIS_BYTES:
@@ -135,7 +95,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one cell; failed cells keep their coordinates and reason."""
+    """Outcome of one cell; failed cells keep their coordinates and reason.
+
+    The fields, in order, are the records.csv columns (degree and
+    oversampling under the headers P and C); the first five key a cell's
+    aggregate. A cell that succeeded has failure "".
+    """
 
     benchmark: str
     degree: int
@@ -147,13 +112,23 @@ class RunRecord:
     mean_width: float | None = None
     median_width: float | None = None
     rel_loo_error: float | None = None
-    condition_number: float | None = None
     n_unbounded: int | None = None
-    failure: str | None = None
+    failure: str = ""
 
     @property
     def failed(self) -> bool:
-        return self.failure is not None
+        return bool(self.failure)
+
+
+_FIELDS = tuple(f.name for f in fields(RunRecord))
+_HEADERS = {"degree": "P", "oversampling": "C"}
+RECORD_COLUMNS = tuple(_HEADERS.get(name, name) for name in _FIELDS)
+# A record's values in column order: dataclasses.astuple without its deep copy.
+_values = attrgetter(*_FIELDS)
+_STATS = ("mean", "median", "q1", "q3", "min", "max")
+AGGREGATE_COLUMNS = RECORD_COLUMNS[:5] + ("n_seeds", "n_failed") + tuple(
+    f"{prefix}_{stat}" for prefix in ("coverage", "width") for stat in _STATS
+)
 
 
 @dataclass(frozen=True)
@@ -236,7 +211,6 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
             mean_width=float(np.mean(widths)),
             median_width=float(np.median(widths)),
             rel_loo_error=rel_loo,
-            condition_number=model.condition_number,
             n_unbounded=int(np.count_nonzero(np.isinf(lowers) | np.isinf(uppers))),
         )
 
@@ -293,39 +267,30 @@ def aggregate_records(records) -> list[dict]:
     """
     groups: dict[tuple, list[RunRecord]] = {}
     for rec in records:
-        key = (rec.benchmark, rec.degree, rec.oversampling, rec.method, rec.score)
-        groups.setdefault(key, []).append(rec)
+        groups.setdefault(_values(rec)[:5], []).append(rec)
 
     rows = []
     for key in sorted(groups):
         cell = groups[key]
         ok = [r for r in cell if not r.failed]
-        row = dict(zip(("benchmark", "P", "C", "method", "score"), key))
-        row["n_seeds"] = len(cell)
-        row["n_failed"] = len(cell) - len(ok)
-        for prefix, values in (
-            ("coverage", [r.coverage for r in ok]),
-            ("width", [r.median_width for r in ok]),
-        ):
-            stats = _summary(np.asarray(values, dtype=float)) if ok else dict.fromkeys(
-                ("mean", "median", "q1", "q3", "min", "max"), float("nan")
-            )
-            for stat, value in stats.items():
-                row[f"{prefix}_{stat}"] = value
-        rows.append(row)
+        values = (*key, len(cell), len(cell) - len(ok))
+        for sample in ([r.coverage for r in ok], [r.median_width for r in ok]):
+            values += _summary(np.asarray(sample, dtype=float)) if ok else (math.nan,) * len(_STATS)
+        rows.append(dict(zip(AGGREGATE_COLUMNS, values)))
     return rows
 
 
-def _summary(values: np.ndarray) -> dict:
+def _summary(values: np.ndarray) -> tuple:
+    """The _STATS of the values, in that order."""
     ordered = np.sort(values)
-    return {
-        "mean": float(np.mean(values)),
-        "median": _quantile_linear(ordered, 0.5),
-        "q1": _quantile_linear(ordered, 0.25),
-        "q3": _quantile_linear(ordered, 0.75),
-        "min": float(ordered[0]),
-        "max": float(ordered[-1]),
-    }
+    return (
+        float(np.mean(values)),
+        _quantile_linear(ordered, 0.5),
+        _quantile_linear(ordered, 0.25),
+        _quantile_linear(ordered, 0.75),
+        float(ordered[0]),
+        float(ordered[-1]),
+    )
 
 
 def _quantile_linear(ordered: np.ndarray, q: float) -> float:
@@ -353,24 +318,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _typed_row(rec: RunRecord) -> list:
-    """The record's values in RECORD_COLUMNS order, for both report formats."""
-    return [
-        rec.benchmark,
-        rec.degree,
-        rec.oversampling,
-        rec.method,
-        rec.score,
-        rec.seed,
-        rec.coverage,
-        rec.mean_width,
-        rec.median_width,
-        rec.rel_loo_error,
-        rec.n_unbounded,
-        rec.failure or "",
-    ]
-
-
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
@@ -390,36 +337,25 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
         raise ValueError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt == "csv":
-        records_path = out_dir / "records.csv"
-        with open(records_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RECORD_COLUMNS)
-            for rec in report.records:
-                writer.writerow([_fmt(v) for v in _typed_row(rec)])
-        aggregates_path = out_dir / "aggregates.csv"
-        with open(aggregates_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(AGGREGATE_COLUMNS)
-            for row in report.aggregates:
-                writer.writerow([_fmt(row[col]) for col in AGGREGATE_COLUMNS])
-        written += [records_path, aggregates_path]
-    else:
-        doc = {
-            "records": [
-                {col: _jsonable(v) for col, v in zip(RECORD_COLUMNS, _typed_row(rec))}
-                for rec in report.records
-            ],
-            "aggregates": [
-                {col: _jsonable(row[col]) for col in AGGREGATE_COLUMNS}
-                for row in report.aggregates
-            ],
-        }
-        json_path = out_dir / "report.json"
-        with open(json_path, "w") as fh:
+    tables = {
+        "records": (RECORD_COLUMNS, [_values(rec) for rec in report.records]),
+        "aggregates": (AGGREGATE_COLUMNS, [[row[col] for col in AGGREGATE_COLUMNS]
+                                           for row in report.aggregates]),
+    }
+    if fmt == "json":
+        doc = {name: [{col: _jsonable(v) for col, v in zip(columns, row)} for row in rows]
+               for name, (columns, rows) in tables.items()}
+        path = out_dir / "report.json"
+        with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
-        written.append(json_path)
+        return [path]
+    written = []
+    for name, (columns, rows) in tables.items():
+        path = out_dir / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+        written.append(path)
     return written
-

@@ -430,13 +430,15 @@ def from_json(text: str) -> PceModel:
     try:
         spec = InputSpec(ranges=_json_numbers("input_spec.ranges", doc["input_spec"]["ranges"]))
         mis = doc["multi_index_set"]
-        index_set = build_total_degree_set(mis["input_dim"], mis["max_degree"])
+        # Checked before the basis is built, so a file cannot ask for a
+        # basis wider than its box.
+        if basis._integral("input_dim", mis["input_dim"]) != spec.dim:
+            raise ValidationError("basis and input spec dimensions disagree")
+        index_set = build_total_degree_set(spec.dim, mis["max_degree"])
         data = Dataset(
             inputs=_json_numbers("inputs", doc["inputs"]),
             outputs=_json_numbers("outputs", doc["outputs"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed model field: {exc!r}") from None
-    if index_set.input_dim != spec.dim:
-        raise ValidationError("basis and input spec dimensions disagree")
     return fit(data, index_set, spec)

@@ -97,6 +97,24 @@ def product_basis_reference(xi, index_set):
     return out
 
 
+def assert_parent_links(index_set):
+    """Each term k > 0 is its parent times psi_{last_degree} in dimension last_dim.
+
+    The parent comes earlier and is the index with its last nonzero entry,
+    at last_dim, set to 0; the zero index is its own parent.
+    """
+    alphas = np.array(index_set.indices)
+    assert index_set.parent[0] == 0 and index_set.last_degree[0] == 0
+    for k in range(1, len(index_set)):
+        parent, d = index_set.parent[k], index_set.last_dim[k]
+        assert parent < k
+        assert alphas[k, d] == index_set.last_degree[k] > 0
+        assert not alphas[k, d + 1:].any()
+        expected = alphas[k].copy()
+        expected[d] = 0
+        assert np.array_equal(alphas[parent], expected)
+
+
 def blocked_jackknife_plus_reference(model, rows, significance):
     """Block-loop oracle for jackknife+ bounds at basis rows (n, K).
 

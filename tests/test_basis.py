@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import gauss_legendre_gram, legendre_table
+from helpers import assert_parent_links, gauss_legendre_gram, legendre_table
 
 from confpce import basis
 from confpce.basis import (
@@ -46,10 +46,18 @@ class TestTotalDegreeSet:
         assert a.indices[0] == (0, 0, 0, 0)
         assert a.indices == b.indices
 
-    def test_graded_ordering(self):
-        s = build_total_degree_set(3, 4)
-        degrees = [sum(alpha) for alpha in s.indices]
-        assert degrees == sorted(degrees)
+    @pytest.mark.parametrize("n, p", [(1, 4), (3, 4), (5, 3), (10, 2)])
+    def test_graded_ordering(self, n, p):
+        # Ascending total degree, ties lexicographic on the reversed index.
+        s = build_total_degree_set(n, p)
+        assert list(s.indices) == sorted(s.indices, key=lambda alpha: (sum(alpha), alpha[::-1]))
+
+    def test_wide_input_builds_without_recursion(self):
+        # One level per input dimension would pass the interpreter's recursion limit.
+        s = build_total_degree_set(1_100, 1)
+        assert len(s) == 1_101
+        assert s.indices[1] == (1,) + (0,) * 1_099 and s.indices[-1] == (0,) * 1_099 + (1,)
+        assert_parent_links(s)
 
     def test_size_guard(self):
         with pytest.raises(BasisSizeError):
@@ -68,8 +76,8 @@ class TestTotalDegreeSet:
 
     def test_enumeration_count_checked(self, monkeypatch):
         # An explicit check, not an assert, so it also holds under python -O.
-        real = basis._compositions
-        monkeypatch.setattr(basis, "_compositions", lambda t, n: list(real(t, n))[1:])
+        real = basis._graded_indices
+        monkeypatch.setattr(basis, "_graded_indices", lambda n, p: real(n, p)[1:])
         with pytest.raises(BasisSizeError, match="multi-indices, expected K=6"):
             build_total_degree_set(2, 2)
 

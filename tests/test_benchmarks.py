@@ -20,7 +20,7 @@ from confpce.benchmarks import (
     sample_design,
 )
 from confpce.basis import MAX_BASIS_SIZE, InputSpec, build_total_degree_set
-from confpce.errors import BasisSizeError, DomainError
+from confpce.errors import BasisSizeError, DomainError, ValidationError
 
 # Midpoint values frozen from a throwaway transcription of each formula,
 # written independently of benchmarks.py before it existed.
@@ -65,7 +65,7 @@ class TestEvaluate:
         assert evaluate("wing_weight", p) == evaluate("wing_weight", p)
 
     def test_unknown_benchmark(self):
-        with pytest.raises(KeyError, match="rosenbrock"):
+        with pytest.raises(ValidationError, match="unknown benchmark 'rosenbrock'; known: "):
             get_benchmark("rosenbrock")
 
     def test_piston_square_root_domain(self):

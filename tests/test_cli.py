@@ -126,6 +126,19 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert doc["input_spec"]["ranges"] == [[-1.0, 1.0]]
 
+    def test_wide_data_csv_fits(self, tmp_path, capsys):
+        # 1,100 inputs: more dimensions than the interpreter's recursion limit.
+        n = 1_100
+        rows = np.random.default_rng(0).random((3, n + 1))
+        data = tmp_path / "wide.csv"
+        data.write_text(",".join([f"x{i + 1}" for i in range(n)] + ["y"]) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows
+        ))
+        out = tmp_path / "model.json"
+        assert run_cli("fit", "--data", str(data), "--degree", "0", "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("K=1 M=3 ")
+        assert json.loads(out.read_text())["multi_index_set"] == {"input_dim": n, "max_degree": 0}
+
     def test_bad_ranges_exit_2(self, tmp_path):
         data = tmp_path / "train.csv"
         write_zero_csv(data)
@@ -600,6 +613,7 @@ CONTRACT_FILES = {
     "model_bool.json": _model(input_spec__ranges__0__1=True),
     "model_nan.json": _model(outputs__0=float("nan")),
     "model_dims.json": _model(multi_index_set__input_dim=2),
+    "model_wide.json": _model(multi_index_set__input_dim=1_100),
     "model_far.json": _model(inputs__0__0=3.0),
     "model_field.json": _model(multi_index_set=5),
     "model_range.json": _model(input_spec__ranges__0=[-1, 1, 2]),
@@ -719,6 +733,8 @@ ERROR_CONTRACT = [
     ("model-nan-output", INTERVAL + ("--model", "{d}/model_nan.json"), 2,
      "error: validation: malformed model file: outputs contain non-finite values"),
     ("model-dims", INTERVAL + ("--model", "{d}/model_dims.json"), 2,
+     "error: validation: malformed model file: basis and input spec dimensions disagree"),
+    ("model-dims-wide", INTERVAL + ("--model", "{d}/model_wide.json"), 2,
      "error: validation: malformed model file: basis and input spec dimensions disagree"),
     ("model-out-of-box", INTERVAL + ("--model", "{d}/model_far.json"), 2,
      "error: validation: malformed model file: point 0 maps outside [-1.0, 1.0] in dimension 0 "

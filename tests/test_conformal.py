@@ -308,6 +308,16 @@ class TestIntervalProperties:
             one_by_one = np.array([one_interval(model, p, cfg) for p in points]).T
             np.testing.assert_allclose(batch, one_by_one, rtol=1e-14)
 
+    @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
+    def test_empty_batch_gives_empty_arrays(self, otl_model, method):
+        model, points = otl_model
+        cfg = ConformalConfig(method=method, score="absolute", significance=0.1)
+        for got in (
+            interval_arrays(model, points[:0], cfg),
+            interval_bounds(model, np.empty((0, model.n_basis)), cfg),
+        ):
+            assert [a.shape for a in got] == [(0,)] * 3
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
         model, _ = otl_model

@@ -16,7 +16,7 @@ from confpce.benchmarks import (
     sample_design,
 )
 from confpce.conformal import ConformalConfig, empirical_coverage, finite_quantile_upper
-from confpce.harness import CoverageReport, ExperimentConfig, emit_report
+from confpce.harness import CoverageReport, ExperimentConfig, emit_report, run_cell
 from confpce.pce import Dataset, fit, from_json
 
 UNIT = InputSpec(ranges=((-1.0, 1.0),))
@@ -30,6 +30,9 @@ BAD_INPUT = {
     "basis-fraction": lambda: build_total_degree_set(1.5, 2),
     "sample-size": lambda: sample_design("meromorphic", 0, seed=0),
     "design-degree": lambda: design_size("meromorphic", -1, 2),
+    "sample-benchmark": lambda: sample_design("nope", 5, seed=0),
+    "design-benchmark": lambda: design_size("nope", 2, 2),
+    "cell-benchmark": lambda: run_cell("nope", 2, 2, "jackknife", "absolute", 0.05, 0, 10),
     "reference-dims": lambda: to_reference(np.zeros((1, 2)), UNIT),
     "basis-dims": lambda: eval_basis_matrix(np.zeros((1, 2)), build_total_degree_set(1, 1)),
     "dataset-nan": lambda: Dataset(inputs=[[0.0]], outputs=[np.nan]),

@@ -86,7 +86,7 @@ class TestRunCell:
             seed=1,
             test_size=300,
         )
-        assert rec.failure is None
+        assert rec.failure == ""
         assert rec.coverage == 1.0
         assert rec.mean_width == 0.0
         assert rec.median_width == 0.0
@@ -104,10 +104,9 @@ class TestRunCell:
             seed=0,
             test_size=2000,
         )
-        assert rec.failure is None
+        assert rec.failure == ""
         assert 0.90 <= rec.coverage <= 1.0
         assert rec.mean_width > 0.0
-        assert rec.condition_number > 1.0
 
     def test_underdetermined_cell_captured(self, skinny_benchmark):
         rec = run_cell(
@@ -207,7 +206,7 @@ class TestRunGrid:
         )
         report = run_grid(config)
         for rec in report.records:
-            assert rec.failure is None
+            assert rec.failure == ""
             assert rec.n_unbounded == 0
             assert 0.0 < rec.mean_width < math.inf
             assert 0.0 < rec.median_width < math.inf
@@ -273,7 +272,6 @@ def per_cell_record(benchmark, degree, oversampling, method, score, significance
         mean_width=float(np.mean(widths)),
         median_width=float(np.median(widths)),
         rel_loo_error=rel,
-        condition_number=model.condition_number,
         n_unbounded=int(np.sum(np.isinf(lowers) | np.isinf(uppers))),
     )
 
@@ -577,7 +575,6 @@ class TestAggregates:
                 mean_width=w,
                 median_width=w,
                 rel_loo_error=0.01,
-                condition_number=2.0,
                 n_unbounded=0,
             )
             for i, (c, w) in enumerate([(0.9, 1.0), (1.0, 3.0), (0.95, 2.0)])

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from helpers import (
+    assert_parent_links,
     blocked_jackknife_plus_reference,
     numpy_qr_fit_reference,
     product_basis_reference,
@@ -124,17 +125,7 @@ def test_basis_matrix_is_the_per_dimension_product(dim, degree, size, seed):
     got = eval_basis_matrix(xi, index_set)
     assert got.flags.c_contiguous
     assert np.array_equal(got, product_basis_reference(xi, index_set))
-
-    alphas = np.array(index_set.indices)
-    assert index_set.parent[0] == 0 and index_set.last_degree[0] == 0
-    for k in range(1, len(index_set)):
-        parent, d = index_set.parent[k], index_set.last_dim[k]
-        assert parent < k
-        assert alphas[k, d] == index_set.last_degree[k] > 0
-        assert not alphas[k, d + 1:].any()
-        expected = alphas[k].copy()
-        expected[d] = 0
-        assert np.array_equal(alphas[parent], expected)
+    assert_parent_links(index_set)
 
 
 @pytest.mark.parametrize(

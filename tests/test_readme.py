@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from confpce.harness import RECORD_COLUMNS
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -16,3 +18,10 @@ def test_library_tour_runs():
         namespace["lowers"], namespace["uppers"], namespace["test"].outputs
     )
     assert 0.9 <= coverage <= 1.0
+
+
+def test_records_columns_line_is_the_schema():
+    text = README.read_text()
+    lead = "`experiment` writes `records.csv` (one row per seed, columns\n`"
+    assert lead in text
+    assert text.split(lead, 1)[1].split("`", 1)[0] == ",".join(RECORD_COLUMNS)
