@@ -46,11 +46,12 @@ class TestTotalDegreeSet:
         assert a.indices[0] == (0, 0, 0, 0)
         assert a.indices == b.indices
 
-    @pytest.mark.parametrize("n, p", [(1, 4), (3, 4), (5, 3), (10, 2)])
-    def test_graded_ordering(self, n, p):
+    def test_graded_ordering(self):
         # Ascending total degree, ties lexicographic on the reversed index.
-        s = build_total_degree_set(n, p)
-        assert list(s.indices) == sorted(s.indices, key=lambda alpha: (sum(alpha), alpha[::-1]))
+        for n, p in [(1, 4), (3, 4), (5, 3), (10, 2)]:
+            s = build_total_degree_set(n, p)
+            expected = sorted(s.indices, key=lambda alpha: (sum(alpha), alpha[::-1]))
+            assert list(s.indices) == expected, (n, p)
 
     def test_wide_input_builds_without_recursion(self):
         # One level per input dimension would pass the interpreter's recursion limit.
