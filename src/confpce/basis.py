@@ -94,7 +94,8 @@ class InputSpec:
     """Box support of a vector of independent uniform inputs.
 
     Attributes:
-        ranges: Per-dimension (lower, upper) pairs with lower < upper.
+        ranges: Per-dimension (lower, upper) pairs with lower < upper and a
+            finite width upper - lower.
     """
 
     ranges: tuple[tuple[float, float], ...]
@@ -115,6 +116,10 @@ class InputSpec:
                 raise ValidationError(f"dimension {n}: bounds must be finite, got ({lo}, {hi})")
             if not lo < hi:
                 raise ValidationError(f"dimension {n}: lower bound {lo} must be < upper bound {hi}")
+            if not math.isfinite(hi - lo):
+                raise ValidationError(
+                    f"dimension {n}: range width must be finite, got ({lo}, {hi})"
+                )
             clean.append((lo, hi))
         object.__setattr__(self, "ranges", tuple(clean))
 
@@ -235,6 +240,8 @@ def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:
     Componentwise affine: xi_n = 2 (x_n - lo_n) / (hi_n - lo_n) - 1, so range
     endpoints map to -1 and +1 and midpoints to 0. Points up to
     REFERENCE_TOLERANCE outside the cube are clamped; anything further raises.
+    A coordinate so far out that the map overflows maps to an infinity and
+    raises the same DomainError, with no floating-point warning.
 
     Args:
         x: Point of shape (N,) or batch of shape (n, N).
@@ -253,7 +260,8 @@ def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:
     if pts.shape[1] != spec.dim:
         raise ValidationError(f"expected {spec.dim}-dimensional points, got shape {x.shape}")
     lo, hi = spec.lower(), spec.upper()
-    xi = 2.0 * (pts - lo) / (hi - lo) - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = 2.0 * (pts - lo) / (hi - lo) - 1.0
     xi = _clamp_reference(xi, spec)
     return xi[0] if single else xi
 
@@ -299,7 +307,9 @@ def _block_rows(n_basis: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n_basis))
 
 
-def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
+def eval_basis_matrix(
+    xi: np.ndarray, index_set: MultiIndexSet, out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluates every basis element at a batch of reference points.
 
     Walks the parent recurrence of the module docstring one total degree at a
@@ -312,14 +322,16 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
         xi: Reference points of shape (n, N), componentwise within
             [-1 - tol, 1 + tol].
         index_set: Basis definition.
+        out: Optional C-contiguous (n, K) array the result is written to;
+            the byte limit then does not apply.
 
     Returns:
         C-contiguous design-style matrix of shape (n, K); entry (i, k) is
         Psi_k(xi_i).
 
     Raises:
-        BasisSizeError: If the result would exceed MAX_BASIS_BYTES; raised
-            before anything is allocated.
+        BasisSizeError: If a result to allocate would exceed
+            MAX_BASIS_BYTES; raised before anything is allocated.
         DomainError: If a point lies outside the cube beyond tolerance.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -328,7 +340,7 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
             f"points have dimension {xi.shape[1]}, basis expects {index_set.input_dim}"
         )
     n, k, dim = xi.shape[0], len(index_set), index_set.input_dim
-    if 8 * n * k > MAX_BASIS_BYTES:
+    if out is None and 8 * n * k > MAX_BASIS_BYTES:
         raise BasisSizeError(
             f"basis matrix of {n} points by K={k} terms needs {8 * n * k} bytes, "
             f"exceeding the limit of {MAX_BASIS_BYTES}"
@@ -341,7 +353,8 @@ def eval_basis_matrix(xi: np.ndarray, index_set: MultiIndexSet) -> np.ndarray:
     levels = [(slice(lo, hi), index_set.parent[lo:hi], factor[lo:hi])
               for lo, hi in zip(ends, ends[1:])]
 
-    out = np.empty((n, k))
+    if out is None:
+        out = np.empty((n, k))
     step = _block_rows(k)
     scratch = np.empty((k, min(step, n)))
     for start in range(0, n, step):

@@ -258,10 +258,19 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
     return oversampling * total_degree_size(bench.dim, degree)
 
 
+def _csv_number(field: str) -> float:
+    """float(field) for ASCII numbers: no `_` digit separators, no non-ASCII digits."""
+    if "_" in field or not field.isascii():
+        raise ValueError(field)
+    return float(field)
+
+
 def read_csv_table(fh) -> tuple[list[str], np.ndarray]:
     """Reads a numeric CSV from an open file: (header fields stripped of spaces, rows as floats).
 
-    Blank lines are skipped. The table has shape (rows, len(header)).
+    Blank lines are skipped. The table has shape (rows, len(header)). A
+    field is a number as float() reads it, written in ASCII without `_`
+    separators: float() also takes `1_000` and digits of other scripts.
 
     Raises:
         ValidationError: On an empty file, a header with no rows, or a
@@ -279,7 +288,7 @@ def read_csv_table(fh) -> tuple[list[str], np.ndarray]:
         if len(row) != len(header):
             raise ValidationError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            rows.append([float(v) for v in row])
+            rows.append([_csv_number(v) for v in row])
         except ValueError:
             raise ValidationError(f"line {lineno}: non-numeric field in {row!r}") from None
     if not rows:

@@ -35,11 +35,24 @@ interpreter lock, so the two workers run on two cores. Each worker owns a
 workspace of two buffers: one of about 4 MB takes a block's LOO predictions,
 from one product with the correction matrix, and one of about 1 MB, small
 enough to stay in a core's L2 cache, takes a sub-block shifted down by the
-scores while the upward shift and both partitions run in place. The
-workspace is at most two of these pairs, whatever n is, no block allocates
-anything, and nothing persists between calls. Block boundaries depend on n
-and M alone and each block writes its own rows of the bounds, so every bound
-is the same bits whatever the number of workers or the order they run in.
+scores while the upward shift and both partitions run in place.
+
+A worker gets a block's basis rows from one of two sources.
+:func:`interval_bounds` slices the rows it is given, which the harness
+evaluates once per design for both methods. :func:`interval_arrays` maps
+all its points to the reference cube up front, and each worker evaluates
+its block's rows into its second buffer, with the block's centers; a
+jackknife batch runs the same loop for its centers. The rows are dead once
+the product is formed, so they share that buffer with the shifted
+sub-blocks, which grows to hold them when they are larger (1.4 MB at
+K=330). The workspace of a whole call, rows included, is thus at most two
+of these pairs whatever n is; no block allocates anything beyond the
+basis evaluation's scratch, and nothing persists between calls. Block
+boundaries depend on n and M alone and each block writes its own rows of
+the bounds, so every bound is the same bits whatever the number of workers
+or the order they run in; a block's centers come from a product over its
+rows widened to multiples of 4 (see :func:`_covering`), so they are the
+bits of one product over the whole batch.
 """
 
 from __future__ import annotations
@@ -55,11 +68,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .basis import eval_basis_matrix, to_reference
 from .errors import IntervalError, ValidationError, ZeroVarianceError
 from .pce import (
     VARIANCE_FLOOR,
     PceModel,
-    basis_rows,
     loo_predict,  # noqa: F401  public name kept importable from this module
     loo_values,
     pce_variance,
@@ -130,19 +143,28 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
 def interval_arrays(
     model: PceModel, points: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized interval bounds: (centers, lowers, uppers), each shape (n,).
+    """Vectorized interval bounds at box points (n, N): (centers, lowers, uppers).
 
-    Evaluates the basis at the points once and hands the rows to
-    :func:`interval_bounds`.
+    Maps every point to the reference cube first, so an error names the
+    point's index in the batch; then each worker evaluates the basis rows of
+    its own blocks into its workspace, so the (n, K) rows are never held at
+    once, see the module docstring. The bounds are the same bits as
+    :func:`interval_bounds` at the rows :func:`basis_rows` returns.
+
+    Raises:
+        DomainError: If a point lies outside the box beyond tolerance.
+        ZeroVarianceError: For normalized scores on a zero-variance target.
+        IntervalError: If a bound is NaN or a lower bound exceeds its upper.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return interval_bounds(model, basis_rows(points, model.index_set, model.input_spec), cfg)
+    return _intervals(model, cfg, to_reference(points, model.input_spec), None)
 
 
 # The jackknife+ workspace of one worker, whatever the number of points: a
 # buffer of about _CHUNK_BYTES for a block of the LOO matrix, filled by one
-# product, and one of about _SUB_BYTES for the shifted sub-blocks; a call
-# holds at most _WORKERS of them. The BLAS may round a row differently
+# product, and one of about _SUB_BYTES for the shifted sub-blocks, or for a
+# block's basis rows if they are larger; a call holds at most _WORKERS of
+# them. The BLAS may round a row differently
 # depending on how many rows one product holds, so the block size fixes
 # every bound's last bits; the sub-block size only decides what stays in
 # cache, and the worker count decides nothing about the bits.
@@ -157,12 +179,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads per jackknife+ call: the calling thread plus at most one helper.
+# Threads per interval call: the calling thread plus at most one helper.
 _WORKERS = min(2, _usable_cpus())
 
 
 def _chunk_rows(n_train: int) -> int:
-    """Test points per jackknife+ block for a model with n_train samples."""
+    """Test points per interval block for a model with n_train samples."""
     return max(1, _CHUNK_BYTES // (8 * n_train))
 
 
@@ -215,7 +237,7 @@ def _share_blocks(starts: range, workers: list) -> None:
             failures.append(exc)
 
     threads = [
-        threading.Thread(target=helper, args=(worker,), name="confpce-jackknife-plus", daemon=True)
+        threading.Thread(target=helper, args=(worker,), name="confpce-intervals", daemon=True)
         for worker in workers[1:]
     ]
     for thread in threads:
@@ -243,47 +265,93 @@ def interval_bounds(
         ZeroVarianceError: For normalized scores on a zero-variance target.
         IntervalError: If a bound is NaN or a lower bound exceeds its upper.
     """
+    return _intervals(model, cfg, None, rows)
+
+
+def _covering(start: int, stop: int, n: int) -> tuple[int, int]:
+    """Rows [start, stop) widened to start and end at multiples of 4, within n.
+
+    OpenBLAS's dgemv takes the rows of a product in fours, counted from the
+    first, so a center's bits depend on where its row falls in the fours;
+    a product over the covering rows gives every row of [start, stop) the
+    bits of one product over all n rows. numpy computes a one-row product
+    as a dot product instead, so a lone last row takes the four before it
+    along. The covering rows are at most 6 more than [start, stop).
+    """
+    first, last = start - start % 4, min(n, -(-stop // 4) * 4)
+    if last - first == 1 and first:
+        first -= 4
+    return first, last
+
+
+def _intervals(
+    model: PceModel, cfg: ConformalConfig, xi: np.ndarray | None, rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block loop behind both entries, given reference points xi or basis rows."""
     check_score(model, cfg.score)
-    centers = rows @ model.coefficients
     a = np.abs(model.loo_residuals)
     m = a.shape[0]
     k = _upper_index(m, cfg.significance)
-    if cfg.method == "jackknife":
-        half = finite_quantile_upper(a, cfg.significance)
-        lowers, uppers = centers - half, centers + half
-    elif k > m:
-        uppers = np.full_like(centers, np.inf)
-        lowers = -uppers
+    bounded = cfg.method == "jackknife_plus" and k <= m
+    if rows is None:
+        centers = np.empty(xi.shape[0])
     else:
-        lowers, uppers = np.empty_like(centers), np.empty_like(centers)
-        n, step, sub = centers.shape[0], _chunk_rows(m), _sub_rows(m)
+        centers = rows @ model.coefficients
+    lowers, uppers = np.empty_like(centers), np.empty_like(centers)
+    n, n_basis = centers.shape[0], model.n_basis
+    step, sub = _chunk_rows(m), _sub_rows(m)
 
-        def fill_blocks(loo_buffer, shift_buffer, next_start):
-            while (start := next_start()) is not None:
-                stop = min(start + step, n)
-                loo = loo_values(
-                    model, rows[start:stop], centers[start:stop], out=loo_buffer[:stop - start]
-                )
-                for first in range(0, stop - start, sub):
-                    part = loo[first:first + sub]
-                    span = slice(start + first, start + first + part.shape[0])
-                    shifted = np.subtract(part, a, out=shift_buffer[:part.shape[0]])
-                    shifted.partition(m - k, axis=1)
-                    lowers[span] = shifted[:, m - k]
-                    part += a
-                    part.partition(k - 1, axis=1)
-                    uppers[span] = part[:, k - 1]
+    def block_rows(start, stop, shared):
+        # Rows [start, stop): a slice of the given rows, or evaluated into
+        # `shared` with their covering rows, which also give their centers.
+        if rows is not None:
+            return rows[start:stop]
+        first, last = _covering(start, stop, n)
+        out = shared[:(last - first) * n_basis].reshape(last - first, n_basis)
+        covering = eval_basis_matrix(xi[first:last], model.index_set, out=out)
+        centers[start:stop] = (covering @ model.coefficients)[start - first:stop - first]
+        return covering[start - first:stop - first]
 
+    def fill_blocks(loo_buffer, shared, next_start):
+        while (start := next_start()) is not None:
+            stop = min(start + step, n)
+            block = block_rows(start, stop, shared)
+            if not bounded:
+                continue
+            # The rows are dead once the product is formed, so the shifted
+            # sub-blocks reuse their memory.
+            loo = loo_values(model, block, centers[start:stop], out=loo_buffer[:stop - start])
+            for first in range(0, stop - start, sub):
+                part = loo[first:first + sub]
+                span = slice(start + first, start + first + part.shape[0])
+                shifted = np.subtract(part, a, out=shared[:part.size].reshape(part.shape))
+                shifted.partition(m - k, axis=1)
+                lowers[span] = shifted[:, m - k]
+                part += a
+                part.partition(k - 1, axis=1)
+                uppers[span] = part[:, k - 1]
+
+    if rows is None or bounded:
         starts = range(0, n, step)
+        # A block's covering rows are at most 6 more than its own.
+        shared = max(min(sub, step, n) * m if bounded else 0,
+                     min(step + 6, n) * n_basis if rows is None else 0)
         # Every workspace is allocated here, on the calling thread: buffers a
         # helper allocated would come from a malloc arena of its own and stay
         # resident after the call (about 4 MB more peak RSS on a piston grid).
         _share_blocks(starts, [
             functools.partial(
-                fill_blocks, np.empty((min(step, n), m)), np.empty((min(sub, step, n), m))
+                fill_blocks, np.empty((min(step, n), m) if bounded else 0), np.empty(shared)
             )
             for _ in range(max(1, min(_WORKERS, len(starts))))
         ])
+    if cfg.method == "jackknife":
+        half = finite_quantile_upper(a, cfg.significance)
+        np.subtract(centers, half, out=lowers)
+        np.add(centers, half, out=uppers)
+    elif not bounded:
+        uppers.fill(np.inf)
+        lowers.fill(-np.inf)
     bad = ~(lowers <= uppers)
     if np.any(bad):
         i = int(np.argmax(bad))

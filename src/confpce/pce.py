@@ -138,8 +138,10 @@ def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) ->
     """Maps box points (n, N) to their basis rows, shape (n, K).
 
     Row i holds every basis element at point i: the design matrix for
-    training inputs, the test-point rows for predictions and intervals.
-    Evaluate the rows of a point set once and reuse them.
+    training inputs, the test-point rows for predictions and intervals. The
+    harness evaluates the rows of a design's test points once and hands them
+    to both interval methods; conformal.interval_arrays evaluates its rows
+    block by block instead, without holding all of them.
 
     Raises:
         DomainError: If a point lies outside the box beyond tolerance.

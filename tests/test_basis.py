@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,11 @@ class TestInputSpec:
         with pytest.raises(ValueError):
             InputSpec(ranges=((2.0, 1.0),))
 
+    def test_rejects_range_wider_than_the_largest_float(self):
+        InputSpec(ranges=((0.0, 1.0), (-8e307, 8e307)))
+        with pytest.raises(ValueError, match=r"dimension 1: range width must be finite"):
+            InputSpec(ranges=((0.0, 1.0), (-1e308, 1e308)))
+
     def test_midpoint_maps_to_zero(self):
         spec = InputSpec(ranges=((50.0, 150.0), (0.25, 1.2)))
         mid = np.array([100.0, 0.725])
@@ -131,6 +137,14 @@ class TestInputSpec:
         spec = InputSpec(ranges=((0.0, 1.0),))
         with pytest.raises(DomainError):
             to_reference(np.array([np.nan]), spec)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.inf])
+    def test_overflowing_point_is_one_error_without_warnings(self, value):
+        spec = InputSpec(ranges=((-1.0, 1.0), (-1e-300, 1e-300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"point 1 maps outside .* dimension 1 .*inf\)"):
+                to_reference(np.array([[0.0, 0.0], [0.0, value]]), spec)
 
 
 class TestBasisEvaluation:
@@ -189,6 +203,13 @@ class TestBasisEvaluation:
         assert peak < 2**20, f"allocated {peak} bytes before refusing"
         monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 8 * n * k)
         assert eval_basis_matrix(xi[:10], s).shape == (10, k)
+
+    def test_writes_into_out(self):
+        s = build_total_degree_set(3, 3)
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(300, 3))
+        out = np.full((300, len(s)), np.nan)
+        assert eval_basis_matrix(pts, s, out=out) is out
+        np.testing.assert_array_equal(out, eval_basis_matrix(pts, s))
 
     def test_legendre_recurrence_against_numpy(self):
         # Independent check: numpy's Legendre module times sqrt(2j+1).

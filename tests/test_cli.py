@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -595,6 +596,8 @@ CONTRACT_FILES = {
     "text.csv": "x1,y\nabc,1\n",
     "nan.csv": "x1,y\nnan,1\n0.5,2\n",
     "flat.csv": "x1,y\n0.5,1\n0.5,2\n",
+    "huge_hull.csv": "x1,y\n-1e308,1\n1e308,2\n0,3\n",
+    "digits.csv": "x1,y\n\u0661\u0662,1\n0.5,2\n",
     "pts.csv": "x1\n0.25\n",
     "pts_header.csv": "y1\n0.1\n",
     "pts_ragged.csv": "x1\n0.1\n0.2,0.3\n",
@@ -602,6 +605,8 @@ CONTRACT_FILES = {
     "pts_header_only.csv": "x1\n",
     "pts_far.csv": "x1\n5.0\n",
     "pts_nan.csv": "x1\nnan\n",
+    "pts_huge.csv": "x1\n0.5\n1e308\n",
+    "pts_separator.csv": "x1\n0.5\n1_000\n",
     "model.json": _model(),
     "model_text.json": "{not json",
     "model_list.json": "[]",
@@ -615,6 +620,7 @@ CONTRACT_FILES = {
     "model_dims.json": _model(multi_index_set__input_dim=2),
     "model_wide.json": _model(multi_index_set__input_dim=1_100),
     "model_far.json": _model(inputs__0__0=3.0),
+    "model_huge.json": _model(inputs__1__0=-1e308),
     "model_field.json": _model(multi_index_set=5),
     "model_range.json": _model(input_spec__ranges__0=[-1, 1, 2]),
     "model_3d.json": _model(inputs=[[[x]] for x in np.linspace(-1.0, 1.0, 30).tolist()]),
@@ -660,10 +666,14 @@ ERROR_CONTRACT = [
      "error: validation: malformed CSV: line 3: expected 2 fields, got 1"),
     ("fit-data-non-numeric", FIT + ("--data", "{d}/text.csv"), 2,
      "error: validation: malformed CSV: line 2: non-numeric field in ['abc', '1']"),
+    ("fit-data-non-ascii-digits", FIT + ("--data", "{d}/digits.csv"), 2,
+     "error: validation: malformed CSV: line 2: non-numeric field in ['\u0661\u0662', '1']"),
     ("fit-data-nan", FIT + ("--data", "{d}/nan.csv"), 2,
      "error: validation: malformed CSV: inputs contain non-finite values"),
     ("fit-data-flat-hull", FIT + ("--data", "{d}/flat.csv"), 2,
      "error: validation: degenerate data hull; pass --ranges to define the input box"),
+    ("fit-data-huge-hull", FIT + ("--data", "{d}/huge_hull.csv"), 2,
+     "error: validation: dimension 0: range width must be finite, got (-1e+308, 1e+308)"),
     ("fit-data-out-of-box", FIT + ("--data", "{d}/zero.csv", "--ranges=0:1"), 2,
      "error: validation: point 0 maps outside [0.0, 1.0] in dimension 0 "
      "(reference value -3.0)"),
@@ -739,6 +749,9 @@ ERROR_CONTRACT = [
     ("model-out-of-box", INTERVAL + ("--model", "{d}/model_far.json"), 2,
      "error: validation: malformed model file: point 0 maps outside [-1.0, 1.0] in dimension 0 "
      "(reference value 3.0)"),
+    ("model-huge-input", INTERVAL + ("--model", "{d}/model_huge.json"), 2,
+     "error: validation: malformed model file: point 1 maps outside [-1.0, 1.0] in dimension 0 "
+     "(reference value -inf)"),
     ("model-field-type", INTERVAL + ("--model", "{d}/model_field.json"), 2,
      "error: validation: malformed model file: malformed model field: "
      "TypeError(\"'int' object is not subscriptable\")"),
@@ -764,6 +777,9 @@ ERROR_CONTRACT = [
     ("points-non-numeric", ("interval", "--model", "{d}/model.json", "--points",
                             "{d}/pts_text.csv", "--out", "{d}/iv.csv"), 2,
      "error: validation: {d}/pts_text.csv: line 3: non-numeric field in ['abc']"),
+    ("points-digit-separator", ("interval", "--model", "{d}/model.json", "--points",
+                                "{d}/pts_separator.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: {d}/pts_separator.csv: line 3: non-numeric field in ['1_000']"),
     ("points-header-only", ("interval", "--model", "{d}/model.json", "--points",
                             "{d}/pts_header_only.csv", "--out", "{d}/iv.csv"), 2,
      "error: validation: {d}/pts_header_only.csv: CSV contains a header but no data rows"),
@@ -774,6 +790,10 @@ ERROR_CONTRACT = [
                            "{d}/pts_far.csv", "--out", "{d}/iv.csv"), 2,
      "error: validation: point 0 maps outside [-1.0, 1.0] in dimension 0 "
      "(reference value 5.0)"),
+    ("points-huge", ("interval", "--model", "{d}/model.json", "--points",
+                     "{d}/pts_huge.csv", "--out", "{d}/iv.csv"), 2,
+     "error: validation: point 1 maps outside [-1.0, 1.0] in dimension 0 "
+     "(reference value inf)"),
     ("points-nan", ("interval", "--model", "{d}/model.json", "--points",
                     "{d}/pts_nan.csv", "--out", "{d}/iv.csv"), 2,
      "error: validation: point 0 maps outside [-1.0, 1.0] in dimension 0 "
@@ -852,7 +872,11 @@ def contract_dir(tmp_path):
 )
 def test_error_contract(contract_dir, capsys, argv, code, line):
     d = str(contract_dir)
-    assert run_cli(*(arg.replace("{d}", d) for arg in argv)) == code
+    # A warning would print to stderr beside the error line outside pytest.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*(arg.replace("{d}", d) for arg in argv)) == code
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""  # refused before any work, such as an experiment grid
     err = captured.err.splitlines()

@@ -220,6 +220,14 @@ def otl_model():
     return model, points
 
 
+@pytest.fixture(scope="module")
+def piston_p4_model():
+    # Piston P=4, C=3: M=990 and K=330, the benchmark's query model.
+    bench = get_benchmark("piston")
+    data = sample_design("piston", design_size("piston", 4, 3), seed=3)
+    return fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
+
+
 class TestIntervalProperties:
     def test_jackknife_symmetric_from_same_quantile(self, otl_model):
         model, points = otl_model
@@ -335,12 +343,10 @@ class TestIntervalProperties:
         np.testing.assert_array_equal(lowers, want_lo)
         np.testing.assert_array_equal(uppers, want_hi)
 
-    def test_jackknife_plus_workspace_is_bounded(self):
+    def test_jackknife_plus_workspace_is_bounded(self, piston_p4_model):
         # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
         # the workspace two workers × (4 MB block + 1 MB sub-block).
-        bench = get_benchmark("piston")
-        data = sample_design("piston", design_size("piston", 4, 3), seed=3)
-        model = fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
+        model = piston_p4_model
         points = sample_design("piston", 10_000, seed=3, stream="test").inputs
         rows = basis_rows(points, model.index_set, model.input_spec)
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
@@ -350,6 +356,22 @@ class TestIntervalProperties:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("n", [10_000, 40_000])
+    def test_interval_arrays_peak_does_not_grow_with_the_batch(self, piston_p4_model, n):
+        # The whole call, rows included: at 40,000 points the rows alone
+        # would be 106 MB. What grows with n is the mapped points and the
+        # three results, 80 bytes a point here.
+        points = sample_design("piston", n, seed=3, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        with mock.patch.object(conformal, "_WORKERS", 2):
+            tracemalloc.start()
+            try:
+                interval_arrays(piston_p4_model, points, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 16 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     def test_import_starts_no_thread(self):

@@ -175,11 +175,11 @@ def _fit_benchmark(name, degree, oversampling, seed, transform=lambda y: y):
     return fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
 
 
-def _small_blocks(m):
-    # 16-row blocks of 5-row sub-blocks, so that a few dozen points span
-    # blocks, a sub-block boundary falls inside each block, and the last
-    # sub-block of a block is short.
-    return mock.patch.multiple(conformal, _CHUNK_BYTES=16 * 8 * m, _SUB_BYTES=5 * 8 * m)
+def _small_blocks(m, rows=16):
+    # Blocks of `rows` rows, 16 by default, in 5-row sub-blocks, so that a few
+    # dozen points span blocks, a sub-block boundary falls inside each block,
+    # and the last sub-block of a block is short.
+    return mock.patch.multiple(conformal, _CHUNK_BYTES=rows * 8 * m, _SUB_BYTES=5 * 8 * m)
 
 
 @pytest.mark.parametrize(
@@ -211,6 +211,40 @@ def test_jackknife_plus_bits_do_not_depend_on_worker_count(
     for label, one, two, w in zip(("centers", "lowers", "uppers"), serial, shared, want):
         assert np.array_equal(one, two), label
         assert np.array_equal(one, w), label
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    name=BENCHMARKS,
+    degree=st.integers(1, 3),
+    oversampling=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    rows=st.integers(13, 16),
+    blocks=st.integers(1, 3),
+    offset=st.integers(-3, 3),
+    significance=st.sampled_from((0.05, 0.1, 1 / 3)),
+)
+def test_streamed_rows_give_the_bits_of_whole_batch_rows(
+    name, degree, oversampling, seed, rows, blocks, offset, significance
+):
+    # Blocks of 13 to 16 rows start on and off multiples of 4, and the batch
+    # ends at every n mod 4 next to a block boundary, one row past it included.
+    model = _fit_benchmark(name, degree, oversampling, seed)
+    n = max(1, blocks * rows + offset)
+    points = sample_design(name, n, seed=seed, stream="test").inputs
+    whole = basis_rows(points, model.index_set, model.input_spec)
+    for method in METHODS:
+        cfg = ConformalConfig(method=method, significance=significance)
+        with _small_blocks(model.n_train, rows):
+            wants = [interval_bounds(model, whole, cfg)]
+            if method == "jackknife_plus":
+                wants.append(blocked_jackknife_plus_reference(model, whole, significance))
+            for workers in (1, 2):
+                with mock.patch.object(conformal, "_WORKERS", workers):
+                    got = interval_arrays(model, points, cfg)
+                for want in wants:
+                    for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
+                        assert np.array_equal(g, w), (method, workers, label)
 
 
 @pytest.mark.parametrize("failing", ("helper", "caller"))
@@ -245,7 +279,8 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
 
 def test_jackknife_plus_workers_take_each_block_once():
     # One-row blocks and a 1 us switch interval make the two workers race for
-    # the shared starts; a block taken twice or never shows in the calls or bits.
+    # the shared starts, given rows or evaluating their own; a block taken
+    # twice or never shows in the calls or bits.
     model = _fit_benchmark("piston", 2, 3, 4)
     m, n = model.n_train, 400
     points = sample_design("piston", n, seed=4, stream="test").inputs
@@ -265,11 +300,13 @@ def test_jackknife_plus_workers_take_each_block_once():
         try:
             with mock.patch.multiple(conformal, _WORKERS=2, loo_values=counted_loo_values):
                 shared = interval_bounds(model, rows, cfg)
+                streamed = interval_arrays(model, points, cfg)
         finally:
             sys.setswitchinterval(interval)
-    assert taken == [1] * n
-    for one, two in zip(serial, shared):
+    assert taken == [1] * (2 * n)
+    for one, two, three in zip(serial, shared, streamed):
         assert np.array_equal(one, two)
+        assert np.array_equal(one, three)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
