@@ -27,7 +27,6 @@ from .conformal import (
     empirical_coverage,
     finite_quantile_upper,
     interval_arrays,
-    interval_bounds,
 )
 from .errors import (
     BasisSizeError,

@@ -37,22 +37,22 @@ from one product with the correction matrix, and one of about 1 MB, small
 enough to stay in a core's L2 cache, takes a sub-block shifted down by the
 scores while the upward shift and both partitions run in place.
 
-A worker gets a block's basis rows from one of two sources.
-:func:`interval_bounds` slices the rows it is given, which the harness
-evaluates once per design for both methods. :func:`interval_arrays` maps
-all its points to the reference cube up front, and each worker evaluates
-its block's rows into its second buffer, with the block's centers; a
-jackknife batch runs the same loop for its centers. The rows are dead once
-the product is formed, so they share that buffer with the shifted
-sub-blocks, which grows to hold them when they are larger (1.4 MB at
-K=330). The workspace of a whole call, rows included, is thus at most two
-of these pairs whatever n is; no block allocates anything beyond the
-basis evaluation's scratch, and nothing persists between calls. Block
-boundaries depend on n and M alone and each block writes its own rows of
-the bounds, so every bound is the same bits whatever the number of workers
-or the order they run in; a block's centers come from a product over its
-rows widened to multiples of 4 (see :func:`_covering`), so they are the
-bits of one product over the whole batch.
+:func:`interval_arrays` is the one entry. It maps all its points to the
+reference cube up front, and each worker evaluates its block's basis rows
+into its second buffer, with the block's centers; a jackknife batch runs
+the same loop for its centers alone, and :func:`jackknife_bounds` turns
+centers into jackknife bounds, so the harness reads both methods' bounds
+off one jackknife+ call. The rows are dead once the product is formed, so
+they share that buffer with the shifted sub-blocks, which grows to hold
+them when they are larger (1.4 MB at K=330). The workspace of a whole
+call, rows included, is thus at most two of these pairs whatever n is; no
+block allocates anything beyond the basis evaluation's scratch, and
+nothing persists between calls. Block boundaries depend on n and M alone
+and each block writes its own rows of the bounds, so every bound is the
+same bits whatever the number of workers or the order they run in; a
+block's centers come from a product over its rows widened to multiples of
+4 (see :func:`_covering`), so they are the bits of one product over the
+whole batch.
 """
 
 from __future__ import annotations
@@ -146,10 +146,8 @@ def interval_arrays(
     """Vectorized interval bounds at box points (n, N): (centers, lowers, uppers).
 
     Maps every point to the reference cube first, so an error names the
-    point's index in the batch; then each worker evaluates the basis rows of
-    its own blocks into its workspace, so the (n, K) rows are never held at
-    once, see the module docstring. The bounds are the same bits as
-    :func:`interval_bounds` at the rows :func:`basis_rows` returns.
+    point's index in the batch; then the basis rows and the LOO matrix are
+    built one block of points at a time, see the module docstring.
 
     Raises:
         DomainError: If a point lies outside the box beyond tolerance.
@@ -157,14 +155,13 @@ def interval_arrays(
         IntervalError: If a bound is NaN or a lower bound exceeds its upper.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _intervals(model, cfg, to_reference(points, model.input_spec), None)
+    return _intervals(model, cfg, to_reference(points, model.input_spec))
 
 
-# The jackknife+ workspace of one worker, whatever the number of points: a
-# buffer of about _CHUNK_BYTES for a block of the LOO matrix, filled by one
-# product, and one of about _SUB_BYTES for the shifted sub-blocks, or for a
-# block's basis rows if they are larger; a call holds at most _WORKERS of
-# them. The BLAS may round a row differently
+# The workspace of one worker, whatever the number of points: a buffer of
+# about _CHUNK_BYTES for a block of the LOO matrix, filled by one product,
+# and one of about _SUB_BYTES for the shifted sub-blocks, or for a block's
+# basis rows if they are larger. The BLAS may round a row differently
 # depending on how many rows one product holds, so the block size fixes
 # every bound's last bits; the sub-block size only decides what stays in
 # cache, and the worker count decides nothing about the bits.
@@ -251,23 +248,6 @@ def _share_blocks(starts: range, workers: list) -> None:
         raise failures[0]
 
 
-def interval_bounds(
-    model: PceModel, rows: np.ndarray, cfg: ConformalConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interval bounds at precomputed basis rows (n, K), see :func:`basis_rows`.
-
-    Returns (centers, lowers, uppers), each shape (n,). Each jackknife+ bound
-    is an order statistic of one row of the LOO matrix, so the matrix is
-    built and partitioned one block of test points at a time, on at most two
-    threads, each in a workspace of fixed size, see the module docstring.
-
-    Raises:
-        ZeroVarianceError: For normalized scores on a zero-variance target.
-        IntervalError: If a bound is NaN or a lower bound exceeds its upper.
-    """
-    return _intervals(model, cfg, None, rows)
-
-
 def _covering(start: int, stop: int, n: int) -> tuple[int, int]:
     """Rows [start, stop) widened to start and end at multiples of 4, within n.
 
@@ -285,45 +265,37 @@ def _covering(start: int, stop: int, n: int) -> tuple[int, int]:
 
 
 def _intervals(
-    model: PceModel, cfg: ConformalConfig, xi: np.ndarray | None, rows: np.ndarray | None
+    model: PceModel, cfg: ConformalConfig, xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block loop behind both entries, given reference points xi or basis rows."""
+    """The block loop behind :func:`interval_arrays`, at reference points xi (n, N)."""
     check_score(model, cfg.score)
     a = np.abs(model.loo_residuals)
     m = a.shape[0]
     k = _upper_index(m, cfg.significance)
     bounded = cfg.method == "jackknife_plus" and k <= m
-    if rows is None:
-        centers = np.empty(xi.shape[0])
-    else:
-        centers = rows @ model.coefficients
+    n, n_basis = xi.shape[0], model.n_basis
+    centers = np.empty(n)
     lowers, uppers = np.empty_like(centers), np.empty_like(centers)
-    n, n_basis = centers.shape[0], model.n_basis
     step, sub = _chunk_rows(m), _sub_rows(m)
-
-    def block_rows(start, stop, shared):
-        # Rows [start, stop): a slice of the given rows, or evaluated into
-        # `shared` with their covering rows, which also give their centers.
-        if rows is not None:
-            return rows[start:stop]
-        first, last = _covering(start, stop, n)
-        out = shared[:(last - first) * n_basis].reshape(last - first, n_basis)
-        covering = eval_basis_matrix(xi[first:last], model.index_set, out=out)
-        centers[start:stop] = (covering @ model.coefficients)[start - first:stop - first]
-        return covering[start - first:stop - first]
 
     def fill_blocks(loo_buffer, shared, next_start):
         while (start := next_start()) is not None:
             stop = min(start + step, n)
-            block = block_rows(start, stop, shared)
+            # The block's rows are evaluated into `shared` with their
+            # covering rows, which also give their centers.
+            first, last = _covering(start, stop, n)
+            out = shared[:(last - first) * n_basis].reshape(last - first, n_basis)
+            covering = eval_basis_matrix(xi[first:last], model.index_set, out=out)
+            centers[start:stop] = (covering @ model.coefficients)[start - first:stop - first]
             if not bounded:
                 continue
             # The rows are dead once the product is formed, so the shifted
             # sub-blocks reuse their memory.
+            block = covering[start - first:stop - first]
             loo = loo_values(model, block, centers[start:stop], out=loo_buffer[:stop - start])
-            for first in range(0, stop - start, sub):
-                part = loo[first:first + sub]
-                span = slice(start + first, start + first + part.shape[0])
+            for offset in range(0, stop - start, sub):
+                part = loo[offset:offset + sub]
+                span = slice(start + offset, start + offset + part.shape[0])
                 shifted = np.subtract(part, a, out=shared[:part.size].reshape(part.shape))
                 shifted.partition(m - k, axis=1)
                 lowers[span] = shifted[:, m - k]
@@ -331,27 +303,44 @@ def _intervals(
                 part.partition(k - 1, axis=1)
                 uppers[span] = part[:, k - 1]
 
-    if rows is None or bounded:
-        starts = range(0, n, step)
-        # A block's covering rows are at most 6 more than its own.
-        shared = max(min(sub, step, n) * m if bounded else 0,
-                     min(step + 6, n) * n_basis if rows is None else 0)
-        # Every workspace is allocated here, on the calling thread: buffers a
-        # helper allocated would come from a malloc arena of its own and stay
-        # resident after the call (about 4 MB more peak RSS on a piston grid).
-        _share_blocks(starts, [
-            functools.partial(
-                fill_blocks, np.empty((min(step, n), m) if bounded else 0), np.empty(shared)
-            )
-            for _ in range(max(1, min(_WORKERS, len(starts))))
-        ])
+    starts = range(0, n, step)
+    # A block's covering rows are at most 6 more than its own.
+    shared = max(min(sub, step, n) * m if bounded else 0, min(step + 6, n) * n_basis)
+    # Every workspace is allocated here, on the calling thread: buffers a
+    # helper allocated would come from a malloc arena of its own and stay
+    # resident after the call (about 4 MB more peak RSS on a piston grid).
+    _share_blocks(starts, [
+        functools.partial(
+            fill_blocks, np.empty((min(step, n), m) if bounded else 0), np.empty(shared)
+        )
+        for _ in range(max(1, min(_WORKERS, len(starts))))
+    ])
     if cfg.method == "jackknife":
-        half = finite_quantile_upper(a, cfg.significance)
-        np.subtract(centers, half, out=lowers)
-        np.add(centers, half, out=uppers)
-    elif not bounded:
+        return jackknife_bounds(model, centers, cfg.significance, lowers, uppers)
+    if not bounded:
         uppers.fill(np.inf)
         lowers.fill(-np.inf)
+    return _checked(centers, lowers, uppers)
+
+
+def jackknife_bounds(
+    model: PceModel, centers: np.ndarray, significance: float,
+    lowers: np.ndarray | None = None, uppers: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jackknife bounds about any interval call's centers: (centers, lowers, uppers).
+
+    Given `lowers` and `uppers`, the bounds are written there.
+
+    Raises:
+        IntervalError: If a bound is NaN.
+    """
+    half = finite_quantile_upper(np.abs(model.loo_residuals), significance)
+    lowers = np.subtract(centers, half, out=lowers)
+    return _checked(centers, lowers, np.add(centers, half, out=uppers))
+
+
+def _checked(centers, lowers, uppers):
+    """(centers, lowers, uppers); an IntervalError at the first NaN or inverted bound."""
     bad = ~(lowers <= uppers)
     if np.any(bad):
         i = int(np.argmax(bad))

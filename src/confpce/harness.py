@@ -4,10 +4,11 @@ One cell is a full coordinate tuple (benchmark, degree, oversampling, method,
 score, seed). Cells are independent and deterministic: the training and test
 sets are drawn from separate streams keyed by (degree, oversampling, seed),
 so rerunning a configuration reproduces every record byte for byte. The
-cells of one design (degree, oversampling, seed) share its samples, its fit
-and its test-point basis rows, which are computed once. Fit failures are
-captured into the record instead of aborting the grid, because poorly
-oversampled cells are themselves part of the study.
+cells of one design (degree, oversampling, seed) share its samples and its
+fit, and its test points go through one interval call, whose jackknife+
+centers also give the jackknife bounds; no cell holds the test points'
+basis rows. Fit failures are captured into the record instead of aborting
+the grid, because poorly oversampled cells are themselves part of the study.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import numpy as np
 from . import basis
 from .basis import _integral, build_total_degree_set
 from .benchmarks import design_size, get_benchmark, input_bytes, sample_design
-from .conformal import ConformalConfig, METHODS, check_score, empirical_coverage, interval_bounds
+from .conformal import (
+    METHODS, ConformalConfig, check_score, empirical_coverage, interval_arrays, jackknife_bounds,
+)
 from .errors import ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError
-from .pce import basis_rows, fit, relative_loo_error
+from .pce import fit, relative_loo_error
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -169,10 +172,11 @@ def run_cell(
 def _run_design(benchmark, degree, oversampling, seed, cells, significance, test_size):
     """Records of the (method, score) cells of one design, in `cells` order.
 
-    The design (benchmark, degree, oversampling, seed) is sampled, fit and
-    evaluated at its test points once; every cell is then scored from those
-    shared arrays. A fit failure fails every cell of the design with the same
-    reason; an interval failure fails only its own cell.
+    The design is sampled and fit once, and its test points go through one
+    interval call: jackknife+ if a cell asks for it, whose centers also give
+    the jackknife bounds. A fit failure fails every cell of the design; an
+    interval failure fails only its method's cells, and a failed jackknife+
+    call leaves the jackknife cells a call of their own.
     """
     coords = dict(benchmark=benchmark, degree=degree, oversampling=oversampling, seed=seed)
 
@@ -193,20 +197,26 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
         train = sample_design(benchmark, m, seed=cell_seed, stream="train")
         model = fit(train, index_set, bench.input_spec)
         test = sample_design(benchmark, test_size, seed=cell_seed, stream="test")
-        rows = basis_rows(test.inputs, model.index_set, model.input_spec)
     except ConfpceError as exc:
         return all_failed(exc)
 
     rel_loo = relative_loo_error(model)
-
-    def score_method(method):
-        cfg = ConformalConfig(method=method, significance=significance)
+    # Both score types give the same bounds, so each method is scored once
+    # and a normalized cell adds only its zero-variance check. jackknife+
+    # goes first, so that jackknife can take its centers.
+    scored, centers = {}, None
+    for method in sorted({method for method, _ in cells}, key=METHODS.index, reverse=True):
         try:
-            _, lowers, uppers = interval_bounds(model, rows, cfg)
+            if centers is None:
+                cfg = ConformalConfig(method=method, significance=significance)
+                centers, lowers, uppers = interval_arrays(model, test.inputs, cfg)
+            else:
+                _, lowers, uppers = jackknife_bounds(model, centers, significance)
         except ConfpceError as exc:
-            return dict(failure=_failure(exc))
+            scored[method] = dict(failure=_failure(exc))
+            continue
         widths = uppers - lowers
-        return dict(
+        scored[method] = dict(
             coverage=empirical_coverage(lowers, uppers, test.outputs),
             mean_width=float(np.mean(widths)),
             median_width=float(np.median(widths)),
@@ -214,9 +224,6 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
             n_unbounded=int(np.count_nonzero(np.isinf(lowers) | np.isinf(uppers))),
         )
 
-    # Both score types give the same bounds, so each method is scored once
-    # and a normalized cell adds only its zero-variance check.
-    scored = {}
     records = []
     for method, score in cells:
         try:
@@ -224,8 +231,6 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
         except ZeroVarianceError as exc:
             records.append(RunRecord(**coords, method=method, score=score, failure=_failure(exc)))
             continue
-        if method not in scored:
-            scored[method] = score_method(method)
         records.append(RunRecord(**coords, method=method, score=score, **scored[method]))
     return records
 
@@ -237,12 +242,13 @@ def _failure(exc: ConfpceError) -> str:
 def run_grid(config: ExperimentConfig) -> CoverageReport:
     """Runs the full Cartesian grid of the config, seeds innermost.
 
-    Each design (P, C, seed) is sampled, fit and evaluated at its test points
-    once, and all of its (method, score) cells are scored from those shared
-    arrays; jackknife+ memory stays bounded because its LOO matrix is built
-    in blocks of test points. Record order follows the config's coordinate
-    lists with seeds innermost, so identical configs yield identical reports;
-    aggregates are reduced after a stable sort by coordinates.
+    Each design (P, C, seed) is sampled and fit once, and all of its
+    (method, score) cells are scored from one interval call at its test
+    points, see :func:`_run_design`; memory stays bounded because the basis
+    rows and the LOO matrix are built in blocks of test points. Record order
+    follows the config's coordinate lists with seeds innermost, so identical
+    configs yield identical reports; aggregates are reduced after a stable
+    sort by coordinates.
     """
     cells = [(method, score) for method in config.methods for score in config.scores]
     records = []

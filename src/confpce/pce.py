@@ -11,8 +11,10 @@ follow from a single factorization of $D$ via rank-one update identities:
 * LOO prediction $\widehat{\mu}_{\sim m}(x^*)
   = \widehat{\mu}(x^*) - d_*^\top (D^\top D)^{-1} d_m\, r_m$.
 
-No per-sample refit is ever performed; :func:`brute_force_loo` exists purely
-as an independent oracle that does refit, for validating the closed forms.
+:func:`brute_force_loo` is an independent oracle that refits once per
+sample, for validating the closed forms. :func:`fit` refits only the rare
+samples whose $1 - h_{mm}$ is so small that the closed form loses digits,
+with the oracle's own per-sample refit.
 """
 
 from __future__ import annotations
@@ -46,13 +48,17 @@ CONDITION_LIMIT = 1e12
 
 # Peak resident memory of fit in units of its 8 M K byte design: the design,
 # the Fortran copy scipy factors into Q and Q's C-order copy (3), plus the
-# K x K factors. Measured growth of ru_maxrss over a fit: 2.93 designs at
-# piston P=3, M=100,000, 3.01 at P=4, M=20,000 and 5.8-6.0 at wing_weight
-# P=4, M=1,100, K=1,001, where the factors count most.
-_FIT_PEAK_DESIGNS = 7
+# K x K factors. Measured growth of ru_maxrss over a fit: 2.92 designs at
+# piston P=3, M=40,000 and 4.8 at wing_weight P=4, M=1,100, K=1,001.
+_FIT_PEAK_DESIGNS = 6
 
 # Minimum allowed 1 - h_mm; smaller means a sample its own refit cannot spare.
 LEVERAGE_FLOOR = 1e-10
+
+# Both y - Dc and 1 - h_mm cancel at a high leverage, so a closed-form LOO
+# residual carries a relative error of about kappa_F eps / (1 - h_mm);
+# samples with 1 - h_mm below this are refit instead.
+_REFIT_BELOW = 1e-6
 
 VARIANCE_FLOOR = 1e-300
 
@@ -138,10 +144,10 @@ def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) ->
     """Maps box points (n, N) to their basis rows, shape (n, K).
 
     Row i holds every basis element at point i: the design matrix for
-    training inputs, the test-point rows for predictions and intervals. The
-    harness evaluates the rows of a design's test points once and hands them
-    to both interval methods; conformal.interval_arrays evaluates its rows
-    block by block instead, without holding all of them.
+    training inputs, or the rows of a few query points for loo_predict and
+    the oracle. Intervals never take this path: conformal.interval_arrays
+    evaluates its test points' rows block by block, without holding them
+    all.
 
     Raises:
         DomainError: If a point lies outside the box beyond tolerance.
@@ -158,7 +164,8 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     factor, and (D^T D)^{-1} is assembled from R^{-1}, which also gives the
     Frobenius condition number ||R||_F ||R^{-1}||_F in O(K^2) more work.
     Total cost is one factorization, one triangular inverse and one (M, K)
-    by (K, K) product; no refits and no SVD.
+    by (K, K) product, and no SVD; a sample with 1 - h_mm < 1e-6, which no
+    benchmark design has, is refit as :func:`brute_force_loo` does.
 
     Args:
         data: Training dataset with M samples.
@@ -170,7 +177,7 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
 
     Raises:
         UnderdeterminedError: If M < K.
-        BasisSizeError: If seven times the 8 M K bytes of the design, a bound
+        BasisSizeError: If six times the 8 M K bytes of the design, a bound
             on the fit's peak memory, exceed MAX_BASIS_BYTES; raised before
             the design is built.
         RankDeficientError: If R has a zero on its diagonal or the design's
@@ -206,7 +213,9 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     # anyway; a zero pivot or an inverse that overflows leaves it infinite.
     condition = np.inf
     if np.all(np.diagonal(r)):
-        r_inv = solve_triangular(r, np.eye(k))
+        # Solved in place over a Fortran-order identity, the array LAPACK
+        # would copy a C-order one to: the same bits, one K x K array less.
+        r_inv = solve_triangular(r, np.eye(k, order="F"), overwrite_b=True)
         with np.errstate(over="ignore", invalid="ignore"):
             condition = float(np.linalg.norm(r) * np.linalg.norm(r_inv))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
@@ -229,16 +238,22 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
             f"1 - h below {LEVERAGE_FLOOR:.0e} makes LOO residuals undefined"
         )
 
-    normal_inverse = r_inv @ r_inv.T
     # Huge outputs can overflow anywhere below; the finite checks after the
     # block turn that into one typed error rather than warnings and NaNs.
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
-        del q  # the last use; freeing Q caps the peak when M is near K
-        residuals = data.outputs - design @ coeffs
-        loo_residuals = residuals / one_minus_h
+        del q, r  # each factor is freed once used: that caps the peak at M near K
+        normal_inverse = r_inv @ r_inv.T
+        del r_inv
+        loo_residuals = (data.outputs - design @ coeffs) / one_minus_h
         loo_corrections = design @ normal_inverse
+        del normal_inverse
         loo_corrections *= loo_residuals[:, None]
+        # A refit sample's row of G is c - c_{~m}, free of the error in A d_m
+        # that its large r_m would magnify.
+        for i in np.flatnonzero(one_minus_h < _REFIT_BELOW):
+            loo_residuals[i], refit = _refit_without(design, data.outputs, i)
+            loo_corrections[i] = coeffs - refit
         for derived in (coeffs, hat, loo_residuals, loo_corrections):
             derived.setflags(write=False)
         model = PceModel(
@@ -334,17 +349,21 @@ def brute_force_loo(
 
     residuals = np.empty(m)
     predictions = np.empty((star_rows.shape[0], m)) if star_rows is not None else None
-    keep = np.ones(m, dtype=bool)
     for i in range(m):
-        keep[i] = False
-        coeffs, *_ = np.linalg.lstsq(design[keep], data.outputs[keep], rcond=None)
-        keep[i] = True
-        residuals[i] = data.outputs[i] - design[i] @ coeffs
+        residuals[i], coeffs = _refit_without(design, data.outputs, i)
         if predictions is not None:
             predictions[:, i] = star_rows @ coeffs
     if predictions is not None and single:
         predictions = predictions[0]
     return residuals, predictions
+
+
+def _refit_without(design: np.ndarray, outputs: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    """(LOO residual, coefficients) of sample i from a least-squares refit without it."""
+    keep = np.ones(design.shape[0], dtype=bool)
+    keep[i] = False
+    coeffs, *_ = np.linalg.lstsq(design[keep], outputs[keep], rcond=None)
+    return outputs[i] - design[i] @ coeffs, coeffs
 
 
 def pce_variance(model: PceModel) -> float:

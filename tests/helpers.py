@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 
 from confpce import benchmarks
 from confpce.basis import _legendre_rows, eval_basis_matrix
-from confpce.conformal import _chunk_rows, _upper_index
+from confpce.conformal import _chunk_rows, _upper_index, finite_quantile_upper
 from confpce.pce import basis_rows, loo_values
 
 
@@ -120,7 +120,7 @@ def blocked_jackknife_plus_reference(model, rows, significance):
 
     Builds each block of the LOO matrix as a fresh array with loo_values and
     partitions fresh shifted copies, on the same block boundaries as
-    interval_bounds, so the products see the same row counts and every bound
+    interval_arrays, so the products see the same row counts and every bound
     must agree bit for bit. Returns (centers, lowers, uppers).
     """
     centers = rows @ model.coefficients
@@ -138,3 +138,20 @@ def blocked_jackknife_plus_reference(model, rows, significance):
         lowers[block] = np.partition(loo - a, m - k, axis=1)[:, m - k]
         uppers[block] = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
     return centers, lowers, uppers
+
+
+def whole_batch_intervals(model, points, cfg):
+    """Interval oracle at box points (n, N): (centers, lowers, uppers).
+
+    Evaluates all n basis rows at once with basis_rows and takes the centers
+    from one product over them; jackknife bounds are the centers -/+ the
+    score quantile, jackknife+ bounds come from
+    blocked_jackknife_plus_reference. interval_arrays, which evaluates the
+    rows block by block, must give the same bits.
+    """
+    rows = basis_rows(np.atleast_2d(points), model.index_set, model.input_spec)
+    if cfg.method == "jackknife_plus":
+        return blocked_jackknife_plus_reference(model, rows, cfg.significance)
+    centers = rows @ model.coefficients
+    half = finite_quantile_upper(np.abs(model.loo_residuals), cfg.significance)
+    return centers, centers - half, centers + half

@@ -26,13 +26,12 @@ from confpce.conformal import (
     empirical_coverage,
     finite_quantile_upper,
     interval_arrays,
-    interval_bounds,
+    jackknife_bounds,
 )
 from confpce.errors import IntervalError, ZeroVarianceError
 from confpce.pce import (
     Dataset,
     PceModel,
-    basis_rows,
     brute_force_loo,
     fit,
     loo_predict,
@@ -66,7 +65,8 @@ def order_statistics(values, s):
         condition_number=1.0,
     )
     cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=s)
-    _, lowers, uppers = interval_bounds(model, np.ones((1, 1)), cfg)
+    # The one basis term psi_0 is 1 at every point.
+    _, lowers, uppers = interval_arrays(model, np.zeros((1, 1)), cfg)
     return float(lowers[0]), float(uppers[0])
 
 
@@ -320,11 +320,8 @@ class TestIntervalProperties:
     def test_empty_batch_gives_empty_arrays(self, otl_model, method):
         model, points = otl_model
         cfg = ConformalConfig(method=method, score="absolute", significance=0.1)
-        for got in (
-            interval_arrays(model, points[:0], cfg),
-            interval_bounds(model, np.empty((0, model.n_basis)), cfg),
-        ):
-            assert [a.shape for a in got] == [(0,)] * 3
+        got = interval_arrays(model, points[:0], cfg)
+        assert [a.shape for a in got] == [(0,)] * 3
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
@@ -345,18 +342,18 @@ class TestIntervalProperties:
 
     def test_jackknife_plus_workspace_is_bounded(self, piston_p4_model):
         # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
-        # the workspace two workers × (4 MB block + 1 MB sub-block).
-        model = piston_p4_model
+        # the workspace of one worker a 4 MB block and a 1.4 MB buffer for
+        # the block's basis rows, which the shifted sub-blocks reuse.
         points = sample_design("piston", 10_000, seed=3, stream="test").inputs
-        rows = basis_rows(points, model.index_set, model.input_spec)
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
-        tracemalloc.start()
-        try:
-            interval_bounds(model, rows, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+        with mock.patch.object(conformal, "_WORKERS", 1):
+            tracemalloc.start()
+            try:
+                interval_arrays(piston_p4_model, points, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 9 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("n", [10_000, 40_000])
     def test_interval_arrays_peak_does_not_grow_with_the_batch(self, piston_p4_model, n):
@@ -405,6 +402,19 @@ class TestIntervalError:
             interval_arrays(broken, points, cfg)
         with pytest.raises(IntervalError, match="point 0"):
             one_interval(broken, points[0], cfg)
+
+    def test_jackknife_bounds_from_any_centers(self, otl_model):
+        # The harness takes jackknife bounds from a jackknife+ call's centers.
+        model, points = otl_model
+        cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.05)
+        want = interval_arrays(model, points, cfg)
+        plus = interval_arrays(model, points, replace(cfg, method="jackknife_plus"))
+        for got, expected in zip(jackknife_bounds(model, plus[0], 0.05), want):
+            np.testing.assert_array_equal(got, expected)
+        centers = want[0].copy()
+        centers[2] = np.nan
+        with pytest.raises(IntervalError, match="point 2 has lower nan"):
+            jackknife_bounds(model, centers, 0.05)
 
     def test_inverted_bounds_raise_typed_error(self):
         # At s > 1/2 the jackknife+ lower order statistic (floor(s(M+1))-th)

@@ -1,6 +1,7 @@
 """Tests for the experiment grid: determinism, failure capture, reports."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -332,6 +333,56 @@ class TestSharedDesign:
         assert len(report.failures) == len(report.records) == 4
         assert all(r.failure.startswith("IntervalError: ") for r in report.records)
         assert all(a["n_failed"] == 2 for a in report.aggregates)
+
+    def test_one_interval_call_per_design(self, monkeypatch):
+        real = harness.interval_arrays
+        calls = []
+
+        def counted(model, points, cfg):
+            calls.append(cfg.method)
+            return real(model, points, cfg)
+
+        monkeypatch.setattr(harness, "interval_arrays", counted)
+        config = ExperimentConfig(benchmark="otl_circuit", degrees=(1, 2), oversampling=(2,),
+                                  scores=("absolute", "normalized"), n_seeds=2, test_size=100)
+        run_grid(config)
+        assert calls == ["jackknife_plus"] * 4
+        calls.clear()
+        run_grid(replace(config, methods=("jackknife",)))
+        assert calls == ["jackknife"] * 4
+
+    def test_nan_corrections_fail_only_the_jackknife_plus_cells(self, monkeypatch):
+        config = ExperimentConfig(benchmark="otl_circuit", degrees=(2,), oversampling=(3,),
+                                  scores=("absolute", "normalized"), n_seeds=2, test_size=100)
+        want = run_grid(config).records
+        real_fit = harness.fit
+
+        def nan_fit(*args, **kwargs):
+            model = real_fit(*args, **kwargs)
+            return replace(model, loo_corrections=np.full_like(model.loo_corrections, np.nan))
+
+        monkeypatch.setattr(harness, "fit", nan_fit)
+        got = run_grid(config).records
+        assert [r.method for r in got] == ["jackknife"] * 4 + ["jackknife_plus"] * 4
+        assert got[:4] == want[:4] and not any(r.failed for r in got[:4])
+        for record in got[4:]:
+            assert record.failure.startswith("IntervalError: interval at point 0 has lower nan")
+            assert record.coverage is None
+
+    def test_cell_memory_does_not_hold_the_test_rows(self):
+        # Piston P=3 (K=120): the test points' basis rows would be 960 bytes
+        # a point. What grows is the points, their outputs and reference
+        # values, and the bounds and widths, about 150 bytes a point.
+        def peak(test_size):
+            tracemalloc.start()
+            try:
+                run_cell("piston", 3, 2, "jackknife_plus", "absolute", 0.05, 0, test_size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_point = (peak(40_000) - peak(10_000)) / 30_000
+        assert per_point < 300, f"{per_point:.0f} bytes a test point"
 
     def test_nan_outputs_fail_their_cells_not_the_grid(self):
         bench = Benchmark(

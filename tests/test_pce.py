@@ -37,18 +37,18 @@ from confpce.pce import (
 
 UNIT_SPEC = InputSpec(ranges=((-1.0, 1.0),))
 
-# Prints the growth of the process's resident peak over one piston P=3 fit
-# (K=120) of M points, in units of the 8 M K byte design.
+# Prints the growth of the process's resident peak over one fit of benchmark
+# NAME at degree P to M points, in units of the 8 M K byte design.
 FIT_PEAK_CHILD = """
 import resource, sys
 from confpce.basis import build_total_degree_set
 from confpce.benchmarks import get_benchmark, sample_design
 from confpce.pce import fit
-m = int(sys.argv[1])
-bench = get_benchmark("piston")
-small, index_set = build_total_degree_set(7, 1), build_total_degree_set(7, 3)
-fit(sample_design("piston", 32, seed=1), small, bench.input_spec)  # load the libraries
-data = sample_design("piston", m, seed=0)
+name, degree, m = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+bench = get_benchmark(name)
+small, index_set = build_total_degree_set(bench.dim, 1), build_total_degree_set(bench.dim, degree)
+fit(sample_design(name, 32, seed=1), small, bench.input_spec)  # load the libraries
+data = sample_design(name, m, seed=0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 fit(data, index_set, bench.input_spec)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -59,6 +59,23 @@ print((after - before) * 1024 / (8 * m * len(index_set)))
 # process that spawned it, so the fit runs in a grandchild spawned from this
 # bare interpreter, which is smaller than numpy alone.
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def fit_peak_designs(name, degree, m):
+    """FIT_PEAK_CHILD's measurement, in a grandchild with the BLAS on one thread.
+
+    One BLAS thread, so that no thread buffers of the BLAS are counted.
+    """
+    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", FIT_PEAK_CHILD, name, str(degree),
+         str(m)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
 
 
 def unit_dataset(fn, m, seed=0):
@@ -137,17 +154,16 @@ class TestFitBasics:
     def test_resident_peak_is_three_designs_when_m_dwarfs_k(self):
         # A 38.4 MB design: the peak is the design, scipy's Fortran copy
         # that becomes Q and Q's C-order copy, plus the small K x K factors.
-        # One BLAS thread, so that no thread buffers of the BLAS are counted.
-        paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        done = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, sys.executable, "-c", FIT_PEAK_CHILD, "40000"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        designs = float(done.stdout)
+        designs = fit_peak_designs("piston", 3, 40_000)
         assert 2.0 < designs < 3.5
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB only on Linux")
+    def test_resident_peak_stays_within_the_budget_when_m_nears_k(self):
+        # wing_weight P=4 (K=1,001) at M=1,100: the K x K factors weigh
+        # almost a design each, so R^-1 is solved in place and each factor
+        # is freed once used (measured 4.8).
+        designs = fit_peak_designs("wing_weight", 4, 1_100)
+        assert 3.0 < designs < 5.3 < pce._FIT_PEAK_DESIGNS
 
     def test_interpolation_regime_leverage(self):
         # M = K makes the hat matrix the identity: every leverage is 1.
@@ -261,6 +277,22 @@ class TestClosedFormLoo:
         model = fit(train, iset, bench.input_spec)
         x_star = sample_design(name, 10, seed=1, stream="test").inputs
         brute_res, brute_pred = brute_force_loo(train, iset, bench.input_spec, x_star=x_star)
+        np.testing.assert_allclose(model.loo_residuals, brute_res, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(loo_predict(model, x_star), brute_pred, rtol=1e-8, atol=1e-10)
+
+    def test_oracle_agreement_at_the_leverage_floor(self):
+        # Ten points within 0.01 of 0.3 plus -1 and 1 at P=3: the outlying
+        # points' 1 - h is 4.5e-10 and 1.9e-8, where the closed form alone
+        # is off by 7e-7 relative; those two samples are refit.
+        rng = np.random.default_rng(0)
+        x = np.concatenate([0.3 + 0.01 * rng.uniform(-1, 1, 10), [-1.0, 1.0]])[:, None]
+        data = Dataset(inputs=x, outputs=np.sin(3 * x[:, 0]) + x[:, 0] ** 2)
+        iset = build_total_degree_set(1, 3)
+        model = fit(data, iset, UNIT_SPEC)
+        assert np.sort(1.0 - model.hat_diag)[1] < 1e-7
+        x_star = np.linspace(-1.0, 1.0, 7)[:, None]
+        brute_res, brute_pred = brute_force_loo(data, iset, UNIT_SPEC, x_star=x_star)
+        np.testing.assert_array_equal(model.loo_residuals[-2:], brute_res[-2:])
         np.testing.assert_allclose(model.loo_residuals, brute_res, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(loo_predict(model, x_star), brute_pred, rtol=1e-8, atol=1e-10)
 

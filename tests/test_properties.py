@@ -10,25 +10,24 @@ import numpy as np
 import pytest
 from helpers import (
     assert_parent_links,
-    blocked_jackknife_plus_reference,
     numpy_qr_fit_reference,
     product_basis_reference,
+    whole_batch_intervals,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confpce import conformal
-from confpce.basis import _block_rows, build_total_degree_set, eval_basis_matrix
+from confpce.basis import InputSpec, _block_rows, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import (
     METHODS,
     ConformalConfig,
     _upper_index,
     interval_arrays,
-    interval_bounds,
 )
-from confpce.errors import LeverageError
-from confpce.pce import Dataset, basis_rows, fit, from_json, to_json
+from confpce.errors import ConfpceError, LeverageError
+from confpce.pce import Dataset, basis_rows, brute_force_loo, fit, from_json, loo_predict, to_json
 
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
 
@@ -106,6 +105,48 @@ def test_condition_number_is_the_frobenius_one(name, degree, oversampling, seed)
     assert kappa_2 * (1 - 1e-10) <= got <= len(index_set) * kappa_2 * (1 + 1e-10)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    degree=st.integers(1, 5),
+    extra=st.integers(2, 30),
+    outliers=st.integers(1, 2),
+    spread=st.floats(-2.5, -1.0),
+    corners=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_loo_matches_the_refit_oracle_near_the_leverage_floor(
+    dim, degree, extra, outliers, spread, corners, seed
+):
+    # A tight cluster plus a few outlying points gives leverages from about
+    # 1e-10 below 1 upward, the band where y - Dc and 1 - h both cancel and
+    # fit refits the samples with 1 - h < 1e-6. The closed form of the other
+    # samples is off by about kappa_F eps / (1 - h), which passes 1e-8 on
+    # some of these designs from kappa_F = 1e3 up, so the check stops there.
+    while math.comb(dim + degree, degree) > 35:
+        degree -= 1
+    index_set = build_total_degree_set(dim, degree)
+    rng = np.random.default_rng(seed)
+    m = len(index_set) + extra
+    cluster = rng.uniform(-0.9, 0.9, dim) + 10.0**spread * rng.uniform(-1, 1, (m - outliers, dim))
+    far = rng.choice((-1.0, 1.0), (outliers, dim)) if corners else rng.uniform(-1, 1, (outliers, dim))
+    x = np.vstack([np.clip(cluster, -1.0, 1.0), far])
+    data = Dataset(inputs=x, outputs=np.sum(np.sin(3 * x) + x**2, axis=1))
+    spec = InputSpec(ranges=((-1.0, 1.0),) * dim)
+    try:
+        model = fit(data, index_set, spec)
+    except ConfpceError:
+        return  # not an accepted design
+    if model.condition_number >= 1e3:
+        return
+    x_star = np.vstack([rng.uniform(-1, 1, (4, dim)), x[:2]])
+    residuals, predictions = brute_force_loo(data, index_set, spec, x_star=x_star)
+    # Relative to each value, or to the outputs where a value is near 0.
+    atol = 1e-9 * np.max(np.abs(data.outputs))
+    np.testing.assert_allclose(model.loo_residuals, residuals, rtol=1e-8, atol=atol)
+    np.testing.assert_allclose(loo_predict(model, x_star), predictions, rtol=1e-8, atol=atol)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(
     dim=st.integers(1, 6),
@@ -157,10 +198,9 @@ def test_jackknife_plus_matches_blocked_oracle(
         step = conformal._sub_rows(m) if length == "sub-block" else conformal._chunk_rows(m)
         n = (2 * step if one_row else step) + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
-        rows = basis_rows(points, model.index_set, model.input_spec)
         cfg = ConformalConfig(method="jackknife_plus", significance=significance)
-        got = interval_bounds(model, rows, cfg)
-        want = blocked_jackknife_plus_reference(model, rows, significance)
+        got = interval_arrays(model, points, cfg)
+        want = whole_batch_intervals(model, points, cfg)
     for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
         assert np.array_equal(g, w), label
 
@@ -202,12 +242,11 @@ def test_jackknife_plus_bits_do_not_depend_on_worker_count(
     with _small_blocks(model.n_train):
         n = blocks * conformal._chunk_rows(model.n_train) + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
-        rows = basis_rows(points, model.index_set, model.input_spec)
         with mock.patch.object(conformal, "_WORKERS", 1):
-            serial = interval_bounds(model, rows, cfg)
+            serial = interval_arrays(model, points, cfg)
         with mock.patch.object(conformal, "_WORKERS", 2):
-            shared = interval_bounds(model, rows, cfg)
-        want = blocked_jackknife_plus_reference(model, rows, significance)
+            shared = interval_arrays(model, points, cfg)
+        want = whole_batch_intervals(model, points, cfg)
     for label, one, two, w in zip(("centers", "lowers", "uppers"), serial, shared, want):
         assert np.array_equal(one, two), label
         assert np.array_equal(one, w), label
@@ -232,19 +271,15 @@ def test_streamed_rows_give_the_bits_of_whole_batch_rows(
     model = _fit_benchmark(name, degree, oversampling, seed)
     n = max(1, blocks * rows + offset)
     points = sample_design(name, n, seed=seed, stream="test").inputs
-    whole = basis_rows(points, model.index_set, model.input_spec)
     for method in METHODS:
         cfg = ConformalConfig(method=method, significance=significance)
         with _small_blocks(model.n_train, rows):
-            wants = [interval_bounds(model, whole, cfg)]
-            if method == "jackknife_plus":
-                wants.append(blocked_jackknife_plus_reference(model, whole, significance))
+            want = whole_batch_intervals(model, points, cfg)
             for workers in (1, 2):
                 with mock.patch.object(conformal, "_WORKERS", workers):
                     got = interval_arrays(model, points, cfg)
-                for want in wants:
-                    for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
-                        assert np.array_equal(g, w), (method, workers, label)
+                for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
+                    assert np.array_equal(g, w), (method, workers, label)
 
 
 @pytest.mark.parametrize("failing", ("helper", "caller"))
@@ -267,24 +302,22 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
     with _small_blocks(model.n_train):
         points = sample_design("otl_circuit", 10 * conformal._chunk_rows(model.n_train),
                                seed=5, stream="test").inputs
-        rows = basis_rows(points, model.index_set, model.input_spec)
         before = threading.active_count()
         with mock.patch.object(conformal, "_WORKERS", 2), \
                 mock.patch.object(conformal, "loo_values", flaky_loo_values):
             with pytest.raises(RuntimeError, match=f"block failed in the {failing}"):
-                interval_bounds(model, rows, cfg)
+                interval_arrays(model, points, cfg)
     assert started == {"caller", "helper"}
     assert threading.active_count() == before
 
 
 def test_jackknife_plus_workers_take_each_block_once():
     # One-row blocks and a 1 us switch interval make the two workers race for
-    # the shared starts, given rows or evaluating their own; a block taken
-    # twice or never shows in the calls or bits.
+    # the shared starts; a block taken twice or never shows in the calls or
+    # bits.
     model = _fit_benchmark("piston", 2, 3, 4)
     m, n = model.n_train, 400
     points = sample_design("piston", n, seed=4, stream="test").inputs
-    rows = basis_rows(points, model.index_set, model.input_spec)
     cfg = ConformalConfig(method="jackknife_plus", significance=0.05)
     loo_values, taken = conformal.loo_values, []
 
@@ -294,19 +327,19 @@ def test_jackknife_plus_workers_take_each_block_once():
 
     with mock.patch.multiple(conformal, _CHUNK_BYTES=8 * m, _SUB_BYTES=8 * m):
         with mock.patch.object(conformal, "_WORKERS", 1):
-            serial = interval_bounds(model, rows, cfg)
+            serial = interval_arrays(model, points, cfg)
+        want = whole_batch_intervals(model, points, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.multiple(conformal, _WORKERS=2, loo_values=counted_loo_values):
-                shared = interval_bounds(model, rows, cfg)
-                streamed = interval_arrays(model, points, cfg)
+                shared = interval_arrays(model, points, cfg)
         finally:
             sys.setswitchinterval(interval)
-    assert taken == [1] * (2 * n)
-    for one, two, three in zip(serial, shared, streamed):
+    assert taken == [1] * n
+    for one, two, w in zip(serial, shared, want):
         assert np.array_equal(one, two)
-        assert np.array_equal(one, three)
+        assert np.array_equal(one, w)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
