@@ -205,10 +205,10 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
     # and a normalized cell adds only its zero-variance check. jackknife+
     # goes first, so that jackknife can take its centers.
     scored, centers = {}, None
-    for method in sorted({method for method, _ in cells}, key=METHODS.index, reverse=True):
+    for method in sorted({method for method, _ in cells}, key=lambda m: m != "jackknife_plus"):
+        cfg = ConformalConfig(method=method, significance=significance)
         try:
-            if centers is None:
-                cfg = ConformalConfig(method=method, significance=significance)
+            if centers is None or method != "jackknife":
                 centers, lowers, uppers = interval_arrays(model, test.inputs, cfg)
             else:
                 _, lowers, uppers = jackknife_bounds(model, centers, significance)

@@ -76,6 +76,10 @@ class TestRunCell:
         )
         assert run_cell(**kwargs) == run_cell(**kwargs)
 
+    def test_unknown_method_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="method must be one of .* got 'jk'"):
+            run_cell("otl_circuit", 1, 3, "jk", "absolute", 0.05, 0, 50)
+
     def test_zero_target_hook(self, zero_benchmark):
         rec = run_cell(
             benchmark="zero_hook",
