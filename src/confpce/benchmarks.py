@@ -106,9 +106,9 @@ _REGISTRY: dict[str, Benchmark] = {}
 def register_benchmark(benchmark: Benchmark) -> None:
     """Adds a benchmark to the registry (e.g. synthetic targets in tests)."""
     if benchmark.name in _REGISTRY:
-        raise ValueError(f"benchmark {benchmark.name!r} already registered")
+        raise ValidationError(f"benchmark {benchmark.name!r} already registered")
     if benchmark.size_rule not in ("quadratic", "linear"):
-        raise ValueError(f"size_rule must be 'quadratic' or 'linear', got {benchmark.size_rule!r}")
+        raise ValidationError(f"size_rule must be 'quadratic' or 'linear', got {benchmark.size_rule!r}")
     _REGISTRY[benchmark.name] = benchmark
 
 
@@ -199,7 +199,7 @@ register_benchmark(
 
 def _seed_entropy(name: str, seed, stream: str) -> list[int]:
     if stream not in _STREAM_IDS:
-        raise ValueError(f"stream must be one of {sorted(_STREAM_IDS)}, got {stream!r}")
+        raise ValidationError(f"stream must be one of {sorted(_STREAM_IDS)}, got {stream!r}")
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
     return [zlib.crc32(name.encode()), _STREAM_IDS[stream], *(int(p) for p in parts)]
 
@@ -261,7 +261,7 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
 def _csv_number(field: str) -> float:
     """float(field) for ASCII numbers: no `_` digit separators, no non-ASCII digits."""
     if "_" in field or not field.isascii():
-        raise ValueError(field)
+        raise ValidationError(field)
     return float(field)
 
 

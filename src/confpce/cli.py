@@ -35,7 +35,7 @@ def _parse_ranges(text: str) -> InputSpec:
         if not sep:
             raise ValidationError(f"bad range {part!r}; expected lo:hi")
         try:
-            pairs.append((float(lo), float(hi)))
+            pairs.append((benchmarks._csv_number(lo), benchmarks._csv_number(hi)))
         except ValueError:
             raise ValidationError(f"non-numeric range bound in {part!r}") from None
     return InputSpec(ranges=tuple(pairs))
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--m", type=int, help="training size when sampling a benchmark")
     p_fit.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p_fit.add_argument("--degree", type=int, required=True, help="maximum total degree P")
-    p_fit.add_argument("--ranges", help="input box lo:hi,lo:hi,... (default: data hull)")
+    p_fit.add_argument("--ranges", help="input box lo:hi,lo:hi,... (default: data hull); "
+                       "a negative bound needs the --ranges=lo:hi form")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -29,13 +29,14 @@ outside 1..M. Both indices take the exact binary value of the float s, see
 Jackknife+ needs the n x M matrix of leave-one-out predictions at the n
 query points. Each call fills the matrix one block of rows at a time, on at
 most two workers: the calling thread and, when there are two blocks or more
-and two usable CPUs, one helper thread started for the call and joined
-before it returns. The matrix product and the partitions release the
-interpreter lock, so the two workers run on two cores. Each worker owns a
-workspace of two buffers: one of about 4 MB takes a block's LOO predictions,
-from one product with the correction matrix, and one of about 1 MB, small
-enough to stay in a core's L2 cache, takes a sub-block shifted down by the
-scores while the upward shift and both partitions run in place.
+and two usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made
+for the call and joined before it returns. The matrix product and the
+partitions release the interpreter lock, so the two workers run on two
+cores. Each worker owns a workspace of two buffers: one of about 4 MB takes
+a block's LOO predictions, from one product with the correction matrix, and
+one of about 1 MB, small enough to stay in a core's L2 cache, takes a
+sub-block shifted down by the scores while the upward shift and both
+partitions run in place.
 
 :func:`interval_arrays` is the one entry. It maps all its points to the
 reference cube up front, and each worker evaluates its block's basis rows
@@ -63,6 +64,7 @@ import math
 import numbers
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,29 +135,11 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        raise ValueError("cannot take a quantile of an empty sample")
+        raise ValidationError("cannot take a quantile of an empty sample")
     k = _upper_index(values.size, significance)
     if k > values.size:
         return float("inf")
     return float(np.partition(values, k - 1)[k - 1])
-
-
-def interval_arrays(
-    model: PceModel, points: np.ndarray, cfg: ConformalConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized interval bounds at box points (n, N): (centers, lowers, uppers).
-
-    Maps every point to the reference cube first, so an error names the
-    point's index in the batch; then the basis rows and the LOO matrix are
-    built one block of points at a time, see the module docstring.
-
-    Raises:
-        DomainError: If a point lies outside the box beyond tolerance.
-        ZeroVarianceError: For normalized scores on a zero-variance target.
-        IntervalError: If a bound is NaN or a lower bound exceeds its upper.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _intervals(model, cfg, to_reference(points, model.input_spec))
 
 
 # The workspace of one worker, whatever the number of points: a buffer of
@@ -208,12 +192,12 @@ def _share_blocks(starts: range, workers: list) -> None:
     """Runs each of `workers`, a callable taking next_start, on its own thread.
 
     next_start() hands out the next of `starts`, then None. The first worker
-    runs on the calling thread and each other one on a helper thread joined
-    before this returns; a helper's exception is raised here. A worker that
-    fails takes the remaining starts, so the others stop after their current
-    block.
+    runs on the calling thread and each other one on a helper from a pool
+    made for the call and shut down before this returns; a helper's
+    exception is raised here. A worker that fails takes the remaining
+    starts, so the others stop after their current block.
     """
-    pending, lock, failures = iter(starts), threading.Lock(), []
+    pending, lock = iter(starts), threading.Lock()
 
     def next_start():
         with lock:
@@ -227,25 +211,12 @@ def _share_blocks(starts: range, workers: list) -> None:
                 collections.deque(pending, maxlen=0)
             raise
 
-    def helper(worker):
-        try:
-            run(worker)
-        except BaseException as exc:
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=helper, args=(worker,), name="confpce-intervals", daemon=True)
-        for worker in workers[1:]
-    ]
-    for thread in threads:
-        thread.start()
-    try:
+    # The pool starts a thread per submitted worker, so one worker starts none.
+    with ThreadPoolExecutor(len(workers), thread_name_prefix="confpce-intervals") as pool:
+        helpers = [pool.submit(run, worker) for worker in workers[1:]]
         run(workers[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+    for helper in helpers:
+        helper.result()
 
 
 def _covering(start: int, stop: int, n: int) -> tuple[int, int]:
@@ -264,18 +235,31 @@ def _covering(start: int, stop: int, n: int) -> tuple[int, int]:
     return first, last
 
 
-def _intervals(
-    model: PceModel, cfg: ConformalConfig, xi: np.ndarray
+def interval_arrays(
+    model: PceModel, points: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block loop behind :func:`interval_arrays`, at reference points xi (n, N)."""
+    """Vectorized interval bounds at box points (n, N): (centers, lowers, uppers).
+
+    Maps every point to the reference cube first, so an error names the
+    point's index in the batch; then the basis rows and the LOO matrix are
+    built one block of points at a time, see the module docstring.
+
+    Raises:
+        DomainError: If a point lies outside the box beyond tolerance.
+        ZeroVarianceError: For normalized scores on a zero-variance target.
+        IntervalError: If a bound is NaN or a lower bound exceeds its upper.
+    """
+    xi = to_reference(np.atleast_2d(np.asarray(points, dtype=float)), model.input_spec)
     check_score(model, cfg.score)
     a = np.abs(model.loo_residuals)
     m = a.shape[0]
     k = _upper_index(m, cfg.significance)
-    bounded = cfg.method == "jackknife_plus" and k <= m
+    plus = cfg.method == "jackknife_plus"
+    bounded = plus and k <= m
     n, n_basis = xi.shape[0], model.n_basis
     centers = np.empty(n)
-    lowers, uppers = np.empty_like(centers), np.empty_like(centers)
+    if plus:
+        lowers, uppers = np.full(n, -np.inf), np.full(n, np.inf)
     step, sub = _chunk_rows(m), _sub_rows(m)
 
     def fill_blocks(loo_buffer, shared, next_start):
@@ -315,28 +299,23 @@ def _intervals(
         )
         for _ in range(max(1, min(_WORKERS, len(starts))))
     ])
-    if cfg.method == "jackknife":
-        return jackknife_bounds(model, centers, cfg.significance, lowers, uppers)
-    if not bounded:
-        uppers.fill(np.inf)
-        lowers.fill(-np.inf)
+    if not plus:
+        return jackknife_bounds(model, centers, cfg.significance)
     return _checked(centers, lowers, uppers)
 
 
 def jackknife_bounds(
-    model: PceModel, centers: np.ndarray, significance: float,
-    lowers: np.ndarray | None = None, uppers: np.ndarray | None = None,
+    model: PceModel, centers: np.ndarray, significance: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jackknife bounds about any interval call's centers: (centers, lowers, uppers).
 
-    Given `lowers` and `uppers`, the bounds are written there.
+    The bounds are new arrays; `centers` is returned as given, unwritten.
 
     Raises:
         IntervalError: If a bound is NaN.
     """
     half = finite_quantile_upper(np.abs(model.loo_residuals), significance)
-    lowers = np.subtract(centers, half, out=lowers)
-    return _checked(centers, lowers, np.add(centers, half, out=uppers))
+    return _checked(centers, centers - half, centers + half)
 
 
 def _checked(centers, lowers, uppers):
@@ -354,9 +333,9 @@ def empirical_coverage(lowers, uppers, truths) -> float:
     """Fraction of truths falling inside their closed intervals [lower, upper]."""
     lowers, uppers, truths = (np.asarray(v, dtype=float).ravel() for v in (lowers, uppers, truths))
     if not lowers.size == uppers.size == truths.size:
-        raise ValueError(
+        raise ValidationError(
             f"{lowers.size} lowers and {uppers.size} uppers but {truths.size} truth values"
         )
     if truths.size == 0:
-        raise ValueError("coverage of an empty set is undefined")
+        raise ValidationError("coverage of an empty set is undefined")
     return float(np.mean((lowers <= truths) & (truths <= uppers)))

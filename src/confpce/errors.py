@@ -2,10 +2,10 @@
 
 Every error the library raises on purpose is a :class:`ConfpceError`. A
 :class:`ValidationError`, also a ``ValueError``, is outside input that fails
-its check (a CSV, model file, config, argument or, as :class:`DomainError`, a
-point outside its box); the CLI exits 2 on it. The other subclasses are
-numerical failures on valid input; the CLI exits 3 on them. A plain
-``ValueError`` is a broken program invariant and ends in a traceback.
+its check (a CSV, model file, config, CLI or library-call argument or, as
+:class:`DomainError`, a point outside its box); the CLI exits 2 on it. The
+other subclasses are numerical failures on valid input; the CLI exits 3 on
+them.
 """
 
 

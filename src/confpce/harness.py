@@ -340,7 +340,7 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
     report.
     """
     if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
+        raise ValidationError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {

@@ -188,7 +188,7 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
             of squares or :func:`pce_variance` overflow.
     """
     if index_set.input_dim != spec.dim:
-        raise ValueError("basis and input spec dimensions disagree")
+        raise ValidationError("basis and input spec dimensions disagree")
     m, k = len(data), len(index_set)
     if m < k:
         raise UnderdeterminedError(

@@ -598,6 +598,7 @@ CONTRACT_FILES = {
     "flat.csv": "x1,y\n0.5,1\n0.5,2\n",
     "huge_hull.csv": "x1,y\n-1e308,1\n1e308,2\n0,3\n",
     "digits.csv": "x1,y\n\u0661\u0662,1\n0.5,2\n",
+    "unit.csv": "x1,y\n0.1,1\n0.5,2\n0.9,4\n",
     "pts.csv": "x1\n0.25\n",
     "pts_header.csv": "y1\n0.1\n",
     "pts_ragged.csv": "x1\n0.1\n0.2,0.3\n",
@@ -688,6 +689,11 @@ ERROR_CONTRACT = [
      "error: validation: dimension 0: bounds must be finite, got (0.0, inf)"),
     ("fit-ranges-dims", FIT + ("--data", "{d}/zero.csv", "--ranges=-1:1,-1:1"), 2,
      "error: validation: --ranges has 2 dimensions, data has 1"),
+    # --ranges follows the CSV reader's number rule (fit-data-non-ascii-digits).
+    ("fit-ranges-digit-separator", FIT + ("--data", "{d}/unit.csv", "--ranges=0:1_0"), 2,
+     "error: validation: non-numeric range bound in '0:1_0'"),
+    ("fit-ranges-non-ascii-digits", FIT + ("--data", "{d}/unit.csv", "--ranges=0:\uff11"), 2,
+     "error: validation: non-numeric range bound in '0:\uff11'"),
     # fit: numbers and sources
     ("fit-degree-negative", ("fit", "--degree", "-1", "--out", "{d}/m.json",
                              "--benchmark", "meromorphic", "--m", "50"), 2,

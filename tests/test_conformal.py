@@ -391,6 +391,50 @@ class TestIntervalProperties:
             interval_arrays(model, points, cfg)
         assert threading.enumerate() == before
 
+    @staticmethod
+    def _block_threads(model, points, cfg, wait_for=1):
+        """(threads that evaluated a block, in order; Thread.start calls) of one call.
+
+        With wait_for=2, each thread's first block waits for the other's, so
+        the helper takes a block however late the pool starts it.
+        """
+        threads, both = [], threading.Barrier(wait_for, timeout=10)
+        eval_basis_matrix = conformal.eval_basis_matrix
+
+        def recorded(*args, **kwargs):
+            if threading.current_thread() not in threads:
+                both.wait()
+            threads.append(threading.current_thread())
+            return eval_basis_matrix(*args, **kwargs)
+
+        with mock.patch.multiple(conformal, _WORKERS=2, eval_basis_matrix=recorded), \
+                mock.patch.object(threading.Thread, "start", autospec=True,
+                                  side_effect=threading.Thread.start) as start:
+            interval_arrays(model, points, cfg)
+        return threads, start.call_count
+
+    @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
+    def test_one_block_runs_on_the_calling_thread(self, otl_model, method):
+        model, points = otl_model
+        cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
+        threads, started = self._block_threads(model, points, cfg)
+        assert threads == [threading.current_thread()]
+        assert started == 0
+
+    @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
+    def test_multi_block_call_runs_on_the_caller_and_one_helper(self, otl_model, method):
+        model, _ = otl_model
+        points = sample_design("otl_circuit", 5 * _chunk_rows(model.n_train), seed=93,
+                               stream="test").inputs
+        cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
+        before = threading.enumerate()
+        threads, started = self._block_threads(model, points, cfg, wait_for=2)
+        assert threading.enumerate() == before
+        assert len(threads) == 5 and started == 1
+        helpers = set(threads) - {threading.current_thread()}
+        assert len(helpers) == 1
+        assert helpers.pop().name.startswith("confpce-intervals")
+
 
 class TestIntervalError:
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
@@ -415,6 +459,15 @@ class TestIntervalError:
         centers[2] = np.nan
         with pytest.raises(IntervalError, match="point 2 has lower nan"):
             jackknife_bounds(model, centers, 0.05)
+
+    def test_jackknife_bounds_leaves_centers_unwritten(self, otl_model):
+        model, points = otl_model
+        centers = surrogate(model, points)
+        given = centers.copy()
+        got, lowers, uppers = jackknife_bounds(model, centers, 0.05)
+        np.testing.assert_array_equal(centers, given)
+        assert got is centers
+        assert not np.shares_memory(lowers, centers) and not np.shares_memory(uppers, centers)
 
     def test_inverted_bounds_raise_typed_error(self):
         # At s > 1/2 the jackknife+ lower order statistic (floor(s(M+1))-th)

@@ -1,11 +1,11 @@
-"""Bad outside input raises ValidationError; a broken invariant a plain ValueError."""
+"""Bad input to the CLI or to a library call raises ValidationError."""
 
 import io
 
 import numpy as np
 import pytest
 
-from confpce import ConfpceError, DomainError, ValidationError
+from confpce import DomainError, ValidationError
 from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
 from confpce.benchmarks import (
     dataset_from_csv,
@@ -44,6 +44,13 @@ BAD_INPUT = {
     "conformal-range": lambda: ConformalConfig(significance=2.0),
     "conformal-type": lambda: ConformalConfig(significance="0.05"),
     "config-fields": lambda: ExperimentConfig.from_dict({"benchmark": "meromorphic"}),
+    "register-twice": lambda: register_benchmark(get_benchmark("piston")),
+    "stream": lambda: sample_design("meromorphic", 5, seed=0, stream="bogus"),
+    "coverage-empty": lambda: empirical_coverage([], [], []),
+    "quantile-empty": lambda: finite_quantile_upper([], 0.1),
+    "fit-dims": lambda: fit(
+        sample_design("meromorphic", 9, seed=0), build_total_degree_set(2, 1), UNIT
+    ),
 }
 
 
@@ -62,26 +69,7 @@ def test_domain_error_is_a_validation_error():
     )
 
 
-BROKEN_INVARIANT = {
-    "register-twice": lambda: register_benchmark(get_benchmark("piston")),
-    "stream": lambda: sample_design("meromorphic", 5, seed=0, stream="bogus"),
-    "coverage-empty": lambda: empirical_coverage([], [], []),
-    "quantile-empty": lambda: finite_quantile_upper([], 0.1),
-    "fit-dims": lambda: fit(
-        sample_design("meromorphic", 9, seed=0), build_total_degree_set(2, 1), UNIT
-    ),
-}
-
-
-@pytest.mark.parametrize("call", BROKEN_INVARIANT.values(), ids=BROKEN_INVARIANT.keys())
-def test_broken_invariant_raises_plain_value_error(call):
-    with pytest.raises(ValueError) as info:
-        call()
-    assert not isinstance(info.value, ConfpceError)
-
-
-def test_unknown_report_format_raises_plain_value_error(tmp_path):
-    with pytest.raises(ValueError) as info:
+def test_unknown_report_format_raises_validation_error(tmp_path):
+    with pytest.raises(ValidationError, match="unknown report format 'xml'"):
         emit_report(CoverageReport((), ()), "xml", tmp_path / "report")
-    assert not isinstance(info.value, ConfpceError)
     assert not (tmp_path / "report").exists()

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from confpce import ConfpceError
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "confpce").glob("*.py"))
 BENCHMARK_SOURCES = sorted((ROOT / "perfbench").rglob("*.py"))
@@ -51,15 +53,17 @@ def test_benchmark_uses_only_existing_names(path):
     assert not missing, f"{path.name} uses names the package lacks: {missing}"
 
 
+def _module(path):
+    return importlib.import_module("confpce" if path.stem == "__init__" else f"confpce.{path.stem}")
+
+
 @pytest.mark.parametrize(
     "path", [p for p in SOURCES if p.name != "errors.py"], ids=lambda p: p.name
 )
 def test_exception_classes_only_in_errors(path):
     # One home for error types, so no parallel "bad input" class can grow
     # beside ValidationError. Every class must be a module attribute to be checked.
-    module = importlib.import_module(
-        "confpce" if path.stem == "__init__" else f"confpce.{path.stem}"
-    )
+    module = _module(path)
     tree = ast.parse(path.read_text(), filename=str(path))
     names = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     bad = [
@@ -68,3 +72,19 @@ def test_exception_classes_only_in_errors(path):
         or issubclass(getattr(module, name), BaseException)
     ]
     assert not bad, f"{path.name} defines exception or unchecked classes {bad}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_raises_only_confpce_errors(path):
+    # Every error the package raises is typed: `raise Name(...)` or
+    # `raise Name` with Name a ConfpceError subclass, or a bare re-raise.
+    module = _module(path)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(module, exc.id, None) if isinstance(exc, ast.Name) else None
+            if not (isinstance(cls, type) and issubclass(cls, ConfpceError)):
+                bad.append(node.lineno)
+    assert not bad, f"{path.name} raises untyped exceptions on lines {bad}"
