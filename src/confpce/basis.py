@@ -44,13 +44,11 @@ from .errors import BasisSizeError, DomainError, ValidationError
 # [-1, 1]; values within this tolerance are clamped, anything beyond errors.
 REFERENCE_TOLERANCE = 1e-12
 
-# Guard against accidentally materializing an intractable basis.
-MAX_BASIS_SIZE = 10_000_000
-
-# Largest (n, K) matrix eval_basis_matrix will allocate, in bytes (4 GiB);
-# pce.fit refuses a design whose whole fit would need more than this.
-# MAX_BASIS_SIZE bounds K alone: a piston design at P=12, C=3 has K=50,388
-# terms and M=151,164 points, about 61 GB.
+# The one size limit, in bytes (4 GiB), and check_bytes its one comparison:
+# eval_basis_matrix allocates no larger (n, K) matrix, pce.fit takes no design
+# whose whole fit could need more, sample_design draws no larger sample, and
+# total_degree_size refuses a basis whose smallest design (M = K points,
+# 8 K^2 bytes) is over it, K > 23,170, before anything is enumerated.
 MAX_BASIS_BYTES = 2**32
 
 # eval_basis_matrix builds the basis in blocks of points whose (K, b) scratch
@@ -134,6 +132,12 @@ class InputSpec:
         return np.array([hi for _, hi in self.ranges])
 
 
+def check_bytes(need: int, what: str) -> None:
+    """Raises BasisSizeError if `what`, needing `need` bytes, is over MAX_BASIS_BYTES."""
+    if need > MAX_BASIS_BYTES:
+        raise BasisSizeError(f"{what} needs {need} bytes, exceeding the limit of {MAX_BASIS_BYTES}")
+
+
 def _integral(field: str, value) -> int:
     """`value` as an int; a ValidationError unless it is an integral real number."""
     integral = isinstance(value, numbers.Real) and float(value).is_integer()
@@ -161,8 +165,10 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     Raises:
         ValidationError: If an argument is not an integral real number (2.0 is
             taken as 2) or is out of range.
-        BasisSizeError: If the cardinality K exceeds MAX_BASIS_SIZE, or the
-            enumeration does not produce exactly K indices.
+        BasisSizeError: If the smallest design of the set, 8 K^2 bytes, is
+            over MAX_BASIS_BYTES, refused from K before anything is
+            enumerated; or if the enumeration does not produce exactly K
+            indices.
     """
     input_dim = _integral("input_dim", input_dim)
     max_degree = _integral("max_degree", max_degree)
@@ -200,14 +206,12 @@ def total_degree_size(input_dim: int, max_degree: int) -> int:
     """Cardinality K = (N+P)! / (N! P!) of the total-degree set, without building it.
 
     Raises:
-        BasisSizeError: If K exceeds MAX_BASIS_SIZE.
+        BasisSizeError: If the set's smallest design, M = K points of 8 K^2
+            bytes, is over MAX_BASIS_BYTES: no fit could use the set.
     """
     size = math.comb(input_dim + max_degree, max_degree)
-    if size > MAX_BASIS_SIZE:
-        raise BasisSizeError(
-            f"total-degree basis with N={input_dim}, P={max_degree} has "
-            f"K={size} elements, exceeding the limit of {MAX_BASIS_SIZE}"
-        )
+    check_bytes(8 * size * size, f"total-degree basis with N={input_dim}, P={max_degree} "
+                f"has K={size} terms; its smallest design")
     return size
 
 
@@ -340,11 +344,8 @@ def eval_basis_matrix(
             f"points have dimension {xi.shape[1]}, basis expects {index_set.input_dim}"
         )
     n, k, dim = xi.shape[0], len(index_set), index_set.input_dim
-    if out is None and 8 * n * k > MAX_BASIS_BYTES:
-        raise BasisSizeError(
-            f"basis matrix of {n} points by K={k} terms needs {8 * n * k} bytes, "
-            f"exceeding the limit of {MAX_BASIS_BYTES}"
-        )
+    if out is None:
+        check_bytes(8 * n * k, f"basis matrix of {n} points by K={k} terms")
     xi = _clamp_reference(xi)
     # Row j * N + d of a block's flattened table holds psi_j in dimension d.
     factor = index_set.last_degree * dim + index_set.last_dim

@@ -24,9 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import basis
-from .basis import InputSpec, total_degree_size
-from .errors import BasisSizeError, DomainError, ValidationError
+from .basis import InputSpec, check_bytes, total_degree_size
+from .errors import DomainError, ValidationError
 from .pce import Dataset
 
 _STREAM_IDS = {"train": 0, "test": 1}
@@ -204,11 +203,6 @@ def _seed_entropy(name: str, seed, stream: str) -> list[int]:
     return [zlib.crc32(name.encode()), _STREAM_IDS[stream], *(int(p) for p in parts)]
 
 
-def input_bytes(name: str, m: int) -> int:
-    """Bytes of the (m, N) inputs sample_design draws for the benchmark."""
-    return 8 * m * get_benchmark(name).dim
-
-
 def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     """Draws m i.i.d. uniform points in the box, paired with exact outputs.
 
@@ -225,12 +219,7 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     if m < 1:
         raise ValidationError(f"design size must be >= 1, got {m}")
     bench = get_benchmark(name)
-    need = input_bytes(name, m)
-    if need > basis.MAX_BASIS_BYTES:
-        raise BasisSizeError(
-            f"design of {m} points of dimension {bench.dim} needs {need} bytes, "
-            f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
-        )
+    check_bytes(8 * m * bench.dim, f"design of {m} points of dimension {bench.dim}")
     rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(name, seed, stream)))
     inputs = rng.uniform(bench.input_spec.lower(), bench.input_spec.upper(), size=(m, bench.dim))
     return Dataset(inputs=inputs, outputs=bench.fn(inputs))
@@ -241,21 +230,21 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
 
     Univariate rule (meromorphic): M = C (P+1)^2, required for a well
     conditioned one-dimensional least-squares problem. Multivariate rule:
-    M = C K with K the total-degree basis size, counted without building the
-    basis.
+    M = C K with K the total-degree basis size. Under either rule K is
+    counted, never enumerated, and checked against the size limit.
 
     Raises:
         ValidationError: If the benchmark is unknown, degree < 0 or oversampling < 1.
-        BasisSizeError: If K exceeds MAX_BASIS_SIZE.
+        BasisSizeError: If the basis is over the limit of
+            :func:`~confpce.basis.total_degree_size`, from the count alone.
     """
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
     if oversampling < 1:
         raise ValidationError(f"oversampling must be >= 1, got {oversampling}")
     bench = get_benchmark(name)
-    if bench.size_rule == "quadratic":
-        return oversampling * (degree + 1) ** 2
-    return oversampling * total_degree_size(bench.dim, degree)
+    k = total_degree_size(bench.dim, degree)
+    return oversampling * ((degree + 1) ** 2 if bench.size_rule == "quadratic" else k)
 
 
 def _csv_number(field: str) -> float:

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +59,10 @@ def _read(path, parse, context: str):
 def cmd_fit(args) -> int:
     if (args.data is None) == (args.benchmark is None):
         raise ValidationError("provide exactly one data source: --data or --benchmark")
+    if args.data is not None and (args.m is not None or args.seed is not None):
+        raise ValidationError("--m and --seed apply to --benchmark only")
+    if args.benchmark is not None and args.ranges is not None:
+        raise ValidationError("--ranges applies to --data only; a benchmark has its own box")
     if args.degree < 0:
         raise ValidationError(f"--degree must be >= 0, got {args.degree}")
 
@@ -82,9 +87,10 @@ def cmd_fit(args) -> int:
         bench = benchmarks.get_benchmark(args.benchmark)
         if args.m < 1:
             raise ValidationError(f"--m must be >= 1, got {args.m}")
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        data = benchmarks.sample_design(args.benchmark, args.m, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        if seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {seed}")
+        data = benchmarks.sample_design(args.benchmark, args.m, seed=seed)
         spec = bench.input_spec
 
     index_set = build_total_degree_set(spec.dim, args.degree)
@@ -146,6 +152,8 @@ def cmd_experiment(args) -> int:
     out_dir = args.out or config.output
     if out_dir is None:
         raise ValidationError("no output directory: set 'output' in the config or pass --out")
+    # Made before the grid runs, so that an unusable directory loses no results.
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     report = harness.run_grid(config)
     paths = harness.emit_report(report, "csv", out_dir)
@@ -195,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", help="training CSV with header x1,...,xN,y")
     p_fit.add_argument("--benchmark", help="sample training data from a named benchmark")
     p_fit.add_argument("--m", type=int, help="training size when sampling a benchmark")
-    p_fit.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p_fit.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p_fit.add_argument("--degree", type=int, required=True, help="maximum total degree P")
     p_fit.add_argument("--ranges", help="input box lo:hi,lo:hi,... (default: data hull); "
                        "a negative bound needs the --ranges=lo:hi form")

@@ -22,13 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import basis
-from .basis import _integral, build_total_degree_set
-from .benchmarks import design_size, get_benchmark, input_bytes, sample_design
+from .basis import _integral, build_total_degree_set, check_bytes, total_degree_size
+from .benchmarks import design_size, get_benchmark, sample_design
 from .conformal import (
     METHODS, ConformalConfig, check_score, empirical_coverage, interval_arrays, jackknife_bounds,
 )
-from .errors import ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError
+from .errors import (
+    BasisSizeError, ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError,
+)
 from .pce import fit, relative_loo_error
 
 @dataclass(frozen=True)
@@ -73,14 +74,15 @@ class ExperimentConfig:
             raise ValidationError(f"output must be a string or null, got {self.output!r}")
         if not isinstance(self.benchmark, str):
             raise ValidationError(f"benchmark must be a string, got {self.benchmark!r}")
-        get_benchmark(self.benchmark)
-        # sample_design's own bound, checked here so no design is fit first.
-        need = input_bytes(self.benchmark, self.test_size)
-        if need > basis.MAX_BASIS_BYTES:
-            raise ValidationError(
-                f"test_size {self.test_size} needs {need} bytes of test inputs, "
-                f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
-            )
+        dim = get_benchmark(self.benchmark).dim
+        # The size limits of sample_design and of the basis, checked here so
+        # that no design is fit before an oversized one is found.
+        try:
+            check_bytes(8 * self.test_size * dim, f"test_size {self.test_size}")
+            for degree in self.degrees:
+                total_degree_size(dim, degree)
+        except BasisSizeError as exc:
+            raise ValidationError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -28,7 +28,6 @@ from scipy.linalg import qr, solve_triangular
 from . import basis
 from .basis import InputSpec, MultiIndexSet, build_total_degree_set, eval_basis_matrix, to_reference
 from .errors import (
-    BasisSizeError,
     LeverageError,
     NonFiniteFitError,
     RankDeficientError,
@@ -194,12 +193,8 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
         raise UnderdeterminedError(
             f"underdetermined fit: M={m} training samples < K={k} basis terms"
         )
-    need = _FIT_PEAK_DESIGNS * 8 * m * k
-    if need > basis.MAX_BASIS_BYTES:
-        raise BasisSizeError(
-            f"basis matrix of {m} points by K={k} terms needs about {need} bytes to fit, "
-            f"exceeding the limit of {basis.MAX_BASIS_BYTES}"
-        )
+    basis.check_bytes(_FIT_PEAK_DESIGNS * 8 * m * k,
+                      f"basis matrix of {m} points by K={k} terms, with its fit,")
 
     design = basis_rows(data.inputs, index_set, spec)
     # scipy factors one Fortran copy of the design and builds Q in place over

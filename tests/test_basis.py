@@ -65,6 +65,25 @@ class TestTotalDegreeSet:
         with pytest.raises(BasisSizeError):
             build_total_degree_set(40, 12)
 
+    def test_unusable_basis_refused_before_enumerating(self, monkeypatch):
+        # K = 1,000,001: no design of 8 K^2 bytes fits in 4 GiB.
+        def enumerate_fails(n, p):
+            raise AssertionError("enumerated a basis over the size limit")
+
+        monkeypatch.setattr(basis, "_graded_indices", enumerate_fails)
+        with pytest.raises(BasisSizeError, match=r"^total-degree basis with N=1, P=1000000 "
+                           r"has K=1000001 terms; its smallest design needs 8000016000008 "
+                           r"bytes, exceeding the limit of 4294967296$"):
+            build_total_degree_set(1, 10**6)
+
+    def test_size_limit_is_the_smallest_design(self, monkeypatch):
+        k = math.comb(3 + 4, 4)
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 8 * k * k)
+        assert len(build_total_degree_set(3, 4)) == k
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", 8 * k * k - 1)
+        with pytest.raises(BasisSizeError, match=f"has K={k} terms"):
+            build_total_degree_set(3, 4)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             build_total_degree_set(0, 2)

@@ -19,7 +19,7 @@ from confpce.benchmarks import (
     register_benchmark,
     sample_design,
 )
-from confpce.basis import MAX_BASIS_SIZE, InputSpec, build_total_degree_set
+from confpce.basis import InputSpec, build_total_degree_set
 from confpce.errors import BasisSizeError, DomainError, ValidationError
 
 # Midpoint values frozen from a throwaway transcription of each formula,
@@ -154,7 +154,7 @@ class TestDesignSize:
 
     def test_basis_over_size_limit(self):
         # K = C(37, 7) = 10,295,472: refused from the count, nothing enumerated.
-        assert math.comb(37, 30) > MAX_BASIS_SIZE
+        assert 8 * math.comb(37, 30) ** 2 > basis.MAX_BASIS_BYTES
         with pytest.raises(BasisSizeError, match="K=10295472"):
             design_size("piston", 30, 1)
 

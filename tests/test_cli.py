@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from helpers import registered
 
-from confpce import basis
+from confpce import basis, harness
 from confpce.basis import InputSpec
 from confpce.benchmarks import Benchmark
 from confpce.cli import main
@@ -497,6 +497,22 @@ class TestExperiment:
         config.write_text(json.dumps(doc))
         assert run_cli("experiment", "--config", str(config)) == 2
 
+    def test_output_directory_made_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # An output path under a plain file fails before the grid, not after it.
+        (tmp_path / "afile").write_text("")
+        config = self.write_config(tmp_path, output=str(tmp_path / "afile" / "sub"))
+
+        def grid_must_not_run(config):
+            raise AssertionError("run_grid ran before the output directory was made")
+
+        monkeypatch.setattr(harness, "run_grid", grid_must_not_run)
+        assert run_cli("experiment", "--config", str(config)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: io: [Errno 20] Not a directory: '{tmp_path / 'afile' / 'sub'}'\n"
+        )
+
     def test_partial_failures_still_exit_0(self, tmp_path, capsys):
         bench = Benchmark(
             name="cli_partial_hook",
@@ -625,6 +641,7 @@ CONTRACT_FILES = {
     "model_field.json": _model(multi_index_set=5),
     "model_range.json": _model(input_spec__ranges__0=[-1, 1, 2]),
     "model_3d.json": _model(inputs=[[[x]] for x in np.linspace(-1.0, 1.0, 30).tolist()]),
+    "model_big_degree.json": _model(multi_index_set__max_degree=10**6),
     "config_text.json": "{not json",
     "config_list.json": "[]",
     "config_unknown.json": _config(bogus=1),
@@ -643,6 +660,7 @@ CONTRACT_FILES = {
     "config_output.json": _config(output=None),
     "config_output_type.json": _config(output=5),
     "config_test_size.json": _config(test_size=10**15),
+    "config_big_degree.json": _config(degrees=[2, 10**6]),
 }
 
 FIT = ("fit", "--degree", "1", "--out", "{d}/m.json")
@@ -650,6 +668,8 @@ INTERVAL = ("interval", "--points", "{d}/pts.csv", "--out", "{d}/iv.csv")
 KNOWN = "meromorphic, otl_circuit, piston, wing_weight"
 NOT_FOUND = "[Errno 2] No such file or directory"
 IS_DIR = "[Errno 21] Is a directory"
+OVER_SIZE_LIMIT = ("total-degree basis with N=1, P=1000000 has K=1000001 terms; its smallest "
+                   "design needs 8000016000008 bytes, exceeding the limit of 4294967296")
 
 ERROR_CONTRACT = [
     # fit: training CSV
@@ -719,6 +739,15 @@ ERROR_CONTRACT = [
      f"error: io: {NOT_FOUND}: '{{d}}/no/m.json'"),
     ("fit-underdetermined", FIT + ("--benchmark", "meromorphic", "--m", "1"), 3,
      "error: UnderdeterminedError: underdetermined fit: M=1 training samples < K=2 basis terms"),
+    ("fit-degree-over-size-limit", ("fit", "--degree", "1000000", "--out", "{d}/m.json",
+                                    "--benchmark", "meromorphic", "--m", "50"), 3,
+     f"error: BasisSizeError: {OVER_SIZE_LIMIT}"),
+    ("fit-benchmark-with-ranges", FIT + ("--benchmark", "piston", "--m", "100", "--ranges=0:1"), 2,
+     "error: validation: --ranges applies to --data only; a benchmark has its own box"),
+    ("fit-data-with-m", FIT + ("--data", "{d}/zero.csv", "--m", "5"), 2,
+     "error: validation: --m and --seed apply to --benchmark only"),
+    ("fit-data-with-seed", FIT + ("--data", "{d}/zero.csv", "--seed", "3"), 2,
+     "error: validation: --m and --seed apply to --benchmark only"),
     # interval: model file
     ("model-missing", INTERVAL + ("--model", "{d}/no.json"), 2,
      f"error: validation: cannot read {{d}}/no.json: {NOT_FOUND}: '{{d}}/no.json'"),
@@ -767,6 +796,8 @@ ERROR_CONTRACT = [
     ("model-inputs-3d", INTERVAL + ("--model", "{d}/model_3d.json"), 2,
      "error: validation: malformed model file: inputs must be a 2-D array of points, "
      "got 3 dimensions"),
+    ("model-degree-over-size-limit", INTERVAL + ("--model", "{d}/model_big_degree.json"), 3,
+     f"error: BasisSizeError: {OVER_SIZE_LIMIT}"),
     # interval: points CSV
     ("points-missing", ("interval", "--model", "{d}/model.json", "--points", "{d}/no.csv",
                         "--out", "{d}/iv.csv"), 2,
@@ -860,8 +891,10 @@ ERROR_CONTRACT = [
     ("config-output-type", ("experiment", "--config", "{d}/config_output_type.json"), 2,
      "error: validation: bad config: output must be a string or null, got 5"),
     ("config-oversized-test-set", ("experiment", "--config", "{d}/config_test_size.json"), 2,
-     "error: validation: bad config: test_size 1000000000000000 needs 8000000000000000 bytes "
-     "of test inputs, exceeding the limit of 4294967296"),
+     "error: validation: bad config: test_size 1000000000000000 needs 8000000000000000 bytes, "
+     "exceeding the limit of 4294967296"),
+    ("config-degree-over-size-limit", ("experiment", "--config", "{d}/config_big_degree.json"), 2,
+     f"error: validation: bad config: {OVER_SIZE_LIMIT}"),
 ]
 
 

@@ -469,9 +469,17 @@ class TestConfigValidation:
         assert ExperimentConfig(**doc, test_size=1000).test_size == 1000
         with pytest.raises(
             ValidationError,
-            match="^test_size 1001 needs 48048 bytes of test inputs, exceeding the limit of 48000$",
+            match="^test_size 1001 needs 48048 bytes, exceeding the limit of 48000$",
         ):
             ExperimentConfig(**doc, test_size=1001)
+
+    def test_rejects_degree_over_size_limit(self):
+        # wing_weight at P=8 has K = C(18, 8) = 43,758 terms: no design of it
+        # fits in 4 GiB, so the config is refused before any design is fit.
+        doc = dict(benchmark="wing_weight", oversampling=(2,))
+        assert ExperimentConfig(**doc, degrees=(1, 2)).degrees == (1, 2)
+        with pytest.raises(ValidationError, match="N=10, P=8 has K=43758 terms"):
+            ExperimentConfig(**doc, degrees=(1, 8))
 
     def test_rejects_oversampling_below_one(self):
         for value in (0, -3):

@@ -138,7 +138,8 @@ class TestFitBasics:
         monkeypatch.setattr(basis, "MAX_BASIS_BYTES", need - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(BasisSizeError, match=f"{m} points by K={k} terms"):
+            with pytest.raises(BasisSizeError, match=f"^basis matrix of {m} points by K={k} terms, "
+                               f"with its fit, needs {need} bytes, exceeding the limit of {need - 1}$"):
                 fit(data, iset, bench.input_spec)
             refused_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()

@@ -88,3 +88,24 @@ def test_raises_only_confpce_errors(path):
             if not (isinstance(cls, type) and issubclass(cls, ConfpceError)):
                 bad.append(node.lineno)
     assert not bad, f"{path.name} raises untyped exceptions on lines {bad}"
+
+
+def test_byte_limit_compared_only_in_check_bytes():
+    # One home for the size rule: every size check calls basis.check_bytes
+    # rather than comparing against MAX_BASIS_BYTES itself.
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = set()
+        for node in tree.body:
+            if path.name == "basis.py" and isinstance(node, ast.FunctionDef) and node.name == "check_bytes":
+                home = set(ast.walk(node))
+        sites += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and node not in home
+            and any(isinstance(n, ast.Name) and n.id == "MAX_BASIS_BYTES"
+                    or isinstance(n, ast.Attribute) and n.attr == "MAX_BASIS_BYTES"
+                    for n in ast.walk(node))
+        ]
+    assert not sites, f"MAX_BASIS_BYTES compared outside basis.check_bytes at {sites}"
