@@ -1,0 +1,112 @@
+"""Interval bits at batches of several blocks are a committed digest.
+
+`tests/golden/` runs 2,000 test points, which most of its designs hold in
+one block of the interval kernel. This test runs jackknife and jackknife+
+on eight benchmark designs at batch sizes that span three blocks or more
+whether a block holds 2 MB or 4 MB of LOO rows, or 2 MB of basis rows, in a
+fresh process with the BLAS on one thread, and compares a sha256 of every
+center and bound per design with the committed one. It skips when numpy or
+scipy is not the version in `tests/golden/versions.json`, because the bits
+are tied to those builds.
+
+No batch leaves a one-row last block under any of these sizes: numpy
+computes a one-row product as a dot product, so that row's LOO predictions
+would take other bits than in a larger block.
+
+To print the digests after a deliberate change of the bits, run
+``PYTHONPATH=src python tests/test_block_digest.py``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from test_golden_reports import GOLDEN, versions
+
+import confpce
+from confpce.basis import total_degree_size
+from confpce.benchmarks import design_size, get_benchmark
+
+# (benchmark, degree, oversampling, test points): sha256 of the design's
+# jackknife then jackknife+ centers, lowers and uppers at significance 0.1.
+DIGESTS = {
+    ("piston", 2, 5, 16_989):
+        "875be3e58837269ea64bfb1b8023e45758c7b994efb41edd9c03661ed3b9846b",
+    ("piston", 3, 2, 5_096):
+        "7de7c3233d3c93a862cac257a55684bc9d6557dd6f588df34a4543d175b30967",
+    ("piston", 4, 3, 1_852):
+        "c9a63ce2f9c6f0f2f5520457b3574dcd272687ab36d527720675e6d498ffd906",
+    ("otl_circuit", 3, 3, 7_300):
+        "202062df8a7c590cf55e72846116354b70c563c27180952c4e3e3808d54a3870",
+    ("otl_circuit", 4, 2, 2_912):
+        "55c20b413118dad553d63cf406b125e601f21d10e03105f2b0b1c8a7501d9b64",
+    ("wing_weight", 2, 3, 9_265):
+        "75db82eaaaf40a9331f3245346330a40dcfb4fd94a260ec8a0b278bd497fb366",
+    ("wing_weight", 3, 2, 2_137):
+        "8d4b3f694177921ab53b21fde83a548441554ab688bdb46a6ca876b3dc571fa6",
+    ("meromorphic", 8, 5, 67_963):
+        "eb266376a920d63a9f38207862695c0593937fefec440d345e4ed01fe5e98d72",
+}
+
+CHILD = """
+import hashlib, json, sys
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+from confpce.conformal import METHODS, ConformalConfig, interval_arrays
+from confpce.pce import fit
+digests = []
+for name, degree, oversampling, n in json.loads(sys.argv[1]):
+    bench = get_benchmark(name)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=0)
+    model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
+    points = sample_design(name, n, seed=1, stream="test").inputs
+    digest = hashlib.sha256()
+    for method in METHODS:
+        for array in interval_arrays(model, points, ConformalConfig(method, significance=0.1)):
+            digest.update(array.tobytes())
+    digests.append(digest.hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def block_rows(bytes_, row_len):
+    return max(1, bytes_ // (8 * row_len))
+
+
+def compute_digests() -> list:
+    """The per-design digests of DIGESTS' designs, from a fresh interpreter."""
+    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(list(DIGESTS))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("design", list(DIGESTS), ids=lambda d: "-".join(map(str, d)))
+def test_batches_span_blocks_without_a_one_row_last_block(design):
+    name, degree, oversampling, n = design
+    m = design_size(name, degree, oversampling)
+    k = total_degree_size(get_benchmark(name).dim, degree)
+    for bytes_, row_len in ((2**21, m), (2**22, m), (2**21, k)):
+        step = block_rows(bytes_, row_len)
+        assert n > 2 * step and n % step != 1, (bytes_, row_len)
+
+
+def test_multi_block_intervals_are_the_committed_bits():
+    recorded = json.loads((GOLDEN / "versions.json").read_text())
+    if recorded != versions():
+        pytest.skip(f"digests were taken with {recorded}, this is {versions()}")
+    for design, got in zip(DIGESTS, compute_digests()):
+        assert got == DIGESTS[design], f"{design} differs"
+
+
+if __name__ == "__main__":
+    for design, digest in zip(DIGESTS, compute_digests()):
+        print(f"    {design}: {digest!r},")
