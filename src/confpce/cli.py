@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -152,8 +151,8 @@ def cmd_experiment(args) -> int:
     out_dir = args.out or config.output
     if out_dir is None:
         raise ValidationError("no output directory: set 'output' in the config or pass --out")
-    # Made before the grid runs, so that an unusable directory loses no results.
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    # Checked before the grid runs, so that an unusable output loses no results.
+    harness.check_report_paths("csv", out_dir)
 
     report = harness.run_grid(config)
     paths = harness.emit_report(report, "csv", out_dir)

@@ -32,11 +32,10 @@ most two workers: the calling thread and, when there are two blocks or more
 and two usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made
 for the call and joined before it returns. The matrix product and the
 partitions release the interpreter lock, so the two workers run on two
-cores. Each worker owns a workspace of two buffers: one of about 4 MB takes
+cores. Each worker owns a workspace of two buffers of about 2 MB: one takes
 a block's LOO predictions, from one product with the correction matrix, and
-one of about 1 MB, small enough to stay in a core's L2 cache, takes a
-sub-block shifted down by the scores while the upward shift and both
-partitions run in place.
+the other takes the block shifted down by the scores and is partitioned;
+then the block is shifted up in place and partitioned.
 
 :func:`interval_arrays` is the one entry. It maps all its points to the
 reference cube up front, and each worker evaluates its block's basis rows
@@ -44,16 +43,17 @@ into its second buffer, with the block's centers; a jackknife batch runs
 the same loop for its centers alone, and :func:`jackknife_bounds` turns
 centers into jackknife bounds, so the harness reads both methods' bounds
 off one jackknife+ call. The rows are dead once the product is formed, so
-they share that buffer with the shifted sub-blocks, which grows to hold
-them when they are larger (1.4 MB at K=330). The workspace of a whole
-call, rows included, is thus at most two of these pairs whatever n is; no
-block allocates anything beyond the basis evaluation's scratch, and
-nothing persists between calls. Block boundaries depend on n and M alone
-and each block writes its own rows of the bounds, so every bound is the
-same bits whatever the number of workers or the order they run in; a
-block's centers come from a product over its rows widened to multiples of
-4 (see :func:`_covering`), so they are the bits of one product over the
-whole batch.
+they share that buffer with the shifted block, which grows to hold them
+when they are larger. A block holds as many points as fit in 2 MB at the
+widest row it holds: M LOO values for a bounded jackknife+ call, K basis
+values otherwise. The workspace of a whole call, rows included, is thus at
+most two of these pairs whatever n is; no block allocates anything beyond
+the basis evaluation's scratch, and nothing persists between calls. Block
+boundaries depend on n and that row length alone and each block writes its
+own rows of the bounds, so every bound is the same bits whatever the number
+of workers or the order they run in; a block's centers come from a product
+over its rows widened to multiples of 4 (see :func:`_covering`), so they
+are the bits of one product over the whole batch.
 """
 
 from __future__ import annotations
@@ -142,15 +142,14 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-# The workspace of one worker, whatever the number of points: a buffer of
-# about _CHUNK_BYTES for a block of the LOO matrix, filled by one product,
-# and one of about _SUB_BYTES for the shifted sub-blocks, or for a block's
-# basis rows if they are larger. The BLAS may round a row differently
-# depending on how many rows one product holds, so the block size fixes
-# every bound's last bits; the sub-block size only decides what stays in
-# cache, and the worker count decides nothing about the bits.
-_CHUNK_BYTES = 4 * 2**20
-_SUB_BYTES = 2**20
+# The workspace of one worker, whatever the number of points: two buffers of
+# about _CHUNK_BYTES, one for a block of the LOO matrix, filled by one
+# product, and one for the block shifted down, or for its basis rows if they
+# are larger. The BLAS may round a row differently depending on how many rows
+# one product holds, so the block size fixes every bound's last bits; the
+# worker count decides nothing about the bits. At 1 MB a 200-point query at
+# piston P=4, C=3 would take two blocks and so start a helper thread.
+_CHUNK_BYTES = 2 * 2**20
 
 
 def _usable_cpus() -> int:
@@ -164,14 +163,9 @@ def _usable_cpus() -> int:
 _WORKERS = min(2, _usable_cpus())
 
 
-def _chunk_rows(n_train: int) -> int:
-    """Test points per interval block for a model with n_train samples."""
-    return max(1, _CHUNK_BYTES // (8 * n_train))
-
-
-def _sub_rows(n_train: int) -> int:
-    """Test points per jackknife+ sub-block for a model with n_train samples."""
-    return max(1, _SUB_BYTES // (8 * n_train))
+def _chunk_rows(row_len: int) -> int:
+    """Test points per interval block whose widest row holds row_len values."""
+    return max(1, _CHUNK_BYTES // (8 * row_len))
 
 
 def check_score(model: PceModel, score: str) -> None:
@@ -260,7 +254,7 @@ def interval_arrays(
     centers = np.empty(n)
     if plus:
         lowers, uppers = np.full(n, -np.inf), np.full(n, np.inf)
-    step, sub = _chunk_rows(m), _sub_rows(m)
+    step = _chunk_rows(m if bounded else n_basis)
 
     def fill_blocks(loo_buffer, shared, next_start):
         while (start := next_start()) is not None:
@@ -273,23 +267,20 @@ def interval_arrays(
             centers[start:stop] = (covering @ model.coefficients)[start - first:stop - first]
             if not bounded:
                 continue
-            # The rows are dead once the product is formed, so the shifted
-            # sub-blocks reuse their memory.
             block = covering[start - first:stop - first]
             loo = loo_values(model, block, centers[start:stop], out=loo_buffer[:stop - start])
-            for offset in range(0, stop - start, sub):
-                part = loo[offset:offset + sub]
-                span = slice(start + offset, start + offset + part.shape[0])
-                shifted = np.subtract(part, a, out=shared[:part.size].reshape(part.shape))
-                shifted.partition(m - k, axis=1)
-                lowers[span] = shifted[:, m - k]
-                part += a
-                part.partition(k - 1, axis=1)
-                uppers[span] = part[:, k - 1]
+            # The rows are dead once the product is formed, so the block
+            # shifted down reuses their memory.
+            shifted = np.subtract(loo, a, out=shared[:loo.size].reshape(loo.shape))
+            shifted.partition(m - k, axis=1)
+            lowers[start:stop] = shifted[:, m - k]
+            loo += a
+            loo.partition(k - 1, axis=1)
+            uppers[start:stop] = loo[:, k - 1]
 
     starts = range(0, n, step)
     # A block's covering rows are at most 6 more than its own.
-    shared = max(min(sub, step, n) * m if bounded else 0, min(step + 6, n) * n_basis)
+    shared = max(min(step, n) * m if bounded else 0, min(step + 6, n) * n_basis)
     # Every workspace is allocated here, on the calling thread: buffers a
     # helper allocated would come from a malloc arena of its own and stay
     # resident after the call (about 4 MB more peak RSS on a piston grid).

@@ -30,7 +30,7 @@ from .conformal import (
 from .errors import (
     BasisSizeError, ConfpceError, UnderdeterminedError, ValidationError, ZeroVarianceError,
 )
-from .pce import fit, relative_loo_error
+from .pce import check_fit_bytes, fit, relative_loo_error
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -75,12 +75,14 @@ class ExperimentConfig:
         if not isinstance(self.benchmark, str):
             raise ValidationError(f"benchmark must be a string, got {self.benchmark!r}")
         dim = get_benchmark(self.benchmark).dim
-        # The size limits of sample_design and of the basis, checked here so
-        # that no design is fit before an oversized one is found.
+        # The size limits of sample_design, of the basis and of fit, checked
+        # here so that no design is fit before an oversized one is found.
         try:
             check_bytes(8 * self.test_size * dim, f"test_size {self.test_size}")
             for degree in self.degrees:
-                total_degree_size(dim, degree)
+                k = total_degree_size(dim, degree)
+                for oversampling in self.oversampling:
+                    check_fit_bytes(design_size(self.benchmark, degree, oversampling), k)
         except BasisSizeError as exc:
             raise ValidationError(str(exc)) from None
 
@@ -332,6 +334,35 @@ def _jsonable(value):
     return value
 
 
+# The files emit_report writes, by format.
+REPORT_FILES = {"csv": ("records.csv", "aggregates.csv"), "json": ("report.json",)}
+
+
+def _report_paths(fmt: str, out_dir) -> list[Path]:
+    """The paths of the `fmt` report files in out_dir, which is made if missing."""
+    if fmt not in REPORT_FILES:
+        raise ValidationError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return [Path(out_dir) / name for name in REPORT_FILES[fmt]]
+
+
+def check_report_paths(fmt: str, out_dir) -> None:
+    """Refuses, before a grid runs, an output emit_report could not write.
+
+    Makes out_dir and opens each of its `fmt` report files for appending,
+    which leaves an existing file as it was; a file made here is removed.
+
+    Raises:
+        ValidationError: If fmt is not 'csv' or 'json'.
+        OSError: If out_dir cannot be made or a report file not opened for writing.
+    """
+    for path in _report_paths(fmt, out_dir):
+        made = not path.exists()
+        open(path, "a").close()
+        if made:
+            path.unlink()
+
+
 def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
     """Writes the report files and returns their paths.
 
@@ -341,10 +372,7 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
     stay parseable by strict JSON readers. Output is byte-stable for a given
     report.
     """
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = _report_paths(fmt, out_dir)
     tables = {
         "records": (RECORD_COLUMNS, [_values(rec) for rec in report.records]),
         "aggregates": (AGGREGATE_COLUMNS, [[row[col] for col in AGGREGATE_COLUMNS]
@@ -353,17 +381,13 @@ def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
     if fmt == "json":
         doc = {name: [{col: _jsonable(v) for col, v in zip(columns, row)} for row in rows]
                for name, (columns, rows) in tables.items()}
-        path = out_dir / "report.json"
-        with open(path, "w") as fh:
+        with open(paths[0], "w") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
-        return [path]
-    written = []
-    for name, (columns, rows) in tables.items():
-        path = out_dir / f"{name}.csv"
+        return paths
+    for path, (columns, rows) in zip(paths, tables.values()):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows([_fmt(v) for v in row] for row in rows)
-        written.append(path)
-    return written
+    return paths

@@ -154,6 +154,16 @@ def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) ->
     return eval_basis_matrix(to_reference(points, spec), index_set)
 
 
+def check_fit_bytes(m: int, k: int) -> None:
+    """Raises BasisSizeError if a fit of M points by K terms is over the size limit.
+
+    The fit's peak is bounded by _FIT_PEAK_DESIGNS times the 8 M K bytes of
+    its design; :func:`fit` checks it before building the design.
+    """
+    basis.check_bytes(_FIT_PEAK_DESIGNS * 8 * m * k,
+                      f"basis matrix of {m} points by K={k} terms, with its fit,")
+
+
 def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     """Fits the surrogate and precomputes all leave-one-out quantities.
 
@@ -193,8 +203,7 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
         raise UnderdeterminedError(
             f"underdetermined fit: M={m} training samples < K={k} basis terms"
         )
-    basis.check_bytes(_FIT_PEAK_DESIGNS * 8 * m * k,
-                      f"basis matrix of {m} points by K={k} terms, with its fit,")
+    check_fit_bytes(m, k)
 
     design = basis_rows(data.inputs, index_set, spec)
     # scipy factors one Fortran copy of the design and builds Q in place over

@@ -513,6 +513,22 @@ class TestExperiment:
             f"error: io: [Errno 20] Not a directory: '{tmp_path / 'afile' / 'sub'}'\n"
         )
 
+    def test_unwritable_report_file_refused_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "out" / "records.csv").mkdir(parents=True)
+        config = self.write_config(tmp_path, output=str(tmp_path / "out"))
+
+        def grid_must_not_run(config):
+            raise AssertionError("run_grid ran before the report files were checked")
+
+        monkeypatch.setattr(harness, "run_grid", grid_must_not_run)
+        assert run_cli("experiment", "--config", str(config)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: io: [Errno 21] Is a directory: '{tmp_path / 'out' / 'records.csv'}'\n"
+        )
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["records.csv"]
+
     def test_partial_failures_still_exit_0(self, tmp_path, capsys):
         bench = Benchmark(
             name="cli_partial_hook",
@@ -661,6 +677,8 @@ CONTRACT_FILES = {
     "config_output_type.json": _config(output=5),
     "config_test_size.json": _config(test_size=10**15),
     "config_big_degree.json": _config(degrees=[2, 10**6]),
+    "config_over_fit_budget.json": _config(benchmark="wing_weight", degrees=[7], oversampling=[2]),
+    "config_ok.json": _config(),
 }
 
 FIT = ("fit", "--degree", "1", "--out", "{d}/m.json")
@@ -895,12 +913,20 @@ ERROR_CONTRACT = [
      "exceeding the limit of 4294967296"),
     ("config-degree-over-size-limit", ("experiment", "--config", "{d}/config_big_degree.json"), 2,
      f"error: validation: bad config: {OVER_SIZE_LIMIT}"),
+    ("config-design-over-fit-budget",
+     ("experiment", "--config", "{d}/config_over_fit_budget.json"), 2,
+     "error: validation: bad config: basis matrix of 38896 points by K=19448 terms, with its "
+     "fit, needs 36309571584 bytes, exceeding the limit of 4294967296"),
+    ("experiment-report-file-unwritable",
+     ("experiment", "--config", "{d}/config_ok.json", "--out", "{d}/blocked"), 2,
+     f"error: io: {IS_DIR}: '{{d}}/blocked/records.csv'"),
 ]
 
 
 @pytest.fixture()
 def contract_dir(tmp_path):
     (tmp_path / "dir").mkdir()
+    (tmp_path / "blocked" / "records.csv").mkdir(parents=True)
     for name, text in CONTRACT_FILES.items():
         (tmp_path / name).write_text(text.replace("{d}", str(tmp_path)))
     return tmp_path

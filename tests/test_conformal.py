@@ -342,8 +342,9 @@ class TestIntervalProperties:
 
     def test_jackknife_plus_workspace_is_bounded(self, piston_p4_model):
         # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
-        # the workspace of one worker a 4 MB block and a 1.4 MB buffer for
-        # the block's basis rows, which the shifted sub-blocks reuse.
+        # the workspace of one worker a 2.1 MB block and a 2.1 MB buffer for
+        # the block shifted down, which first holds the block's basis rows.
+        # The rest is the mapped points, the results and the basis scratch.
         points = sample_design("piston", 10_000, seed=3, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         with mock.patch.object(conformal, "_WORKERS", 1):
@@ -353,7 +354,7 @@ class TestIntervalProperties:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 9 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 6.5 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("n", [10_000, 40_000])
     def test_interval_arrays_peak_does_not_grow_with_the_batch(self, piston_p4_model, n):
@@ -369,7 +370,7 @@ class TestIntervalProperties:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 16 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 14 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     def test_import_starts_no_thread(self):
         paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
@@ -424,7 +425,8 @@ class TestIntervalProperties:
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
     def test_multi_block_call_runs_on_the_caller_and_one_helper(self, otl_model, method):
         model, _ = otl_model
-        points = sample_design("otl_circuit", 5 * _chunk_rows(model.n_train), seed=93,
+        row_len = model.n_train if method == "jackknife_plus" else model.n_basis
+        points = sample_design("otl_circuit", 5 * _chunk_rows(row_len), seed=93,
                                stream="test").inputs
         cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
         before = threading.enumerate()
@@ -434,6 +436,26 @@ class TestIntervalProperties:
         helpers = set(threads) - {threading.current_thread()}
         assert len(helpers) == 1
         assert helpers.pop().name.startswith("confpce-intervals")
+
+    def test_small_query_runs_as_one_block_on_the_calling_thread(self, piston_p4_model):
+        # A 200-point `confpce interval` batch at M=990 fits one block, so it
+        # starts no helper thread.
+        points = sample_design("piston", 200, seed=94, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        threads, started = self._block_threads(piston_p4_model, points, cfg)
+        assert threads == [threading.current_thread()]
+        assert started == 0
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_jackknife_blocks_are_sized_by_the_basis_rows(self, piston_p4_model, extra):
+        # K=330 basis values against M=990 LOO values a point: a jackknife
+        # block holds three times the points of a jackknife+ block.
+        step = _chunk_rows(piston_p4_model.n_basis)
+        assert step >= 3 * _chunk_rows(piston_p4_model.n_train)
+        points = sample_design("piston", step + extra, seed=95, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.05)
+        threads, _ = self._block_threads(piston_p4_model, points, cfg)
+        assert len(threads) == 1 + extra  # one basis evaluation per block
 
 
 class TestIntervalError:

@@ -481,6 +481,25 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="N=10, P=8 has K=43758 terms"):
             ExperimentConfig(**doc, degrees=(1, 8))
 
+    def test_rejects_design_over_fit_budget(self):
+        # wing_weight at P=7 has K=19,448 terms, under the basis limit; at
+        # C=2 its fit would need 6 * 8 * 38,896 * 19,448 bytes, over 4 GiB.
+        doc = dict(benchmark="wing_weight", degrees=(1, 7))
+        with pytest.raises(ValidationError, match=r"^basis matrix of 38896 points by K=19448 "
+                           r"terms, with its fit, needs 36309571584 bytes, exceeding the limit "
+                           r"of 4294967296$"):
+            ExperimentConfig(**doc, oversampling=(2,))
+
+    def test_design_at_fit_budget_is_accepted(self, monkeypatch):
+        # The config runs fit's own check: a limit of exactly the budget of
+        # piston P=2, C=3 (M=108, K=36) passes, one byte less refuses.
+        need = 6 * 8 * 108 * 36
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", need)
+        ExperimentConfig(benchmark="piston", degrees=(2,), oversampling=(3,), test_size=1)
+        monkeypatch.setattr(basis, "MAX_BASIS_BYTES", need - 1)
+        with pytest.raises(ValidationError, match=f"K=36 terms, with its fit, needs {need} bytes"):
+            ExperimentConfig(benchmark="piston", degrees=(2,), oversampling=(3,), test_size=1)
+
     def test_rejects_oversampling_below_one(self):
         for value in (0, -3):
             with pytest.raises(ValueError, match=f"oversampling must be >= 1, got {value}"):
@@ -622,6 +641,28 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="unknown report format 'xml'"):
             emit_report(CoverageReport(records=(), aggregates=()), "xml", tmp_path / "unused")
         assert not (tmp_path / "unused").exists()
+
+
+class TestCheckReportPaths:
+    def test_unwritable_report_file_is_refused(self, tmp_path):
+        (tmp_path / "out" / "aggregates.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError, match="aggregates.csv"):
+            harness.check_report_paths("csv", tmp_path / "out")
+
+    def test_leaves_the_directory_as_it_was(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        harness.check_report_paths("csv", out)
+        assert out.is_dir() and list(out.iterdir()) == []
+        (out / "records.csv").write_text("kept")
+        harness.check_report_paths("csv", out)
+        assert sorted(p.name for p in out.iterdir()) == ["records.csv"]
+        assert (out / "records.csv").read_text() == "kept"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_names_the_files_emit_report_writes(self, tmp_path, fmt):
+        paths = emit_report(CoverageReport(records=(), aggregates=()), fmt, tmp_path)
+        assert [p.name for p in paths] == list(harness.REPORT_FILES[fmt])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(harness.REPORT_FILES[fmt])
 
 
 class TestAggregates:

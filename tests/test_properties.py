@@ -178,7 +178,7 @@ def test_basis_matrix_is_the_per_dimension_product(dim, degree, size, seed):
     degree=st.integers(1, 3),
     oversampling=st.integers(2, 5),
     seed=st.integers(0, 2**16),
-    length=st.sampled_from(("sub-block", "block", "one-row sub-blocks")),
+    length=st.sampled_from(("block", "one-row blocks", "short last block")),
     offset=st.integers(-1, 1),
 )
 def test_jackknife_plus_matches_blocked_oracle(
@@ -188,15 +188,12 @@ def test_jackknife_plus_matches_blocked_oracle(
     data = sample_design(name, design_size(name, degree, oversampling), seed=seed)
     model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
     m = model.n_train
-    # One-row sub-blocks: every sub-block is a single row, in blocks of 64
-    # rows, so that the row loop stays short for small M.
-    one_row = length == "one-row sub-blocks"
-    sub_bytes, chunk_bytes = (
-        (8, 64 * 8 * m) if one_row else (conformal._SUB_BYTES, conformal._CHUNK_BYTES)
-    )
-    with mock.patch.multiple(conformal, _SUB_BYTES=sub_bytes, _CHUNK_BYTES=chunk_bytes):
-        step = conformal._sub_rows(m) if length == "sub-block" else conformal._chunk_rows(m)
-        n = (2 * step if one_row else step) + offset
+    # "block": one block of the default size, and one row past it at offset 1.
+    # "one-row blocks": 63 to 65 blocks of one row. "short last block": blocks
+    # of 16 rows, the third 10 to 12 rows long.
+    rows = {"block": conformal._chunk_rows(m), "one-row blocks": 1, "short last block": 16}[length]
+    with mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * m):
+        n = {"block": rows, "one-row blocks": 64, "short last block": 43}[length] + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", significance=significance)
         got = interval_arrays(model, points, cfg)
@@ -215,11 +212,10 @@ def _fit_benchmark(name, degree, oversampling, seed, transform=lambda y: y):
     return fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
 
 
-def _small_blocks(m, rows=16):
-    # Blocks of `rows` rows, 16 by default, in 5-row sub-blocks, so that a few
-    # dozen points span blocks, a sub-block boundary falls inside each block,
-    # and the last sub-block of a block is short.
-    return mock.patch.multiple(conformal, _CHUNK_BYTES=rows * 8 * m, _SUB_BYTES=5 * 8 * m)
+def _small_blocks(row_len, rows=16):
+    # Blocks of `rows` rows, 16 by default, for a call whose widest row holds
+    # row_len values, so that a few dozen points span blocks.
+    return mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * row_len)
 
 
 @pytest.mark.parametrize(
@@ -273,7 +269,8 @@ def test_streamed_rows_give_the_bits_of_whole_batch_rows(
     points = sample_design(name, n, seed=seed, stream="test").inputs
     for method in METHODS:
         cfg = ConformalConfig(method=method, significance=significance)
-        with _small_blocks(model.n_train, rows):
+        row_len = model.n_train if method == "jackknife_plus" else model.n_basis
+        with _small_blocks(row_len, rows):
             want = whole_batch_intervals(model, points, cfg)
             for workers in (1, 2):
                 with mock.patch.object(conformal, "_WORKERS", workers):
@@ -325,7 +322,7 @@ def test_jackknife_plus_workers_take_each_block_once():
         taken.append(len(rows))
         return loo_values(model, rows, centers, out=out)
 
-    with mock.patch.multiple(conformal, _CHUNK_BYTES=8 * m, _SUB_BYTES=8 * m):
+    with mock.patch.object(conformal, "_CHUNK_BYTES", 8 * m):
         with mock.patch.object(conformal, "_WORKERS", 1):
             serial = interval_arrays(model, points, cfg)
         want = whole_batch_intervals(model, points, cfg)

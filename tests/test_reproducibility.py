@@ -23,10 +23,11 @@ from confpce import conformal
 from confpce.benchmarks import sample_design
 from confpce.pce import Dataset
 
-# Piston at P=2, C=2: K=36 and M=72, so a jackknife+ block holds 7,281 points
-# and both the 10,000-point test sets and the query points span two blocks.
+# Piston at P=2, C=2: K=36 and M=72, so a jackknife+ block holds 3,640 points
+# and both the 7,000-point test sets and the query points span two blocks.
 M = 72
-N_POINTS = 8_000
+N_POINTS = 5_000
+TEST_SIZE = 7_000
 
 CHILD = """
 import json, os, sys
@@ -74,14 +75,14 @@ def run_child(tmp_path, mode):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_outputs_are_the_same_bytes_across_blas_threads_and_cpus(tmp_path):
-    assert conformal._chunk_rows(M) < N_POINTS < 10_000 < 2 * conformal._chunk_rows(M)
+    assert conformal._chunk_rows(M) < N_POINTS < TEST_SIZE < 2 * conformal._chunk_rows(M)
     (tmp_path / "config.json").write_text(json.dumps({
         "benchmark": "piston",
         "degrees": [2],
         "oversampling": [2],
         "methods": ["jackknife", "jackknife_plus"],
         "n_seeds": 2,
-        "test_size": 10_000,
+        "test_size": TEST_SIZE,
     }))
     points = sample_design("piston", N_POINTS, seed=11, stream="test").inputs
     with open(tmp_path / "points.csv", "w", newline="") as fh:
