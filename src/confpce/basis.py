@@ -51,10 +51,10 @@ REFERENCE_TOLERANCE = 1e-12
 # 8 K^2 bytes) is over it, K > 23,170, before anything is enumerated.
 MAX_BASIS_BYTES = 2**32
 
-# eval_basis_matrix builds the basis in blocks of points whose (K, b) scratch
-# buffer holds about this many bytes, so its working memory beyond the result
-# does not grow with the number of points.
-_BLOCK_BYTES = 2**19
+# eval_basis_matrix builds the basis in blocks of points whose scratch holds
+# at most this many bytes (or one point), so its working memory beyond the
+# result does not grow with the number of points.
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,14 @@ def check_bytes(need: int, what: str) -> None:
     """Raises BasisSizeError if `what`, needing `need` bytes, is over MAX_BASIS_BYTES."""
     if need > MAX_BASIS_BYTES:
         raise BasisSizeError(f"{what} needs {need} bytes, exceeding the limit of {MAX_BASIS_BYTES}")
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """`values` as a float array; a ValidationError for complex or string data."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def _integral(field: str, value) -> int:
@@ -257,11 +265,12 @@ def to_reference(x: np.ndarray, spec: InputSpec) -> np.ndarray:
     Raises:
         DomainError: Naming the first offending dimension if a coordinate lies
             outside the box beyond tolerance.
+        ValidationError: If `x` is not real numbers of one of those shapes.
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "points")
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if pts.shape[1] != spec.dim:
+    if pts.ndim > 2 or pts.shape[1] != spec.dim:
         raise ValidationError(f"expected {spec.dim}-dimensional points, got shape {x.shape}")
     lo, hi = spec.lower(), spec.upper()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,33 +303,45 @@ def _clamp_reference(xi: np.ndarray, spec: InputSpec | None = None) -> np.ndarra
     return np.clip(xi, -1.0, 1.0)
 
 
-def _legendre_rows(degree: int, xi: np.ndarray) -> np.ndarray:
-    """psi_0..psi_degree at points of any shape: shape (degree + 1,) + xi.shape."""
-    table = np.empty((degree + 1,) + xi.shape)
+def _legendre_rows(xi: np.ndarray, table: np.ndarray, spare: np.ndarray) -> None:
+    """psi_0..psi_P at points xi into table (P + 1,) + xi.shape; spare has xi's shape."""
+    degree = table.shape[0] - 1
     table[0] = 1.0
     if degree >= 1:
         table[1] = xi
     for j in range(1, degree):
-        table[j + 1] = ((2 * j + 1) * xi * table[j] - j * table[j - 1]) / (j + 1)
-    table *= np.sqrt(2.0 * np.arange(degree + 1) + 1.0).reshape((-1,) + (1,) * xi.ndim)
-    return table
+        # table[1] is xi itself until the scaling below, and is contiguous
+        # where xi may not be, which would make numpy buffer it.
+        row = np.multiply(table[1], 2 * j + 1, out=table[j + 1])
+        row *= table[j]
+        row -= np.multiply(table[j - 1], j, out=spare)
+        row /= j + 1
+    for j in range(1, degree + 1):
+        table[j] *= math.sqrt(2 * j + 1)
 
 
-def _block_rows(n_basis: int) -> int:
-    """Points per :func:`eval_basis_matrix` block for a basis of n_basis terms."""
-    return max(1, _BLOCK_BYTES // (8 * n_basis))
+def scratch_size(index_set: MultiIndexSet, n: int) -> int:
+    """Values of :func:`eval_basis_matrix`'s scratch for blocks of up to n points.
+
+    A point takes K terms, the parents of the widest degree (or a spare row
+    of N values) and P + 1 table rows of N values.
+    """
+    dim, degree = index_set.input_dim, index_set.max_degree
+    column = len(index_set) + max(dim, math.comb(dim + degree - 1, degree)) + (degree + 1) * dim
+    return column * min(n, max(1, _BLOCK_BYTES // (8 * column)))
 
 
 def eval_basis_matrix(
-    xi: np.ndarray, index_set: MultiIndexSet, out: np.ndarray | None = None
+    xi: np.ndarray, index_set: MultiIndexSet, out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluates every basis element at a batch of reference points.
 
     Walks the parent recurrence of the module docstring one total degree at a
     time: the terms of degree p form one slice of the graded order, and each
     is its parent's value times one univariate factor. Points are processed in
-    blocks of :func:`_block_rows` rows in a (K, b) scratch buffer, which is
-    then written transposed into the result.
+    blocks whose (K, b) terms, gathered parents and tables live in `work`,
+    then written transposed into the result; no block allocates memory.
 
     Args:
         xi: Reference points of shape (n, N), componentwise within
@@ -328,6 +349,9 @@ def eval_basis_matrix(
         index_set: Basis definition.
         out: Optional C-contiguous (n, K) array the result is written to;
             the byte limit then does not apply.
+        work: Optional contiguous 1-D float scratch of at least
+            ``scratch_size(index_set, 1)`` values; by default
+            ``scratch_size(index_set, n)`` values are allocated.
 
     Returns:
         C-contiguous design-style matrix of shape (n, K); entry (i, k) is
@@ -337,8 +361,9 @@ def eval_basis_matrix(
         BasisSizeError: If a result to allocate would exceed
             MAX_BASIS_BYTES; raised before anything is allocated.
         DomainError: If a point lies outside the cube beyond tolerance.
+        ValidationError: If `work` holds less than one point's scratch.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    xi = np.atleast_2d(real_array(xi, "points"))
     if xi.shape[1] != index_set.input_dim:
         raise ValidationError(
             f"points have dimension {xi.shape[1]}, basis expects {index_set.input_dim}"
@@ -356,15 +381,25 @@ def eval_basis_matrix(
 
     if out is None:
         out = np.empty((n, k))
-    step = _block_rows(k)
-    scratch = np.empty((k, min(step, n)))
-    for start in range(0, n, step):
+    if work is None:
+        work = np.empty(scratch_size(index_set, n))
+    column = scratch_size(index_set, 1)
+    step = work.size // column
+    if n and not step:
+        raise ValidationError(f"work of {work.size} values is less than one point's scratch")
+    tables_at = column - (index_set.max_degree + 1) * dim
+    for start in range(0, n, max(step, 1)):
         block = xi[start:start + step].T
-        tables = _legendre_rows(index_set.max_degree, block).reshape(-1, block.shape[1])
-        terms = scratch[:, :block.shape[1]]
+        b = block.shape[1]
+        terms, gathered, tables = (part.reshape(-1, b) for part in np.split(
+            work[:column * b], (k * b, tables_at * b)))
+        _legendre_rows(block, tables.reshape(-1, dim, b), gathered[:dim])
         terms[0] = 1.0
+        # The indices are in range; under the default mode="raise" numpy
+        # would copy each `out` through a buffer of its own.
         for level, parents, factors in levels:
-            np.take(tables, factors, axis=0, out=terms[level])
-            terms[level] *= terms[parents]
+            np.take(tables, factors, axis=0, out=terms[level], mode="clip")
+            terms[level] *= np.take(terms, parents, axis=0, out=gathered[:len(parents)],
+                                    mode="clip")
         out[start:start + step] = terms.T
     return out

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import InputSpec, check_bytes, total_degree_size
+from .basis import InputSpec, _integral, check_bytes, total_degree_size
 from .errors import DomainError, ValidationError
 from .pce import Dataset
 
@@ -200,7 +200,10 @@ def _seed_entropy(name: str, seed, stream: str) -> list[int]:
     if stream not in _STREAM_IDS:
         raise ValidationError(f"stream must be one of {sorted(_STREAM_IDS)}, got {stream!r}")
     parts = seed if isinstance(seed, (tuple, list)) else (seed,)
-    return [zlib.crc32(name.encode()), _STREAM_IDS[stream], *(int(p) for p in parts)]
+    parts = [_integral("seed", p) for p in parts]
+    if any(p < 0 for p in parts):
+        raise ValidationError(f"seed needs non-negative integers, got {seed!r}")
+    return [zlib.crc32(name.encode()), _STREAM_IDS[stream], *parts]
 
 
 def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
@@ -209,13 +212,15 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
     Deterministic per (name, m, seed, stream): the PCG64 generator is seeded
     from [crc32(name), stream id, *seed], so the same arguments always return
     bitwise-identical datasets and train/test streams never overlap. `seed`
-    may be an int or a tuple of ints.
+    may be a non-negative int or a tuple of them.
 
     Raises:
-        ValidationError: If the benchmark is unknown or m < 1.
+        ValidationError: If the benchmark is unknown, m is not an integer
+            >= 1 or a seed is not a non-negative integer.
         BasisSizeError: If the 8 m N bytes of the inputs exceed
             MAX_BASIS_BYTES; raised before anything is allocated.
     """
+    m = _integral("design size", m)
     if m < 1:
         raise ValidationError(f"design size must be >= 1, got {m}")
     bench = get_benchmark(name)

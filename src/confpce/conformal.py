@@ -27,33 +27,30 @@ outside 1..M. Both indices take the exact binary value of the float s, see
 :func:`_upper_index`.
 
 Jackknife+ needs the n x M matrix of leave-one-out predictions at the n
-query points. Each call fills the matrix one block of rows at a time, on at
-most two workers: the calling thread and, when there are two blocks or more
-and two usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made
-for the call and joined before it returns. The matrix product and the
-partitions release the interpreter lock, so the two workers run on two
-cores. Each worker owns a workspace of two buffers of about 2 MB: one takes
-a block's LOO predictions, from one product with the correction matrix, and
-the other takes the block shifted down by the scores and is partitioned;
-then the block is shifted up in place and partitioned.
+query points. :func:`interval_arrays`, the one entry, maps all its points to
+the reference cube up front, so that an error names a point's index in the
+batch, and fills the matrix one block of rows at a time, on at most two
+workers: the calling thread and, when there are two blocks or more and two
+usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made for the
+call and joined before it returns. The matrix product and the partitions
+release the interpreter lock, so the two workers run on two cores.
 
-:func:`interval_arrays` is the one entry. It maps all its points to the
-reference cube up front, and each worker evaluates its block's basis rows
-into its second buffer, with the block's centers; a jackknife batch runs
-the same loop for its centers alone, and :func:`jackknife_bounds` turns
-centers into jackknife bounds, so the harness reads both methods' bounds
-off one jackknife+ call. The rows are dead once the product is formed, so
-they share that buffer with the shifted block, which grows to hold them
-when they are larger. A block holds as many points as fit in 2 MB at the
-widest row it holds: M LOO values for a bounded jackknife+ call, K basis
-values otherwise. The workspace of a whole call, rows included, is thus at
-most two of these pairs whatever n is; no block allocates anything beyond
-the basis evaluation's scratch, and nothing persists between calls. Block
-boundaries depend on n and that row length alone and each block writes its
-own rows of the bounds, so every bound is the same bits whatever the number
-of workers or the order they run in; a block's centers come from a product
-over its rows widened to multiples of 4 (see :func:`_covering`), so they
-are the bits of one product over the whole batch.
+Each worker owns one pair of buffers of at most 1 MiB, allocated on the
+calling thread; no block allocates anything, and nothing persists between
+calls. The first buffer takes the basis evaluation's scratch, then the
+block's LOO predictions from one product with the correction matrix. The
+second takes the block's basis rows, which give its centers, then the block
+shifted down by the scores and partitioned; the first is shifted up in place
+and partitioned. A block holds as many points as let both fit: M LOO values
+a point for a bounded jackknife+ call, K basis values otherwise. A
+jackknife batch runs the same loop for its centers alone, and
+:func:`jackknife_bounds` turns centers into jackknife bounds, so the harness
+reads both methods' bounds off one jackknife+ call. Block boundaries depend
+on n, M and K alone and each block writes its own rows of the bounds, so
+every bound is the same bits whatever the number of workers or the order
+they run in; a block's centers come from a product over its rows widened to
+multiples of 4 (see :func:`_covering`), so they are the bits of one product
+over the whole batch.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import eval_basis_matrix, to_reference
+from .basis import eval_basis_matrix, real_array, scratch_size, to_reference
 from .errors import IntervalError, ValidationError, ZeroVarianceError
 from .pce import (
     VARIANCE_FLOOR,
@@ -133,7 +130,7 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
     Returns +inf when the index exceeds M, signalling that the sample is too
     small for the requested significance and the interval is unbounded.
     """
-    values = np.asarray(values, dtype=float)
+    values = real_array(values, "values")
     if values.size == 0:
         raise ValidationError("cannot take a quantile of an empty sample")
     k = _upper_index(values.size, significance)
@@ -142,14 +139,13 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-# The workspace of one worker, whatever the number of points: two buffers of
-# about _CHUNK_BYTES, one for a block of the LOO matrix, filled by one
-# product, and one for the block shifted down, or for its basis rows if they
-# are larger. The BLAS may round a row differently depending on how many rows
-# one product holds, so the block size fixes every bound's last bits; the
-# worker count decides nothing about the bits. At 1 MB a 200-point query at
-# piston P=4, C=3 would take two blocks and so start a helper thread.
-_CHUNK_BYTES = 2 * 2**20
+# The bytes of each buffer of a worker's pair, so that a pair fits one core's
+# 2 MiB L2 cache. The BLAS may round a row differently depending on how many
+# rows one product holds, so the block size fixes every bound's last bits;
+# the worker count decides nothing about the bits. A 200-point query at
+# piston P=4, C=3 (M=990) takes two blocks of 132 points, and so starts a
+# helper thread.
+_CHUNK_BYTES = 2**20
 
 
 def _usable_cpus() -> int:
@@ -163,9 +159,11 @@ def _usable_cpus() -> int:
 _WORKERS = min(2, _usable_cpus())
 
 
-def _chunk_rows(row_len: int) -> int:
-    """Test points per interval block whose widest row holds row_len values."""
-    return max(1, _CHUNK_BYTES // (8 * row_len))
+def _chunk_rows(row_len: int, n_basis: int) -> int:
+    """Points per interval block: its rows of row_len values fit _CHUNK_BYTES,
+    and so do its covering rows of n_basis values, at most 6 more."""
+    values = _CHUNK_BYTES // 8
+    return max(1, min(values // row_len, values // n_basis - 6))
 
 
 def check_score(model: PceModel, score: str) -> None:
@@ -234,16 +232,15 @@ def interval_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized interval bounds at box points (n, N): (centers, lowers, uppers).
 
-    Maps every point to the reference cube first, so an error names the
-    point's index in the batch; then the basis rows and the LOO matrix are
-    built one block of points at a time, see the module docstring.
+    Built in blocks of points, see the module docstring.
 
     Raises:
+        ValidationError: If the points are not real numbers of shape (N,) or (n, N).
         DomainError: If a point lies outside the box beyond tolerance.
         ZeroVarianceError: For normalized scores on a zero-variance target.
         IntervalError: If a bound is NaN or a lower bound exceeds its upper.
     """
-    xi = to_reference(np.atleast_2d(np.asarray(points, dtype=float)), model.input_spec)
+    xi = np.atleast_2d(to_reference(points, model.input_spec))
     check_score(model, cfg.score)
     a = np.abs(model.loo_residuals)
     m = a.shape[0]
@@ -254,24 +251,26 @@ def interval_arrays(
     centers = np.empty(n)
     if plus:
         lowers, uppers = np.full(n, -np.inf), np.full(n, np.inf)
-    step = _chunk_rows(m if bounded else n_basis)
+    step = _chunk_rows(m if bounded else n_basis, n_basis)
 
-    def fill_blocks(loo_buffer, shared, next_start):
+    def fill_blocks(work, rows, next_start):
         while (start := next_start()) is not None:
             stop = min(start + step, n)
-            # The block's rows are evaluated into `shared` with their
-            # covering rows, which also give their centers.
+            # The block's covering rows are evaluated into `rows`, with the
+            # scratch in `work`; their product gives the block's centers.
             first, last = _covering(start, stop, n)
-            out = shared[:(last - first) * n_basis].reshape(last - first, n_basis)
-            covering = eval_basis_matrix(xi[first:last], model.index_set, out=out)
-            centers[start:stop] = (covering @ model.coefficients)[start - first:stop - first]
+            out = rows[:(last - first) * n_basis].reshape(-1, n_basis)
+            covering = eval_basis_matrix(xi[first:last], model.index_set, out=out, work=work)
+            full = np.matmul(covering, model.coefficients, out=work[:last - first])
+            centers[start:stop] = full[start - first:stop - first]
             if not bounded:
                 continue
             block = covering[start - first:stop - first]
-            loo = loo_values(model, block, centers[start:stop], out=loo_buffer[:stop - start])
+            loo = loo_values(model, block, centers[start:stop],
+                             out=work[:(stop - start) * m].reshape(-1, m))
             # The rows are dead once the product is formed, so the block
             # shifted down reuses their memory.
-            shifted = np.subtract(loo, a, out=shared[:loo.size].reshape(loo.shape))
+            shifted = np.subtract(loo, a, out=rows[:loo.size].reshape(loo.shape))
             shifted.partition(m - k, axis=1)
             lowers[start:stop] = shifted[:, m - k]
             loo += a
@@ -279,15 +278,15 @@ def interval_arrays(
             uppers[start:stop] = loo[:, k - 1]
 
     starts = range(0, n, step)
-    # A block's covering rows are at most 6 more than its own.
-    shared = max(min(step, n) * m if bounded else 0, min(step + 6, n) * n_basis)
+    cover = min(step + 6, n)  # a block's covering rows, at most 6 more (_covering)
+    block_values = min(step, n) * m if bounded else 0
     # Every workspace is allocated here, on the calling thread: buffers a
     # helper allocated would come from a malloc arena of its own and stay
     # resident after the call (about 4 MB more peak RSS on a piston grid).
+    work_values = max(block_values, scratch_size(model.index_set, cover), cover)
+    rows_values = max(block_values, cover * n_basis)
     _share_blocks(starts, [
-        functools.partial(
-            fill_blocks, np.empty((min(step, n), m) if bounded else 0), np.empty(shared)
-        )
+        functools.partial(fill_blocks, np.empty(work_values), np.empty(rows_values))
         for _ in range(max(1, min(_WORKERS, len(starts))))
     ])
     if not plus:
@@ -322,7 +321,8 @@ def _checked(centers, lowers, uppers):
 
 def empirical_coverage(lowers, uppers, truths) -> float:
     """Fraction of truths falling inside their closed intervals [lower, upper]."""
-    lowers, uppers, truths = (np.asarray(v, dtype=float).ravel() for v in (lowers, uppers, truths))
+    lowers, uppers, truths = (real_array(v, name).ravel() for v, name in (
+        (lowers, "lowers"), (uppers, "uppers"), (truths, "truths")))
     if not lowers.size == uppers.size == truths.size:
         raise ValidationError(
             f"{lowers.size} lowers and {uppers.size} uppers but {truths.size} truth values"

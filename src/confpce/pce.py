@@ -76,8 +76,8 @@ class Dataset:
     outputs: np.ndarray
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.asarray(self.outputs, dtype=float).ravel()
+        inputs = np.atleast_2d(basis.real_array(self.inputs, "inputs"))
+        outputs = basis.real_array(self.outputs, "outputs").ravel()
         if inputs.ndim > 2:
             raise ValidationError(
                 f"inputs must be a 2-D array of points, got {inputs.ndim} dimensions"
@@ -144,9 +144,7 @@ def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) ->
 
     Row i holds every basis element at point i: the design matrix for
     training inputs, or the rows of a few query points for loo_predict and
-    the oracle. Intervals never take this path: conformal.interval_arrays
-    evaluates its test points' rows block by block, without holding them
-    all.
+    the oracle; intervals evaluate theirs block by block instead.
 
     Raises:
         DomainError: If a point lies outside the box beyond tolerance.
@@ -294,7 +292,7 @@ def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
     Returns:
         Array of shape (M,) for a single point, (n, M) for a batch.
     """
-    x = np.asarray(x, dtype=float)
+    x = basis.real_array(x, "points")
     rows = basis_rows(np.atleast_2d(x), model.index_set, model.input_spec)
     values = loo_values(model, rows, rows @ model.coefficients)
     return values[0] if x.ndim == 1 else values
@@ -347,7 +345,7 @@ def brute_force_loo(
     star_rows = None
     single = False
     if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
+        x_star = basis.real_array(x_star, "points")
         single = x_star.ndim == 1
         star_rows = basis_rows(np.atleast_2d(x_star), index_set, spec)
 

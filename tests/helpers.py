@@ -14,7 +14,10 @@ from confpce.pce import basis_rows, loo_values
 
 def legendre_table(degree, xi):
     """psi_0..psi_degree at points xi (n,): shape (n, degree + 1), column j is psi_j."""
-    return _legendre_rows(degree, np.asarray(xi, dtype=float)).T
+    xi = np.asarray(xi, dtype=float)
+    table = np.empty((degree + 1,) + xi.shape)
+    _legendre_rows(xi, table, np.empty(xi.shape))
+    return table.T
 
 
 def surrogate(model, points):
@@ -131,7 +134,7 @@ def blocked_jackknife_plus_reference(model, rows, significance):
         uppers = np.full_like(centers, np.inf)
         return centers, -uppers, uppers
     lowers, uppers = np.empty_like(centers), np.empty_like(centers)
-    step = _chunk_rows(m)
+    step = _chunk_rows(m, model.n_basis)
     for start in range(0, centers.shape[0], step):
         block = slice(start, start + step)
         loo = loo_values(model, rows[block], centers[block])

@@ -15,7 +15,7 @@ from confpce.basis import (
     eval_basis_matrix,
     to_reference,
 )
-from confpce.errors import BasisSizeError, DomainError
+from confpce.errors import BasisSizeError, DomainError, ValidationError
 
 
 class TestTotalDegreeSet:
@@ -157,6 +157,12 @@ class TestInputSpec:
         with pytest.raises(DomainError):
             to_reference(np.array([np.nan]), spec)
 
+    def test_rejects_a_batch_of_more_than_two_dimensions(self):
+        # Its (n, N, 1) points once broadcast against the box to (n, N, N).
+        spec = InputSpec(ranges=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ValidationError, match="expected 2-dimensional points"):
+            to_reference(np.zeros((2, 2, 1)), spec)
+
     @pytest.mark.parametrize("value", [1e308, -1e308, np.inf])
     def test_overflowing_point_is_one_error_without_warnings(self, value):
         spec = InputSpec(ranges=((-1.0, 1.0), (-1e-300, 1e-300)))
@@ -229,6 +235,27 @@ class TestBasisEvaluation:
         out = np.full((300, len(s)), np.nan)
         assert eval_basis_matrix(pts, s, out=out) is out
         np.testing.assert_array_equal(out, eval_basis_matrix(pts, s))
+
+    @pytest.mark.parametrize("columns", [1, 3, 1000])
+    def test_work_gives_the_same_bits_and_allocates_nothing(self, columns):
+        # `work` for 1, 3 or 1,000 points a block against the default scratch;
+        # a few kB of per-call bookkeeping, whatever the number of blocks.
+        s = build_total_degree_set(4, 4)
+        pts = np.random.default_rng(6).uniform(-1, 1, size=(3001, 4))
+        out, work = np.empty((3001, len(s))), np.empty(basis.scratch_size(s, columns))
+        tracemalloc.start()
+        try:
+            eval_basis_matrix(pts, s, out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192, f"allocated {peak} bytes"
+        assert np.array_equal(out, eval_basis_matrix(pts, s))
+
+    def test_work_below_one_point_is_refused(self):
+        s = build_total_degree_set(2, 3)
+        with pytest.raises(ValidationError, match="less than one point's scratch"):
+            eval_basis_matrix(np.zeros((2, 2)), s, work=np.empty(basis.scratch_size(s, 1) - 1))
 
     def test_legendre_recurrence_against_numpy(self):
         # Independent check: numpy's Legendre module times sqrt(2j+1).

@@ -135,6 +135,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_design("piston", 5, seed=1, stream="validation")
 
+    # Each of these once drew seed 1 or ended in a bare numpy ValueError.
+    @pytest.mark.parametrize(
+        "seed", [1.5, True, "a", -1, (1, -2)], ids=("float", "bool", "string", "negative", "tuple")
+    )
+    def test_seed_must_be_non_negative_integers(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_design("piston", 5, seed=seed)
+
+    def test_integral_float_seed_and_size_are_their_integers(self):
+        want = sample_design("piston", 5, seed=(2, 3))
+        got = sample_design("piston", 5.0, seed=(2.0, np.int64(3)))
+        assert np.array_equal(got.inputs, want.inputs)
+
 
 class TestDesignSize:
     def test_meromorphic_quadratic_rule(self):

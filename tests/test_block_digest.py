@@ -3,8 +3,9 @@
 `tests/golden/` runs 2,000 test points, which most of its designs hold in
 one block of the interval kernel. This test runs jackknife and jackknife+
 on eight benchmark designs at batch sizes that span three blocks or more
-whether a block holds 2 MB or 4 MB of LOO rows, or 2 MB of basis rows, in a
-fresh process with the BLAS on one thread, and compares a sha256 of every
+whether a block holds 1 MiB, 2 MiB or 4 MiB of LOO rows, or 1 MiB or 2 MiB of
+basis rows (at 1 MiB, with room for 6 more covering basis rows), in a fresh
+process with the BLAS on one thread, and compares a sha256 of every
 center and bound per design with the committed one. It skips when numpy or
 scipy is not the version in `tests/golden/versions.json`, because the bits
 are tied to those builds.
@@ -72,8 +73,10 @@ print(json.dumps(digests))
 """
 
 
-def block_rows(bytes_, row_len):
-    return max(1, bytes_ // (8 * row_len))
+def block_rows(bytes_, row_len, n_basis=0):
+    """Points per block of `bytes_`; given n_basis, their covering rows fit too."""
+    values = bytes_ // 8
+    return max(1, min(values // row_len, values // n_basis - 6 if n_basis else values))
 
 
 def compute_digests() -> list:
@@ -94,9 +97,10 @@ def test_batches_span_blocks_without_a_one_row_last_block(design):
     name, degree, oversampling, n = design
     m = design_size(name, degree, oversampling)
     k = total_degree_size(get_benchmark(name).dim, degree)
-    for bytes_, row_len in ((2**21, m), (2**22, m), (2**21, k)):
-        step = block_rows(bytes_, row_len)
-        assert n > 2 * step and n % step != 1, (bytes_, row_len)
+    sizes = ((2**21, m, 0), (2**22, m, 0), (2**21, k, 0), (2**20, m, k), (2**20, k, k))
+    for bytes_, row_len, n_basis in sizes:
+        step = block_rows(bytes_, row_len, n_basis)
+        assert n > 2 * step and n % step != 1, (bytes_, row_len, n_basis)
 
 
 def test_multi_block_intervals_are_the_committed_bits():

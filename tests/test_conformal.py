@@ -327,7 +327,7 @@ class TestIntervalProperties:
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
         model, _ = otl_model
         m = model.n_train
-        n = _chunk_rows(m) + offset
+        n = _chunk_rows(m, model.n_basis) + offset
         points = sample_design("otl_circuit", n, seed=92, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         k = math.ceil(0.95 * (m + 1))
@@ -342,9 +342,10 @@ class TestIntervalProperties:
 
     def test_jackknife_plus_workspace_is_bounded(self, piston_p4_model):
         # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
-        # the workspace of one worker a 2.1 MB block and a 2.1 MB buffer for
-        # the block shifted down, which first holds the block's basis rows.
-        # The rest is the mapped points, the results and the basis scratch.
+        # the workspace of one worker two buffers of 1 MiB. One holds the
+        # basis scratch, then a block of LOO predictions; the other the
+        # block's basis rows, then the block shifted down. The rest is the
+        # mapped points and the results.
         points = sample_design("piston", 10_000, seed=3, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         with mock.patch.object(conformal, "_WORKERS", 1):
@@ -354,7 +355,7 @@ class TestIntervalProperties:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 6.5 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 3.5 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("n", [10_000, 40_000])
     def test_interval_arrays_peak_does_not_grow_with_the_batch(self, piston_p4_model, n):
@@ -370,7 +371,7 @@ class TestIntervalProperties:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 14 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 8 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     def test_import_starts_no_thread(self):
         paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
@@ -384,8 +385,8 @@ class TestIntervalProperties:
 
     def test_multi_block_jackknife_plus_leaves_no_thread(self, otl_model):
         model, _ = otl_model
-        points = sample_design("otl_circuit", 5 * _chunk_rows(model.n_train), seed=93,
-                               stream="test").inputs
+        n = 5 * _chunk_rows(model.n_train, model.n_basis)
+        points = sample_design("otl_circuit", n, seed=93, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         before = threading.enumerate()
         with mock.patch.object(conformal, "_WORKERS", 2):
@@ -426,7 +427,7 @@ class TestIntervalProperties:
     def test_multi_block_call_runs_on_the_caller_and_one_helper(self, otl_model, method):
         model, _ = otl_model
         row_len = model.n_train if method == "jackknife_plus" else model.n_basis
-        points = sample_design("otl_circuit", 5 * _chunk_rows(row_len), seed=93,
+        points = sample_design("otl_circuit", 5 * _chunk_rows(row_len, model.n_basis), seed=93,
                                stream="test").inputs
         cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
         before = threading.enumerate()
@@ -438,9 +439,9 @@ class TestIntervalProperties:
         assert helpers.pop().name.startswith("confpce-intervals")
 
     def test_small_query_runs_as_one_block_on_the_calling_thread(self, piston_p4_model):
-        # A 200-point `confpce interval` batch at M=990 fits one block, so it
+        # A 100-point batch at M=990 fits one block of 132 points, so it
         # starts no helper thread.
-        points = sample_design("piston", 200, seed=94, stream="test").inputs
+        points = sample_design("piston", 100, seed=94, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         threads, started = self._block_threads(piston_p4_model, points, cfg)
         assert threads == [threading.current_thread()]
@@ -449,9 +450,10 @@ class TestIntervalProperties:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_jackknife_blocks_are_sized_by_the_basis_rows(self, piston_p4_model, extra):
         # K=330 basis values against M=990 LOO values a point: a jackknife
-        # block holds three times the points of a jackknife+ block.
-        step = _chunk_rows(piston_p4_model.n_basis)
-        assert step >= 3 * _chunk_rows(piston_p4_model.n_train)
+        # block holds three times the points of a jackknife+ block, less the
+        # 6 covering rows it leaves room for (391 against 132).
+        step = _chunk_rows(piston_p4_model.n_basis, piston_p4_model.n_basis)
+        assert step > 2 * _chunk_rows(piston_p4_model.n_train, piston_p4_model.n_basis)
         points = sample_design("piston", step + extra, seed=95, stream="test").inputs
         cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.05)
         threads, _ = self._block_threads(piston_p4_model, points, cfg)

@@ -23,6 +23,7 @@ from confpce.errors import (
     NonFiniteFitError,
     RankDeficientError,
     UnderdeterminedError,
+    ValidationError,
 )
 from confpce.pce import (
     Dataset,
@@ -522,6 +523,22 @@ class TestDataset:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(inputs=np.zeros((3, 1)), outputs=np.zeros(2))
+
+    # Complex data once lost its imaginary part with a ComplexWarning, and
+    # strings ended in a bare ValueError from float().
+    @pytest.mark.parametrize(
+        "inputs, outputs, field",
+        [
+            (np.zeros((3, 1)) + 1j, np.zeros(3), "inputs"),
+            (np.zeros((3, 1)), np.zeros(3, dtype=complex), "outputs"),
+            (np.array([["0.5"], ["a"], ["1"]]), np.zeros(3), "inputs"),
+            (np.zeros((3, 1)), [b"1", b"2", b"3"], "outputs"),
+        ],
+        ids=("complex-inputs", "complex-outputs", "string-inputs", "bytes-outputs"),
+    )
+    def test_rejects_non_real_arrays(self, inputs, outputs, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            Dataset(inputs=inputs, outputs=outputs)
 
     def test_arrays_read_only(self):
         data = unit_dataset(lambda x: x, m=5)

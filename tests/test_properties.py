@@ -17,8 +17,8 @@ from helpers import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confpce import conformal
-from confpce.basis import InputSpec, _block_rows, build_total_degree_set, eval_basis_matrix
+from confpce import basis, conformal
+from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import (
     METHODS,
@@ -156,7 +156,7 @@ def test_closed_form_loo_matches_the_refit_oracle_near_the_leverage_floor(
 )
 def test_basis_matrix_is_the_per_dimension_product(dim, degree, size, seed):
     index_set = build_total_degree_set(dim, degree)
-    block = _block_rows(len(index_set))
+    block = basis.scratch_size(index_set, 2**30) // basis.scratch_size(index_set, 1)
     n = {"one": 1, "few": 7, "block-1": block - 1, "block": block, "block+1": block + 1}[size]
     rng = np.random.default_rng(seed)
     xi = rng.uniform(-1.0, 1.0, size=(n, dim))
@@ -191,7 +191,8 @@ def test_jackknife_plus_matches_blocked_oracle(
     # "block": one block of the default size, and one row past it at offset 1.
     # "one-row blocks": 63 to 65 blocks of one row. "short last block": blocks
     # of 16 rows, the third 10 to 12 rows long.
-    rows = {"block": conformal._chunk_rows(m), "one-row blocks": 1, "short last block": 16}[length]
+    rows = {"block": conformal._chunk_rows(m, model.n_basis), "one-row blocks": 1,
+            "short last block": 16}[length]
     with mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * m):
         n = {"block": rows, "one-row blocks": 64, "short last block": 43}[length] + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
@@ -213,8 +214,9 @@ def _fit_benchmark(name, degree, oversampling, seed, transform=lambda y: y):
 
 
 def _small_blocks(row_len, rows=16):
-    # Blocks of `rows` rows, 16 by default, for a call whose widest row holds
-    # row_len values, so that a few dozen points span blocks.
+    # Blocks of `rows` rows, 16 by default, for a jackknife+ call whose LOO
+    # rows hold row_len values, so that a few dozen points span blocks. A
+    # jackknife call (row_len = K) gets rows - 6, leaving its covering rows room.
     return mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * row_len)
 
 
@@ -236,7 +238,7 @@ def test_jackknife_plus_bits_do_not_depend_on_worker_count(
     model = _fit_benchmark(name, degree, oversampling, seed)
     cfg = ConformalConfig(method="jackknife_plus", significance=significance)
     with _small_blocks(model.n_train):
-        n = blocks * conformal._chunk_rows(model.n_train) + offset
+        n = blocks * conformal._chunk_rows(model.n_train, model.n_basis) + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
         with mock.patch.object(conformal, "_WORKERS", 1):
             serial = interval_arrays(model, points, cfg)
@@ -269,8 +271,9 @@ def test_streamed_rows_give_the_bits_of_whole_batch_rows(
     points = sample_design(name, n, seed=seed, stream="test").inputs
     for method in METHODS:
         cfg = ConformalConfig(method=method, significance=significance)
-        row_len = model.n_train if method == "jackknife_plus" else model.n_basis
-        with _small_blocks(row_len, rows):
+        # A jackknife block leaves room for its covering rows, 6 more.
+        row_len, spare = (model.n_train, 0) if method == "jackknife_plus" else (model.n_basis, 6)
+        with _small_blocks(row_len, rows + spare):
             want = whole_batch_intervals(model, points, cfg)
             for workers in (1, 2):
                 with mock.patch.object(conformal, "_WORKERS", workers):
@@ -297,8 +300,8 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
 
     cfg = ConformalConfig(method="jackknife_plus", significance=0.1)
     with _small_blocks(model.n_train):
-        points = sample_design("otl_circuit", 10 * conformal._chunk_rows(model.n_train),
-                               seed=5, stream="test").inputs
+        n = 10 * conformal._chunk_rows(model.n_train, model.n_basis)
+        points = sample_design("otl_circuit", n, seed=5, stream="test").inputs
         before = threading.active_count()
         with mock.patch.object(conformal, "_WORKERS", 2), \
                 mock.patch.object(conformal, "loo_values", flaky_loo_values):

@@ -23,11 +23,11 @@ from confpce import conformal
 from confpce.benchmarks import sample_design
 from confpce.pce import Dataset
 
-# Piston at P=2, C=2: K=36 and M=72, so a jackknife+ block holds 3,640 points
-# and both the 7,000-point test sets and the query points span two blocks.
-M = 72
-N_POINTS = 5_000
-TEST_SIZE = 7_000
+# Piston at P=2, C=2: K=36 and M=72, so a jackknife+ block holds 1,820 points
+# and both the 3,500-point test sets and the 2,500 query points span two blocks.
+M, K = 72, 36
+N_POINTS = 2_500
+TEST_SIZE = 3_500
 
 CHILD = """
 import json, os, sys
@@ -75,7 +75,8 @@ def run_child(tmp_path, mode):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_outputs_are_the_same_bytes_across_blas_threads_and_cpus(tmp_path):
-    assert conformal._chunk_rows(M) < N_POINTS < TEST_SIZE < 2 * conformal._chunk_rows(M)
+    step = conformal._chunk_rows(M, K)
+    assert step < N_POINTS < TEST_SIZE < 2 * step
     (tmp_path / "config.json").write_text(json.dumps({
         "benchmark": "piston",
         "degrees": [2],
