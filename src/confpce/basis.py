@@ -347,15 +347,15 @@ def eval_basis_matrix(
         xi: Reference points of shape (n, N), componentwise within
             [-1 - tol, 1 + tol].
         index_set: Basis definition.
-        out: Optional C-contiguous (n, K) array the result is written to;
-            the byte limit then does not apply.
+        out: Optional C- or Fortran-contiguous (n, K) array the result is
+            written to; the byte limit then does not apply.
         work: Optional contiguous 1-D float scratch of at least
             ``scratch_size(index_set, 1)`` values; by default
             ``scratch_size(index_set, n)`` values are allocated.
 
     Returns:
-        C-contiguous design-style matrix of shape (n, K); entry (i, k) is
-        Psi_k(xi_i).
+        Design-style matrix of shape (n, K), `out` or a new C-contiguous
+        array; entry (i, k) is Psi_k(xi_i).
 
     Raises:
         BasisSizeError: If a result to allocate would exceed

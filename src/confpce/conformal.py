@@ -30,8 +30,8 @@ Jackknife+ needs the n x M matrix of leave-one-out predictions at the n
 query points. :func:`interval_arrays`, the one entry, maps all its points to
 the reference cube up front, so that an error names a point's index in the
 batch, and fills the matrix one block of rows at a time, on at most two
-workers: the calling thread and, when there are two blocks or more and two
-usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made for the
+workers: the calling thread and, when there are two full blocks or more and
+two usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made for the
 call and joined before it returns. The matrix product and the partitions
 release the interpreter lock, so the two workers run on two cores.
 
@@ -142,9 +142,9 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
 # The bytes of each buffer of a worker's pair, so that a pair fits one core's
 # 2 MiB L2 cache. The BLAS may round a row differently depending on how many
 # rows one product holds, so the block size fixes every bound's last bits;
-# the worker count decides nothing about the bits. A 200-point query at
-# piston P=4, C=3 (M=990) takes two blocks of 132 points, and so starts a
-# helper thread.
+# the worker count decides nothing about the bits. A helper starts only for a
+# second full block: a 200-point query at piston P=4, C=3 (M=990) takes
+# blocks of 132 and 68 points on the calling thread alone.
 _CHUNK_BYTES = 2**20
 
 
@@ -277,7 +277,6 @@ def interval_arrays(
             loo.partition(k - 1, axis=1)
             uppers[start:stop] = loo[:, k - 1]
 
-    starts = range(0, n, step)
     cover = min(step + 6, n)  # a block's covering rows, at most 6 more (_covering)
     block_values = min(step, n) * m if bounded else 0
     # Every workspace is allocated here, on the calling thread: buffers a
@@ -285,9 +284,9 @@ def interval_arrays(
     # resident after the call (about 4 MB more peak RSS on a piston grid).
     work_values = max(block_values, scratch_size(model.index_set, cover), cover)
     rows_values = max(block_values, cover * n_basis)
-    _share_blocks(starts, [
+    _share_blocks(range(0, n, step), [
         functools.partial(fill_blocks, np.empty(work_values), np.empty(rows_values))
-        for _ in range(max(1, min(_WORKERS, len(starts))))
+        for _ in range(min(_WORKERS, max(1, n // step)))
     ])
     if not plus:
         return jackknife_bounds(model, centers, cfg.significance)

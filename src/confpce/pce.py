@@ -46,9 +46,10 @@ from .errors import (
 CONDITION_LIMIT = 1e12
 
 # Peak resident memory of fit in units of its 8 M K byte design: the design,
-# the Fortran copy scipy factors into Q and Q's C-order copy (3), plus the
-# K x K factors. Measured growth of ru_maxrss over a fit: 2.92 designs at
-# piston P=3, M=40,000 and 4.8 at wing_weight P=4, M=1,100, K=1,001.
+# factored in place into Q, and Q's C-order copy (2), plus the K x K
+# factors, which set the bound as M nears K. Measured growth of ru_maxrss
+# over a fit: 2.18 designs at piston P=3, M=40,000 and 4.65 at wing_weight
+# P=4, M=1,100, K=1,001.
 _FIT_PEAK_DESIGNS = 6
 
 # Minimum allowed 1 - h_mm; smaller means a sample its own refit cannot spare.
@@ -82,6 +83,8 @@ class Dataset:
             raise ValidationError(
                 f"inputs must be a 2-D array of points, got {inputs.ndim} dimensions"
             )
+        if inputs.shape[1] == 0:
+            raise ValidationError("inputs must have at least one column")
         if inputs.shape[0] != outputs.shape[0]:
             raise ValidationError(
                 f"{inputs.shape[0]} input rows but {outputs.shape[0]} outputs"
@@ -170,9 +173,11 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     condition number). Leverages are the squared row norms of the thin Q
     factor, and (D^T D)^{-1} is assembled from R^{-1}, which also gives the
     Frobenius condition number ||R||_F ||R^{-1}||_F in O(K^2) more work.
-    Total cost is one factorization, one triangular inverse and one (M, K)
-    by (K, K) product, and no SVD; a sample with 1 - h_mm < 1e-6, which no
-    benchmark design has, is refit as :func:`brute_force_loo` does.
+    Total cost is one factorization, one triangular inverse, one (M, K) by
+    (K, K) product and two evaluations of the design, which let the fit hold
+    two design-sized arrays in all, and no SVD; a sample with
+    1 - h_mm < 1e-6, which no benchmark design has, is refit as
+    :func:`brute_force_loo` does.
 
     Args:
         data: Training dataset with M samples.
@@ -203,14 +208,15 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
         )
     check_fit_bytes(m, k)
 
-    design = basis_rows(data.inputs, index_set, spec)
-    # scipy factors one Fortran copy of the design and builds Q in place over
-    # it. No overwrite_a: a K = 1 design is also Fortran-contiguous, so scipy
-    # would factor the design itself, which is needed below. The products
-    # below round differently on a Fortran-ordered Q, so Q is copied to C
-    # order at once, which also frees the Fortran copy.
-    q, r = qr(design, mode="economic", check_finite=False)
-    q = np.ascontiguousarray(q)
+    xi = to_reference(data.inputs, spec)
+    # fit allocates two design-sized arrays. scipy factors the design in
+    # place in the first, a Fortran-order one, and builds Q over it. The
+    # products below round differently on a Fortran-order Q, so Q is copied
+    # to C order, a copy even at K = 1: that copy, the second array, becomes
+    # the LOO corrections.
+    buffer = eval_basis_matrix(xi, index_set, out=np.empty((m, k), order="F"))
+    q, r = qr(buffer, mode="economic", overwrite_a=True, check_finite=False)
+    q = np.array(q, order="C")
     # kappa_F(D) = ||R||_F ||R^-1||_F from the R^-1 the LOO corrections need
     # anyway; a zero pivot or an inverse that overflows leaves it infinite.
     condition = np.inf
@@ -244,11 +250,14 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     # block turn that into one typed error rather than warnings and NaNs.
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
-        del q, r  # each factor is freed once used: that caps the peak at M near K
+        del r  # each factor is freed once used: that caps the peak at M near K
         normal_inverse = r_inv @ r_inv.T
         del r_inv
+        # The design again, in C order over the first buffer: evaluation is
+        # deterministic, so these are its bits, and G = D A is written over Q.
+        design = eval_basis_matrix(xi, index_set, out=buffer.ravel(order="K").reshape(m, k))
         loo_residuals = (data.outputs - design @ coeffs) / one_minus_h
-        loo_corrections = design @ normal_inverse
+        loo_corrections = np.matmul(design, normal_inverse, out=q)
         del normal_inverse
         loo_corrections *= loo_residuals[:, None]
         # A refit sample's row of G is c - c_{~m}, free of the error in A d_m

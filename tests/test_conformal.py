@@ -447,6 +447,15 @@ class TestIntervalProperties:
         assert threads == [threading.current_thread()]
         assert started == 0
 
+    def test_partial_second_block_starts_no_helper(self, piston_p4_model):
+        # 200 points at M=990 take blocks of 132 and 68 points: the helper
+        # starts only for a second full block, so both run on the caller.
+        points = sample_design("piston", 200, seed=94, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        threads, started = self._block_threads(piston_p4_model, points, cfg)
+        assert threads == [threading.current_thread()] * 2
+        assert started == 0
+
     @pytest.mark.parametrize("extra", [0, 1])
     def test_jackknife_blocks_are_sized_by_the_basis_rows(self, piston_p4_model, extra):
         # K=330 basis values against M=990 LOO values a point: a jackknife

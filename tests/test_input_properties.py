@@ -8,6 +8,7 @@ inside each example, so it fails the property). A last test holds every
 entry that takes outside arrays to refusing complex and string values.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from confpce.conformal import (
     METHODS, ConformalConfig, empirical_coverage, finite_quantile_upper, interval_arrays,
 )
 from confpce.errors import ConfpceError, ValidationError
-from confpce.pce import Dataset, brute_force_loo, fit, loo_predict
+from confpce.pce import Dataset, brute_force_loo, fit, from_json, loo_predict
 
 DTYPES = ("float64", "float32", "int64", "bool", "complex128", "U8", "S8")
 
@@ -84,7 +85,19 @@ def test_dataset_arrays(inputs, outputs, dtypes):
     if data is not None:
         assert data.inputs.dtype == data.outputs.dtype == np.float64
         assert data.inputs.ndim == 2 and data.inputs.shape[:1] == data.outputs.shape == (len(data),)
+        assert data.inputs.shape[1] >= 1
         assert np.all(np.isfinite(data.inputs)) and np.all(np.isfinite(data.outputs))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Dataset(inputs=np.zeros((3, 0)), outputs=[0.0, 1.0, 2.0]),
+    lambda: from_json(json.dumps({"input_spec": {"ranges": [[0, 1]]},
+                                  "multi_index_set": {"input_dim": 1, "max_degree": 1},
+                                  "inputs": [[], [], []], "outputs": [0, 1, 2]})),
+], ids=["Dataset", "model file"])
+def test_inputs_with_no_columns_are_refused(make):
+    with pytest.raises(ValidationError, match="at least one column"):
+        make()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

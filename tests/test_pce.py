@@ -153,17 +153,32 @@ class TestFitBasics:
         assert fit_peak < need
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB only on Linux")
-    def test_resident_peak_is_three_designs_when_m_dwarfs_k(self):
-        # A 38.4 MB design: the peak is the design, scipy's Fortran copy
-        # that becomes Q and Q's C-order copy, plus the small K x K factors.
+    def test_resident_peak_is_two_designs_when_m_dwarfs_k(self):
+        # A 38.4 MB design: the peak is the design, factored in place into
+        # Q, and Q's C-order copy, which becomes the LOO corrections, plus
+        # the small K x K factors (measured 2.18).
         designs = fit_peak_designs("piston", 3, 40_000)
-        assert 2.0 < designs < 3.5
+        assert 1.5 < designs < 2.6
+
+    def test_traced_peak_is_two_designs_when_m_dwarfs_k(self):
+        # The same two buffers as the resident peak, counted by tracemalloc
+        # in this process (measured 2.21 at a 11.5 MB design).
+        bench = get_benchmark("piston")
+        iset = build_total_degree_set(bench.dim, 3)
+        data = sample_design("piston", 12_000, seed=0)
+        tracemalloc.start()
+        try:
+            fit(data, iset, bench.input_spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * len(data) * len(iset)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB only on Linux")
     def test_resident_peak_stays_within_the_budget_when_m_nears_k(self):
         # wing_weight P=4 (K=1,001) at M=1,100: the K x K factors weigh
         # almost a design each, so R^-1 is solved in place and each factor
-        # is freed once used (measured 4.8).
+        # is freed once used (measured 4.65).
         designs = fit_peak_designs("wing_weight", 4, 1_100)
         assert 3.0 < designs < 5.3 < pce._FIT_PEAK_DESIGNS
 

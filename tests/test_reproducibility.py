@@ -23,11 +23,12 @@ from confpce import conformal
 from confpce.benchmarks import sample_design
 from confpce.pce import Dataset
 
-# Piston at P=2, C=2: K=36 and M=72, so a jackknife+ block holds 1,820 points
-# and both the 3,500-point test sets and the 2,500 query points span two blocks.
+# Piston at P=2, C=2: K=36 and M=72, so a jackknife+ block holds 1,820 points.
+# The 4,000-point test sets span two full blocks and a part, on two workers;
+# the 2,500 query points span a block and a part, on the calling thread alone.
 M, K = 72, 36
 N_POINTS = 2_500
-TEST_SIZE = 3_500
+TEST_SIZE = 4_000
 
 CHILD = """
 import json, os, sys
@@ -76,7 +77,7 @@ def run_child(tmp_path, mode):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_outputs_are_the_same_bytes_across_blas_threads_and_cpus(tmp_path):
     step = conformal._chunk_rows(M, K)
-    assert step < N_POINTS < TEST_SIZE < 2 * step
+    assert step < N_POINTS < 2 * step < TEST_SIZE
     (tmp_path / "config.json").write_text(json.dumps({
         "benchmark": "piston",
         "degrees": [2],
