@@ -139,8 +139,11 @@ def check_bytes(need: int, what: str) -> None:
 
 
 def real_array(values, what: str) -> np.ndarray:
-    """`values` as a float array; a ValidationError for complex or string data."""
-    array = np.asarray(values)
+    """`values` as a float array; a ValidationError for ragged, complex or string data."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # rows of unequal lengths
+        raise ValidationError(f"{what} must be real numbers in rows of equal length") from exc
     if array.dtype.kind not in "biuf":
         raise ValidationError(f"{what} must be real numbers, got dtype {array.dtype}")
     return array.astype(float, copy=False)

@@ -239,10 +239,12 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
     counted, never enumerated, and checked against the size limit.
 
     Raises:
-        ValidationError: If the benchmark is unknown, degree < 0 or oversampling < 1.
+        ValidationError: If the benchmark is unknown, degree or oversampling
+            is not an integral real number, degree < 0 or oversampling < 1.
         BasisSizeError: If the basis is over the limit of
             :func:`~confpce.basis.total_degree_size`, from the count alone.
     """
+    degree, oversampling = _integral("degree", degree), _integral("oversampling", oversampling)
     if degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree}")
     if oversampling < 1:

@@ -35,22 +35,27 @@ two usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made for the
 call and joined before it returns. The matrix product and the partitions
 release the interpreter lock, so the two workers run on two cores.
 
-Each worker owns one pair of buffers of at most 1 MiB, allocated on the
-calling thread; no block allocates anything, and nothing persists between
-calls. The first buffer takes the basis evaluation's scratch, then the
-block's LOO predictions from one product with the correction matrix. The
-second takes the block's basis rows, which give its centers, then the block
-shifted down by the scores and partitioned; the first is shifted up in place
-and partitioned. A block holds as many points as let both fit: M LOO values
-a point for a bounded jackknife+ call, K basis values otherwise. A
-jackknife batch runs the same loop for its centers alone, and
-:func:`jackknife_bounds` turns centers into jackknife bounds, so the harness
-reads both methods' bounds off one jackknife+ call. Block boundaries depend
-on n, M and K alone and each block writes its own rows of the bounds, so
-every bound is the same bits whatever the number of workers or the order
-they run in; a block's centers come from a product over its rows widened to
-multiples of 4 (see :func:`_covering`), so they are the bits of one product
-over the whole batch.
+Each worker owns one pair of buffers of at most 1 MiB (but see
+``_CHUNK_BYTES``), allocated on the calling thread; no block allocates
+anything, and nothing persists between calls. The first buffer takes the
+basis evaluation's scratch, then the block's LOO predictions from one
+product with the correction matrix. The second takes the block's basis
+rows, which give its centers, then the block shifted down by the scores and
+partitioned; the first is shifted up in place and partitioned. A block
+holds as many points as let both fit, a multiple of 4: M LOO values a point
+for a bounded jackknife+ call, K basis values otherwise. A jackknife batch
+runs the same loop for its centers alone, and :func:`jackknife_bounds` turns
+centers into jackknife bounds, so the harness reads both methods' bounds off
+one jackknife+ call.
+
+Block boundaries depend on n, M and K alone and each block writes its own
+rows of the bounds, so every bound is the same bits whatever the number of
+workers or the order they run in. OpenBLAS's dgemv takes the rows of a
+product in fours, counted from the first, and every block starts at a
+multiple of 4, so a block's centers are the bits of one product over the
+whole batch, whatever the block size. numpy computes a one-row product as a
+dot product instead, so a lone last row takes the four rows before it into
+the product for its center.
 """
 
 from __future__ import annotations
@@ -118,9 +123,10 @@ def _upper_index(n: int, significance: float) -> int:
     just above 19 and spuriously overflowing the sample. The s here is the
     exact binary value of the float, not the decimal or rational it was
     written as: the float 1/3 lies just below 1/3, so at s = 1/3 the index
-    is one above the rational ceil(2(n+1)/3) whenever 3 divides n + 1.
+    is one above the rational ceil(2(n+1)/3) whenever 3 divides n + 1. A
+    numpy float32 takes its exact value through float(); a Fraction stays.
     """
-    s = Fraction(significance)
+    s = significance if isinstance(significance, Fraction) else Fraction(float(significance))
     return math.ceil((1 - s) * (n + 1))
 
 
@@ -140,11 +146,11 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
 
 
 # The bytes of each buffer of a worker's pair, so that a pair fits one core's
-# 2 MiB L2 cache. The BLAS may round a row differently depending on how many
-# rows one product holds, so the block size fixes every bound's last bits;
-# the worker count decides nothing about the bits. A helper starts only for a
-# second full block: a 200-point query at piston P=4, C=3 (M=990) takes
-# blocks of 132 and 68 points on the calling thread alone.
+# 2 MiB L2 cache. A helper starts only for a second full block: a 200-point
+# query at piston P=4, C=3 (M=990) takes blocks of 132 and 68 points on the
+# calling thread alone. Blocks hold 8 points at least, so where a row holds
+# more than 16,384 values a worker's buffers grow past 1 MiB to 8 rows each:
+# 12.8 MB a worker at M=100,000.
 _CHUNK_BYTES = 2**20
 
 
@@ -159,11 +165,10 @@ def _usable_cpus() -> int:
 _WORKERS = min(2, _usable_cpus())
 
 
-def _chunk_rows(row_len: int, n_basis: int) -> int:
-    """Points per interval block: its rows of row_len values fit _CHUNK_BYTES,
-    and so do its covering rows of n_basis values, at most 6 more."""
-    values = _CHUNK_BYTES // 8
-    return max(1, min(values // row_len, values // n_basis - 6))
+def _chunk_rows(row_len: int) -> int:
+    """Points per interval block: a multiple of 4, at least 8, whose rows of
+    row_len values (M or K; M >= K, so basis rows fit too) fit _CHUNK_BYTES."""
+    return max(8, _CHUNK_BYTES // (8 * row_len) // 4 * 4)
 
 
 def check_score(model: PceModel, score: str) -> None:
@@ -211,22 +216,6 @@ def _share_blocks(starts: range, workers: list) -> None:
         helper.result()
 
 
-def _covering(start: int, stop: int, n: int) -> tuple[int, int]:
-    """Rows [start, stop) widened to start and end at multiples of 4, within n.
-
-    OpenBLAS's dgemv takes the rows of a product in fours, counted from the
-    first, so a center's bits depend on where its row falls in the fours;
-    a product over the covering rows gives every row of [start, stop) the
-    bits of one product over all n rows. numpy computes a one-row product
-    as a dot product instead, so a lone last row takes the four before it
-    along. The covering rows are at most 6 more than [start, stop).
-    """
-    first, last = start - start % 4, min(n, -(-stop // 4) * 4)
-    if last - first == 1 and first:
-        first -= 4
-    return first, last
-
-
 def interval_arrays(
     model: PceModel, points: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,22 +240,21 @@ def interval_arrays(
     centers = np.empty(n)
     if plus:
         lowers, uppers = np.full(n, -np.inf), np.full(n, np.inf)
-    step = _chunk_rows(m if bounded else n_basis, n_basis)
+    row_len = m if bounded else n_basis
+    step = _chunk_rows(row_len)
 
     def fill_blocks(work, rows, next_start):
         while (start := next_start()) is not None:
             stop = min(start + step, n)
-            # The block's covering rows are evaluated into `rows`, with the
-            # scratch in `work`; their product gives the block's centers.
-            first, last = _covering(start, stop, n)
-            out = rows[:(last - first) * n_basis].reshape(-1, n_basis)
-            covering = eval_basis_matrix(xi[first:last], model.index_set, out=out, work=work)
-            full = np.matmul(covering, model.coefficients, out=work[:last - first])
-            centers[start:stop] = full[start - first:stop - first]
+            # A lone last row takes the four before it (module docstring).
+            first = start - 4 if stop - start == 1 and start else start
+            out = rows[:(stop - first) * n_basis].reshape(-1, n_basis)
+            basis = eval_basis_matrix(xi[first:stop], model.index_set, out=out, work=work)
+            product = np.matmul(basis, model.coefficients, out=work[:stop - first])
+            centers[start:stop] = product[start - first:]
             if not bounded:
                 continue
-            block = covering[start - first:stop - first]
-            loo = loo_values(model, block, centers[start:stop],
+            loo = loo_values(model, basis[start - first:], centers[start:stop],
                              out=work[:(stop - start) * m].reshape(-1, m))
             # The rows are dead once the product is formed, so the block
             # shifted down reuses their memory.
@@ -277,15 +265,15 @@ def interval_arrays(
             loo.partition(k - 1, axis=1)
             uppers[start:stop] = loo[:, k - 1]
 
-    cover = min(step + 6, n)  # a block's covering rows, at most 6 more (_covering)
-    block_values = min(step, n) * m if bounded else 0
-    # Every workspace is allocated here, on the calling thread: buffers a
-    # helper allocated would come from a malloc arena of its own and stay
-    # resident after the call (about 4 MB more peak RSS on a piston grid).
-    work_values = max(block_values, scratch_size(model.index_set, cover), cover)
-    rows_values = max(block_values, cover * n_basis)
+    # A block evaluates at most min(step, n) rows: a lone last row and its
+    # four take 5, and step is 8 or more. Every workspace is allocated here,
+    # on the calling thread: buffers a helper allocated would come from a
+    # malloc arena of its own and stay resident after the call (about 4 MB
+    # more peak RSS on a piston grid).
+    size = min(step, n)
+    work_values = max(size * m if bounded else size, scratch_size(model.index_set, size))
     _share_blocks(range(0, n, step), [
-        functools.partial(fill_blocks, np.empty(work_values), np.empty(rows_values))
+        functools.partial(fill_blocks, np.empty(work_values), np.empty(size * row_len))
         for _ in range(min(_WORKERS, max(1, n // step)))
     ])
     if not plus:

@@ -168,7 +168,12 @@ def run_cell(
     zero-variance target yields rel_loo_error = nan rather than a failure.
     This is the one-cell case of the per-design path :func:`run_grid` uses,
     so a cell's record is the same whether it runs alone or in a grid.
+
+    Raises:
+        ValidationError: For an unknown method or score or a bad
+            significance, before anything is sampled.
     """
+    ConformalConfig(method, score, significance)
     cells = ((method, score),)
     return _run_design(benchmark, degree, oversampling, seed, cells, significance, test_size)[0]
 

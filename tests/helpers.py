@@ -134,7 +134,7 @@ def blocked_jackknife_plus_reference(model, rows, significance):
         uppers = np.full_like(centers, np.inf)
         return centers, -uppers, uppers
     lowers, uppers = np.empty_like(centers), np.empty_like(centers)
-    step = _chunk_rows(m, model.n_basis)
+    step = _chunk_rows(m)
     for start in range(0, centers.shape[0], step):
         block = slice(start, start + step)
         loo = loo_values(model, rows[block], centers[block])

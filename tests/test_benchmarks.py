@@ -165,6 +165,9 @@ class TestDesignSize:
         for p in range(6):
             assert design_size(name, p, 3) == 3 * len(build_total_degree_set(dim, p))
 
+    def test_integral_floats_are_their_integers(self):
+        assert design_size("piston", 2.0, 2.0) == design_size("piston", 2, 2) == 72
+
     def test_basis_over_size_limit(self):
         # K = C(37, 7) = 10,295,472: refused from the count, nothing enumerated.
         assert 8 * math.comb(37, 30) ** 2 > basis.MAX_BASIS_BYTES

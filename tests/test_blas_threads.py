@@ -1,13 +1,13 @@
 """Interval bits and the BLAS, checked in fresh processes.
 
 With OpenBLAS on one thread, `interval_arrays` evaluates each block's basis
-rows on its own and takes the block's centers from a product over the rows
-around it, aligned to multiples of 4 (`conformal._covering`). The first test
-pins the property of OpenBLAS's dgemv that makes those centers the bits of
-one product over the whole batch. The second states what holds from about
-200 basis terms up, where the bits depend on the BLAS thread count: the same
-bits run after run at one thread, and agreement within 1e-12 relative
-between one and two threads.
+rows on its own and takes the block's centers from a product over its rows;
+every block starts at a multiple of 4, and a lone last row takes the four
+rows before it along. The first test pins the property of OpenBLAS's dgemv
+that makes those centers the bits of one product over the whole batch. The
+second states what holds from about 200 basis terms up, where the bits
+depend on the BLAS thread count: the same bits run after run at one thread,
+and agreement within 1e-12 relative between one and two threads.
 """
 
 import os
@@ -25,7 +25,6 @@ GROUPS_CHILD = """
 import numpy as np
 from confpce.basis import build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
-from confpce.conformal import _covering
 from confpce.pce import basis_rows, fit
 for name, degree in %r:
     bench = get_benchmark(name)
@@ -40,8 +39,7 @@ for name, degree in %r:
                 if e - s > 1 and not np.array_equal(rows[s:e] @ c, whole[s:e]):
                     print(name, "rows", s, e, "of", n)
     for n in range(5, 404, 4):
-        first, last = _covering(n - 1, n, n)
-        if (rows[first:last] @ c)[-1] != (rows[:n] @ c)[-1]:
+        if (rows[n - 5:n] @ c)[-1] != (rows[:n] @ c)[-1]:
             print(name, "lone last row of", n)
 """ % (FITS,)
 
@@ -80,8 +78,8 @@ def run_child(code, threads, *args):
 def test_dgemv_takes_rows_in_fours():
     # A product over rows [s, e) of a benchmark's basis rows, s a multiple
     # of 4 and e one too or the last row, gives each row the bits of the
-    # product over all rows; a one-row product (numpy's dot) need not, so
-    # _covering gives a lone last row the four rows before it.
+    # product over all rows; a one-row product (numpy's dot) need not, so a
+    # lone last row takes the four rows before it along.
     assert run_child(GROUPS_CHILD, "1") == ""
 
 

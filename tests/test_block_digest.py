@@ -4,13 +4,14 @@
 one block of the interval kernel. This test runs jackknife and jackknife+
 on eight benchmark designs at batch sizes that span three blocks or more
 whether a block holds 1 MiB, 2 MiB or 4 MiB of LOO rows, or 1 MiB or 2 MiB of
-basis rows (at 1 MiB, with room for 6 more covering basis rows), in a fresh
-process with the BLAS on one thread, and compares a sha256 of every
-center and bound per design with the committed one. It skips when numpy or
-scipy is not the version in `tests/golden/versions.json`, because the bits
-are tied to those builds.
+basis rows, in a fresh process with the BLAS on one thread, and compares a
+sha256 of every center and bound per design with the committed one. It
+skips when numpy or scipy is not the version in `tests/golden/versions.json`,
+because the bits are tied to those builds.
 
-No batch leaves a one-row last block under any of these sizes: numpy
+No batch leaves a one-row last block under any of these sizes, whether
+blocks hold a multiple of 4 points, as now, or as many as fit, as when the
+digests were taken (with room for 6 more basis rows at 1 MiB): numpy
 computes a one-row product as a dot product, so that row's LOO predictions
 would take other bits than in a larger block.
 
@@ -23,11 +24,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from test_golden_reports import GOLDEN, versions
 
 import confpce
+from confpce import conformal
 from confpce.basis import total_degree_size
 from confpce.benchmarks import design_size, get_benchmark
 
@@ -74,9 +77,16 @@ print(json.dumps(digests))
 
 
 def block_rows(bytes_, row_len, n_basis=0):
-    """Points per block of `bytes_`; given n_basis, their covering rows fit too."""
+    """Points per block of `bytes_` as the digests were taken; given n_basis,
+    6 more basis rows fit too."""
     values = bytes_ // 8
     return max(1, min(values // row_len, values // n_basis - 6 if n_basis else values))
+
+
+def aligned_block_rows(bytes_, row_len):
+    """Points per block of `bytes_` by the interval kernel's rule."""
+    with mock.patch.object(conformal, "_CHUNK_BYTES", bytes_):
+        return conformal._chunk_rows(row_len)
 
 
 def compute_digests() -> list:
@@ -98,9 +108,10 @@ def test_batches_span_blocks_without_a_one_row_last_block(design):
     m = design_size(name, degree, oversampling)
     k = total_degree_size(get_benchmark(name).dim, degree)
     sizes = ((2**21, m, 0), (2**22, m, 0), (2**21, k, 0), (2**20, m, k), (2**20, k, k))
-    for bytes_, row_len, n_basis in sizes:
-        step = block_rows(bytes_, row_len, n_basis)
-        assert n > 2 * step and n % step != 1, (bytes_, row_len, n_basis)
+    steps = [block_rows(*size) for size in sizes]
+    steps += [aligned_block_rows(bytes_, row_len) for bytes_, row_len, _ in sizes]
+    for step in steps:
+        assert n > 2 * step and n % step != 1, step
 
 
 def test_multi_block_intervals_are_the_committed_bits():

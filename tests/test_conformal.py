@@ -113,6 +113,13 @@ class TestQuantiles:
         values = np.arange(1.0, 20.0)
         assert finite_quantile_upper(values, 0.05) == 19.0
 
+    def test_significance_takes_its_exact_value(self):
+        # float32(1/3) lies just above 1/3 and the float 1/3 just below it,
+        # so at n = 2 the index ceil(3(1 - s)) is 2 and 3; the rational is 2.
+        assert _upper_index(2, np.float32(1 / 3)) == 2
+        assert _upper_index(2, 1 / 3) == 3
+        assert _upper_index(2, Fraction(1, 3)) == 2
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("s", [0.03, 0.1, 0.25, 0.5, 0.9])
     def test_mirror_identity(self, seed, s):
@@ -317,6 +324,15 @@ class TestIntervalProperties:
             np.testing.assert_allclose(batch, one_by_one, rtol=1e-14)
 
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
+    def test_float32_significance_is_its_float(self, otl_model, method):
+        model, points = otl_model
+        s = np.float32(0.1)
+        got = interval_arrays(model, points, ConformalConfig(method, significance=s))
+        want = interval_arrays(model, points, ConformalConfig(method, significance=float(s)))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
     def test_empty_batch_gives_empty_arrays(self, otl_model, method):
         model, points = otl_model
         cfg = ConformalConfig(method=method, score="absolute", significance=0.1)
@@ -327,7 +343,7 @@ class TestIntervalProperties:
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
         model, _ = otl_model
         m = model.n_train
-        n = _chunk_rows(m, model.n_basis) + offset
+        n = _chunk_rows(m) + offset
         points = sample_design("otl_circuit", n, seed=92, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         k = math.ceil(0.95 * (m + 1))
@@ -385,7 +401,7 @@ class TestIntervalProperties:
 
     def test_multi_block_jackknife_plus_leaves_no_thread(self, otl_model):
         model, _ = otl_model
-        n = 5 * _chunk_rows(model.n_train, model.n_basis)
+        n = 5 * _chunk_rows(model.n_train)
         points = sample_design("otl_circuit", n, seed=93, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
         before = threading.enumerate()
@@ -427,7 +443,7 @@ class TestIntervalProperties:
     def test_multi_block_call_runs_on_the_caller_and_one_helper(self, otl_model, method):
         model, _ = otl_model
         row_len = model.n_train if method == "jackknife_plus" else model.n_basis
-        points = sample_design("otl_circuit", 5 * _chunk_rows(row_len, model.n_basis), seed=93,
+        points = sample_design("otl_circuit", 5 * _chunk_rows(row_len), seed=93,
                                stream="test").inputs
         cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
         before = threading.enumerate()
@@ -459,10 +475,10 @@ class TestIntervalProperties:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_jackknife_blocks_are_sized_by_the_basis_rows(self, piston_p4_model, extra):
         # K=330 basis values against M=990 LOO values a point: a jackknife
-        # block holds three times the points of a jackknife+ block, less the
-        # 6 covering rows it leaves room for (391 against 132).
-        step = _chunk_rows(piston_p4_model.n_basis, piston_p4_model.n_basis)
-        assert step > 2 * _chunk_rows(piston_p4_model.n_train, piston_p4_model.n_basis)
+        # block holds three times the points of a jackknife+ block, each
+        # rounded down to a multiple of 4 (396 against 132).
+        step = _chunk_rows(piston_p4_model.n_basis)
+        assert step > 2 * _chunk_rows(piston_p4_model.n_train)
         points = sample_design("piston", step + extra, seed=95, stream="test").inputs
         cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.05)
         threads, _ = self._block_threads(piston_p4_model, points, cfg)

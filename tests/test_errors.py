@@ -30,9 +30,16 @@ BAD_INPUT = {
     "basis-fraction": lambda: build_total_degree_set(1.5, 2),
     "sample-size": lambda: sample_design("meromorphic", 0, seed=0),
     "design-degree": lambda: design_size("meromorphic", -1, 2),
+    "design-degree-str": lambda: design_size("piston", "2", 2),
+    "design-degree-fraction": lambda: design_size("piston", 2.5, 2),
+    "design-oversampling-fraction": lambda: design_size("piston", 2, 1.5),
     "sample-benchmark": lambda: sample_design("nope", 5, seed=0),
     "design-benchmark": lambda: design_size("nope", 2, 2),
     "cell-benchmark": lambda: run_cell("nope", 2, 2, "jackknife", "absolute", 0.05, 0, 10),
+    # meromorphic P=3, C=1 fits; piston P=2, C=1 fails its fit with a LeverageError.
+    "cell-score": lambda: run_cell("meromorphic", 3, 1, "jackknife", "bogus", 0.1, 0, 10),
+    "cell-method": lambda: run_cell("piston", 2, 1, "bogus", "absolute", 0.1, 0, 10),
+    "cell-significance": lambda: run_cell("piston", 2, 1, "jackknife", "absolute", 1.5, 0, 10),
     "reference-dims": lambda: to_reference(np.zeros((1, 2)), UNIT),
     "basis-dims": lambda: eval_basis_matrix(np.zeros((1, 2)), build_total_degree_set(1, 1)),
     "dataset-nan": lambda: Dataset(inputs=[[0.0]], outputs=[np.nan]),

@@ -1,11 +1,12 @@
 """Generated inputs at the library's entry points: a typed error or a valid result.
 
 Each property draws seeds for `sample_design`, or arrays of assorted dtypes
-and shapes for `Dataset` and `interval_arrays`. Every call must either
+and shapes and ragged nested lists for `Dataset` and `interval_arrays`. Every call must either
 return finite arrays of the documented shapes or raise a `ConfpceError`,
 and must never emit a Python warning (a warning is turned into an error
 inside each example, so it fails the property). A last test holds every
-entry that takes outside arrays to refusing complex and string values.
+entry that takes outside arrays to refusing complex and string values and
+ragged rows.
 """
 
 import json
@@ -34,6 +35,11 @@ VALUES = hnp.arrays(
     elements=st.floats(-0.5, 1.5) | st.sampled_from((np.nan, np.inf, -np.inf)),
 )
 
+# Nested lists whose rows differ in length, which make no numpy array.
+RAGGED = st.lists(st.lists(st.floats(-0.5, 1.5), max_size=3), min_size=2, max_size=4).filter(
+    lambda rows: len({len(row) for row in rows}) > 1
+)
+
 # Two inputs, degree 2 (K = 6), 40 samples: jackknife+ at s = 0.1 is bounded.
 _RNG = np.random.default_rng(0)
 _X = _RNG.uniform(0.0, 1.0, size=(40, 2))
@@ -45,7 +51,12 @@ MODEL = fit(
 
 
 def as_dtype(values, dtype):
-    """`values` cast to `dtype`, non-finite entries zeroed first for integer types."""
+    """`values` cast to `dtype`, non-finite entries zeroed first for integer types.
+
+    A ragged list is returned as it is.
+    """
+    if isinstance(values, list):
+        return values
     if dtype in ("int64", "bool"):
         values = np.where(np.isfinite(values), values, 0.0)
     return values.astype(dtype)
@@ -78,7 +89,7 @@ def test_sample_design_seeds(seed, m):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(inputs=VALUES, outputs=VALUES, dtypes=st.tuples(*[st.sampled_from(DTYPES)] * 2))
+@given(inputs=VALUES | RAGGED, outputs=VALUES | RAGGED, dtypes=st.tuples(*[st.sampled_from(DTYPES)] * 2))
 def test_dataset_arrays(inputs, outputs, dtypes):
     inputs, outputs = as_dtype(inputs, dtypes[0]), as_dtype(outputs, dtypes[1])
     data = run_quietly(lambda: Dataset(inputs=inputs, outputs=outputs))
@@ -101,7 +112,7 @@ def test_inputs_with_no_columns_are_refused(make):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(points=VALUES, dtype=st.sampled_from(DTYPES), method=st.sampled_from(METHODS))
+@given(points=VALUES | RAGGED, dtype=st.sampled_from(DTYPES), method=st.sampled_from(METHODS))
 def test_interval_arrays_points(points, dtype, method):
     cfg = ConformalConfig(method=method, significance=0.1)
     got = run_quietly(lambda: interval_arrays(MODEL, as_dtype(points, dtype), cfg))
@@ -125,11 +136,14 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("dtype", ["complex128", "U8"])
+@pytest.mark.parametrize("values", [
+    np.full((3, 2), 0.5).astype("complex128"), np.full((3, 2), 0.5).astype("U8"),
+    [[0.5, 0.5], [0.5]],
+], ids=["complex128", "U8", "ragged"])
 @pytest.mark.parametrize("entry", list(ENTRIES))
-def test_every_array_entry_refuses_non_real_values(entry, dtype):
-    values = np.full((3, 2), 0.5).astype(dtype)
+def test_every_array_entry_refuses_non_real_values(entry, values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="must be real numbers"):
             ENTRIES[entry](values)
+

@@ -178,7 +178,7 @@ def test_basis_matrix_is_the_per_dimension_product(dim, degree, size, seed):
     degree=st.integers(1, 3),
     oversampling=st.integers(2, 5),
     seed=st.integers(0, 2**16),
-    length=st.sampled_from(("block", "one-row blocks", "short last block")),
+    length=st.sampled_from(("block", "smallest blocks", "short last block")),
     offset=st.integers(-1, 1),
 )
 def test_jackknife_plus_matches_blocked_oracle(
@@ -189,12 +189,12 @@ def test_jackknife_plus_matches_blocked_oracle(
     model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
     m = model.n_train
     # "block": one block of the default size, and one row past it at offset 1.
-    # "one-row blocks": 63 to 65 blocks of one row. "short last block": blocks
-    # of 16 rows, the third 10 to 12 rows long.
-    rows = {"block": conformal._chunk_rows(m, model.n_basis), "one-row blocks": 1,
+    # "smallest blocks": 63 to 65 points in blocks of 8 rows, a lone last row
+    # at 65. "short last block": blocks of 16 rows, the third 10 to 12 rows long.
+    rows = {"block": conformal._chunk_rows(m), "smallest blocks": 8,
             "short last block": 16}[length]
     with mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * m):
-        n = {"block": rows, "one-row blocks": 64, "short last block": 43}[length] + offset
+        n = {"block": rows, "smallest blocks": 64, "short last block": 43}[length] + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", significance=significance)
         got = interval_arrays(model, points, cfg)
@@ -214,9 +214,9 @@ def _fit_benchmark(name, degree, oversampling, seed, transform=lambda y: y):
 
 
 def _small_blocks(row_len, rows=16):
-    # Blocks of `rows` rows, 16 by default, for a jackknife+ call whose LOO
-    # rows hold row_len values, so that a few dozen points span blocks. A
-    # jackknife call (row_len = K) gets rows - 6, leaving its covering rows room.
+    # Blocks of `rows` rows, a multiple of 4 and 16 by default, for a call
+    # whose rows hold row_len values (M for a bounded jackknife+ call, K
+    # otherwise), so that a few dozen points span blocks.
     return mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * row_len)
 
 
@@ -238,7 +238,7 @@ def test_jackknife_plus_bits_do_not_depend_on_worker_count(
     model = _fit_benchmark(name, degree, oversampling, seed)
     cfg = ConformalConfig(method="jackknife_plus", significance=significance)
     with _small_blocks(model.n_train):
-        n = blocks * conformal._chunk_rows(model.n_train, model.n_basis) + offset
+        n = blocks * conformal._chunk_rows(model.n_train) + offset
         points = sample_design(name, n, seed=seed, stream="test").inputs
         with mock.patch.object(conformal, "_WORKERS", 1):
             serial = interval_arrays(model, points, cfg)
@@ -256,7 +256,7 @@ def test_jackknife_plus_bits_do_not_depend_on_worker_count(
     degree=st.integers(1, 3),
     oversampling=st.integers(2, 5),
     seed=st.integers(0, 2**16),
-    rows=st.integers(13, 16),
+    rows=st.sampled_from((8, 12, 16)),
     blocks=st.integers(1, 3),
     offset=st.integers(-3, 3),
     significance=st.sampled_from((0.05, 0.1, 1 / 3)),
@@ -264,16 +264,15 @@ def test_jackknife_plus_bits_do_not_depend_on_worker_count(
 def test_streamed_rows_give_the_bits_of_whole_batch_rows(
     name, degree, oversampling, seed, rows, blocks, offset, significance
 ):
-    # Blocks of 13 to 16 rows start on and off multiples of 4, and the batch
-    # ends at every n mod 4 next to a block boundary, one row past it included.
+    # Blocks of 8, 12 or 16 rows, and a batch that ends at every n mod 4 next
+    # to a block boundary: one row past it leaves a lone last row.
     model = _fit_benchmark(name, degree, oversampling, seed)
     n = max(1, blocks * rows + offset)
     points = sample_design(name, n, seed=seed, stream="test").inputs
     for method in METHODS:
         cfg = ConformalConfig(method=method, significance=significance)
-        # A jackknife block leaves room for its covering rows, 6 more.
-        row_len, spare = (model.n_train, 0) if method == "jackknife_plus" else (model.n_basis, 6)
-        with _small_blocks(row_len, rows + spare):
+        row_len = model.n_train if method == "jackknife_plus" else model.n_basis
+        with _small_blocks(row_len, rows):
             want = whole_batch_intervals(model, points, cfg)
             for workers in (1, 2):
                 with mock.patch.object(conformal, "_WORKERS", workers):
@@ -300,7 +299,7 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
 
     cfg = ConformalConfig(method="jackknife_plus", significance=0.1)
     with _small_blocks(model.n_train):
-        n = 10 * conformal._chunk_rows(model.n_train, model.n_basis)
+        n = 10 * conformal._chunk_rows(model.n_train)
         points = sample_design("otl_circuit", n, seed=5, stream="test").inputs
         before = threading.active_count()
         with mock.patch.object(conformal, "_WORKERS", 2), \
@@ -312,9 +311,9 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
 
 
 def test_jackknife_plus_workers_take_each_block_once():
-    # One-row blocks and a 1 us switch interval make the two workers race for
-    # the shared starts; a block taken twice or never shows in the calls or
-    # bits.
+    # The smallest blocks, 8 rows, and a 1 us switch interval make the two
+    # workers race for the shared starts; a block taken twice or never shows
+    # in the calls or bits.
     model = _fit_benchmark("piston", 2, 3, 4)
     m, n = model.n_train, 400
     points = sample_design("piston", n, seed=4, stream="test").inputs
@@ -326,6 +325,7 @@ def test_jackknife_plus_workers_take_each_block_once():
         return loo_values(model, rows, centers, out=out)
 
     with mock.patch.object(conformal, "_CHUNK_BYTES", 8 * m):
+        step = conformal._chunk_rows(m)
         with mock.patch.object(conformal, "_WORKERS", 1):
             serial = interval_arrays(model, points, cfg)
         want = whole_batch_intervals(model, points, cfg)
@@ -336,7 +336,7 @@ def test_jackknife_plus_workers_take_each_block_once():
                 shared = interval_arrays(model, points, cfg)
         finally:
             sys.setswitchinterval(interval)
-    assert taken == [1] * n
+    assert taken == [step] * (n // step)
     for one, two, w in zip(serial, shared, want):
         assert np.array_equal(one, two)
         assert np.array_equal(one, w)

@@ -76,7 +76,7 @@ def run_child(tmp_path, mode):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_outputs_are_the_same_bytes_across_blas_threads_and_cpus(tmp_path):
-    step = conformal._chunk_rows(M, K)
+    step = conformal._chunk_rows(M)
     assert step < N_POINTS < 2 * step < TEST_SIZE
     (tmp_path / "config.json").write_text(json.dumps({
         "benchmark": "piston",
