@@ -127,8 +127,7 @@ def cmd_interval(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(expected + ["center", "lower", "upper"])
-        for row, c, lo, hi in zip(points, centers, lowers, uppers):
-            writer.writerow([repr(float(v)) for v in (*row, c, lo, hi)])
+        writer.writerows(np.column_stack((points, centers, lowers, uppers)).tolist())
     if n_unbounded:
         print(
             f"warning: {n_unbounded} unbounded interval(s); "

@@ -36,17 +36,31 @@ call and joined before it returns. The matrix product and the partitions
 release the interpreter lock, so the two workers run on two cores.
 
 Each worker owns one pair of buffers of at most 1 MiB (but see
-``_CHUNK_BYTES``), allocated on the calling thread; no block allocates
-anything, and nothing persists between calls. The first buffer takes the
-basis evaluation's scratch, then the block's LOO predictions from one
-product with the correction matrix. The second takes the block's basis
-rows, which give its centers, then the block shifted down by the scores and
-partitioned; the first is shifted up in place and partitioned. A block
-holds as many points as let both fit, a multiple of 4: M LOO values a point
-for a bounded jackknife+ call, K basis values otherwise. A jackknife batch
-runs the same loop for its centers alone, and :func:`jackknife_bounds` turns
-centers into jackknife bounds, so the harness reads both methods' bounds off
-one jackknife+ call.
+``_CHUNK_BYTES``), allocated on the calling thread; a block allocates
+nothing but a few values a row, and nothing persists between calls. The
+first buffer takes the basis evaluation's scratch, then the block's LOO
+predictions from one product with the correction matrix. The second takes
+the block's basis rows, which give its centers, then the selection's
+values. A block holds as many points as let both fit, a multiple of 4: M
+LOO values a point for a bounded jackknife+ call, K basis values otherwise.
+A jackknife batch runs the same loop for its centers alone, and
+:func:`jackknife_bounds` turns centers into jackknife bounds, so the
+harness reads both methods' bounds off one jackknife+ call.
+
+A jackknife+ bound is the t-th largest (upper) or smallest (lower) of a
+row of M shifted LOO predictions, t = M - k + 1, so selection starts from a
+candidate set (Floyd and Rivest, CACM 1975): the 2t + 8 columns of largest
+score, taken once a call, gathered, shifted and partitioned per block in
+the second buffer. Rounding to nearest is monotone, so a value outside them,
+whose score is at most the largest outside score a_out, shifts up to at
+most fl(max_j loo_ij + a_out) and down to at least fl(min_j loo_ij - a_out).
+A row whose upper candidate statistic is at least the first bound and whose
+lower one is at most the second has its whole row's order statistics: an
+order statistic is an element of its row, and equal floats other than zeros
+are the same bits. Rows that fail (NaN included) are gathered into the
+second buffer and partitioned whole, as is every row of a call whose
+candidates would make a third of a row or more, or whose a_out is 0 (a -0.0
+could then tie a +0.0).
 
 Block boundaries depend on n, M and K alone and each block writes its own
 rows of the bounds, so every bound is the same bits whatever the number of
@@ -55,7 +69,7 @@ product in fours, counted from the first, and every block starts at a
 multiple of 4, so a block's centers are the bits of one product over the
 whole batch, whatever the block size. numpy computes a one-row product as a
 dot product instead, so a lone last row takes the four rows before it into
-the product for its center.
+the products for its center and its LOO predictions.
 """
 
 from __future__ import annotations
@@ -123,10 +137,10 @@ def _upper_index(n: int, significance: float) -> int:
     just above 19 and spuriously overflowing the sample. The s here is the
     exact binary value of the float, not the decimal or rational it was
     written as: the float 1/3 lies just below 1/3, so at s = 1/3 the index
-    is one above the rational ceil(2(n+1)/3) whenever 3 divides n + 1. A
-    numpy float32 takes its exact value through float(); a Fraction stays.
+    is one above the rational ceil(2(n+1)/3) whenever 3 divides n + 1.
+    as_integer_ratio is exact for a Fraction and every numpy float type.
     """
-    s = significance if isinstance(significance, Fraction) else Fraction(float(significance))
+    s = Fraction(*significance.as_integer_ratio())
     return math.ceil((1 - s) * (n + 1))
 
 
@@ -216,6 +230,47 @@ def _share_blocks(starts: range, workers: list) -> None:
         helper.result()
 
 
+def _candidates(a: np.ndarray, k: int):
+    """(columns, a[columns], a_out) of the 2t + 8 largest scores in column
+    order, or None where whole rows cost less (module docstring)."""
+    n_cand = 2 * (a.size - k + 1) + 8
+    if 3 * n_cand >= a.size:
+        return None
+    order = np.argpartition(a, -n_cand - 1)
+    columns, a_out = np.sort(order[-n_cand:]), a[order[-n_cand - 1]]
+    return (columns, a[columns], a_out) if a_out > 0 else None
+
+
+def _order_statistics(loo, a, k, spare, lowers, uppers, candidates=None):
+    """Writes the jackknife+ bounds of LOO rows loo (b, M) to lowers and
+    uppers (b,), the bits of np.partition over each whole row. candidates
+    may be any t or more ascending columns with their scores and a bound
+    a_out > 0 on the others (-inf for none). loo is overwritten; spare is a
+    flat buffer of b * M values or more, which np.take writes unbuffered
+    in mode "clip"."""
+    m, rows = a.size, slice(None)
+    if candidates is not None:
+        columns, a_in, a_out = candidates
+        t = m - k + 1
+        cand = spare[:loo.shape[0] * columns.size].reshape(-1, columns.size)
+        for bounds, shift, j in ((uppers, np.add, -t), (lowers, np.subtract, t - 1)):
+            shift(loo.take(columns, axis=1, out=cand, mode="clip"), a_in, out=cand)
+            cand.partition(j, axis=1)
+            bounds[:] = cand[:, j]
+        rows = np.flatnonzero(~((uppers >= np.max(loo, axis=1) + a_out)
+                                & (lowers <= np.min(loo, axis=1) - a_out)))
+        if not rows.size:
+            return
+        spare, loo = loo.reshape(-1), loo.take(
+            rows, axis=0, out=spare[:rows.size * m].reshape(-1, m), mode="clip")
+    shifted = np.subtract(loo, a, out=spare[:loo.size].reshape(loo.shape))
+    shifted.partition(m - k, axis=1)
+    lowers[rows] = shifted[:, m - k]
+    loo += a
+    loo.partition(k - 1, axis=1)
+    uppers[rows] = loo[:, k - 1]
+
+
 def interval_arrays(
     model: PceModel, points: np.ndarray, cfg: ConformalConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,6 +297,7 @@ def interval_arrays(
         lowers, uppers = np.full(n, -np.inf), np.full(n, np.inf)
     row_len = m if bounded else n_basis
     step = _chunk_rows(row_len)
+    candidates = _candidates(a, k) if bounded else None
 
     def fill_blocks(work, rows, next_start):
         while (start := next_start()) is not None:
@@ -254,16 +310,11 @@ def interval_arrays(
             centers[start:stop] = product[start - first:]
             if not bounded:
                 continue
-            loo = loo_values(model, basis[start - first:], centers[start:stop],
-                             out=work[:(stop - start) * m].reshape(-1, m))
-            # The rows are dead once the product is formed, so the block
-            # shifted down reuses their memory.
-            shifted = np.subtract(loo, a, out=rows[:loo.size].reshape(loo.shape))
-            shifted.partition(m - k, axis=1)
-            lowers[start:stop] = shifted[:, m - k]
-            loo += a
-            loo.partition(k - 1, axis=1)
-            uppers[start:stop] = loo[:, k - 1]
+            # A lone row's LOO values come from its center's product; the
+            # rows are dead once it is formed, so the selection reuses them.
+            loo = loo_values(model, basis, np.broadcast_to(centers[start:stop], product.shape),
+                             out=work[:(stop - first) * m].reshape(-1, m))[start - first:]
+            _order_statistics(loo, a, k, rows, lowers[start:stop], uppers[start:stop], candidates)
 
     # A block evaluates at most min(step, n) rows: a lone last row and its
     # four take 5, and step is 8 or more. Every workspace is allocated here,

@@ -122,9 +122,11 @@ def blocked_jackknife_plus_reference(model, rows, significance):
     """Block-loop oracle for jackknife+ bounds at basis rows (n, K).
 
     Builds each block of the LOO matrix as a fresh array with loo_values and
-    partitions fresh shifted copies, on the same block boundaries as
-    interval_arrays, so the products see the same row counts and every bound
-    must agree bit for bit. Returns (centers, lowers, uppers).
+    partitions fresh shifted copies of whole rows, on the same block
+    boundaries as interval_arrays, so the products see the same row counts
+    and every bound must agree bit for bit; a lone last row's LOO values
+    come from a product over it and the four rows before it. Returns
+    (centers, lowers, uppers).
     """
     centers = rows @ model.coefficients
     a = np.abs(model.loo_residuals)
@@ -135,9 +137,13 @@ def blocked_jackknife_plus_reference(model, rows, significance):
         return centers, -uppers, uppers
     lowers, uppers = np.empty_like(centers), np.empty_like(centers)
     step = _chunk_rows(m)
-    for start in range(0, centers.shape[0], step):
+    n = centers.shape[0]
+    for start in range(0, n, step):
         block = slice(start, start + step)
-        loo = loo_values(model, rows[block], centers[block])
+        if start and start + 1 == n:
+            loo = loo_values(model, rows[start - 4:], np.full(5, centers[start]))[4:]
+        else:
+            loo = loo_values(model, rows[block], centers[block])
         lowers[block] = np.partition(loo - a, m - k, axis=1)[:, m - k]
         uppers[block] = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
     return centers, lowers, uppers

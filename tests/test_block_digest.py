@@ -9,11 +9,13 @@ sha256 of every center and bound per design with the committed one. It
 skips when numpy or scipy is not the version in `tests/golden/versions.json`,
 because the bits are tied to those builds.
 
-No batch leaves a one-row last block under any of these sizes, whether
-blocks hold a multiple of 4 points, as now, or as many as fit, as when the
-digests were taken (with room for 6 more basis rows at 1 MiB): numpy
-computes a one-row product as a dot product, so that row's LOO predictions
-would take other bits than in a larger block.
+No batch of DIGESTS leaves a one-row last block under any of these sizes,
+whether blocks hold a multiple of 4 points, as now, or as many as fit, as
+when the digests were taken (with room for 6 more basis rows at 1 MiB):
+numpy computes a one-row product as a dot product, so such a row takes its
+center and LOO predictions from a product over it and the four rows before
+it. LONE_ROW_DIGESTS holds a batch that ends in such a row, digested since
+its LOO predictions come from that product.
 
 To print the digests after a deliberate change of the bits, run
 ``PYTHONPATH=src python tests/test_block_digest.py``.
@@ -55,6 +57,12 @@ DIGESTS = {
         "eb266376a920d63a9f38207862695c0593937fefec440d345e4ed01fe5e98d72",
 }
 
+# As DIGESTS, for a batch whose last block is one row long at 1 MiB.
+LONE_ROW_DIGESTS = {
+    ("piston", 2, 3, 9_697):
+        "49e15edb052ff3aa8ace211f8c58d35114085e7a732b155fe20516df254dc37b",
+}
+
 CHILD = """
 import hashlib, json, sys
 from confpce.basis import build_total_degree_set
@@ -89,13 +97,13 @@ def aligned_block_rows(bytes_, row_len):
         return conformal._chunk_rows(row_len)
 
 
-def compute_digests() -> list:
-    """The per-design digests of DIGESTS' designs, from a fresh interpreter."""
+def compute_digests(designs) -> list:
+    """The per-design digests of `designs`, from a fresh interpreter."""
     paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     env["OPENBLAS_NUM_THREADS"] = "1"
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(list(DIGESTS))],
+        [sys.executable, "-c", CHILD, json.dumps(list(designs))],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -118,10 +126,19 @@ def test_multi_block_intervals_are_the_committed_bits():
     recorded = json.loads((GOLDEN / "versions.json").read_text())
     if recorded != versions():
         pytest.skip(f"digests were taken with {recorded}, this is {versions()}")
-    for design, got in zip(DIGESTS, compute_digests()):
-        assert got == DIGESTS[design], f"{design} differs"
+    digests = {**DIGESTS, **LONE_ROW_DIGESTS}
+    for design, got in zip(digests, compute_digests(digests)):
+        assert got == digests[design], f"{design} differs"
+
+
+@pytest.mark.parametrize("design", list(LONE_ROW_DIGESTS), ids=lambda d: "-".join(map(str, d)))
+def test_lone_row_batch_ends_in_a_one_row_block(design):
+    name, degree, oversampling, n = design
+    m = design_size(name, degree, oversampling)
+    assert n > 2 * aligned_block_rows(2**20, m) and n % aligned_block_rows(2**20, m) == 1
 
 
 if __name__ == "__main__":
-    for design, digest in zip(DIGESTS, compute_digests()):
+    digests = {**DIGESTS, **LONE_ROW_DIGESTS}
+    for design, digest in zip(digests, compute_digests(digests)):
         print(f"    {design}: {digest!r},")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from helpers import registered
 
-from confpce import basis, harness
+from confpce import basis, conformal, harness
 from confpce.basis import InputSpec
 from confpce.benchmarks import Benchmark
 from confpce.cli import main
@@ -233,6 +233,29 @@ class TestInterval:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert all(row["lower"] == "-inf" and row["upper"] == "inf" for row in rows)
+
+    def test_rows_are_written_as_the_repr_of_each_float(self, tmp_path, zero_model, monkeypatch):
+        # The whole table goes through one csv.writerows call, which writes
+        # str(float): the bytes of the repr of every value, row by row.
+        points = tmp_path / "extremes.csv"
+        xs = [-0.0, 5e-324, -5e-324, 0.1, -1.0, 1.0]
+        points.write_text("x1\n" + "".join(f"{x!r}\n" for x in xs))
+        bounds = np.array([
+            [-0.0, 5e-324, 1e308, -1e308, 0.1, 2.0 / 3.0],
+            [-np.inf, 0.0, 1e308, -np.inf, -5e-324, 1e-300],
+            [np.inf, 1e-320, np.inf, -1e308, 5e-324, 1.7976931348623157e308],
+        ])
+        monkeypatch.setattr(conformal, "interval_arrays", lambda *args: tuple(bounds))
+        out = tmp_path / "iv.csv"
+        assert run_cli(
+            "interval", "--model", str(zero_model), "--points", str(points),
+            "--method", "jk+", "--out", str(out),
+        ) == 0
+        want = "x1,center,lower,upper\n" + "".join(
+            ",".join(repr(float(v)) for v in (x, *column)) + "\n"
+            for x, column in zip(xs, bounds.T)
+        )
+        assert out.read_bytes() == want.encode()
 
     def test_jk_and_jkplus_share_centers(self, tmp_path, capsys):
         model = tmp_path / "otl.json"

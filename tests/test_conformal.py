@@ -120,6 +120,15 @@ class TestQuantiles:
         assert _upper_index(2, 1 / 3) == 3
         assert _upper_index(2, Fraction(1, 3)) == 2
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="the expected indices hold for an x87 longdouble")
+    def test_longdouble_significance_takes_its_exact_value(self):
+        # A longdouble 1/3 with a 64-bit significand lies just above 1/3, so
+        # the index is the rational one, 2(n + 1)/3; through float() it is
+        # the float 1/3's, one more.
+        s = np.longdouble(1) / 3
+        assert [_upper_index(n, s) for n in (2, 5, 8)] == [2, 4, 6]
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("s", [0.03, 0.1, 0.25, 0.5, 0.9])
     def test_mirror_identity(self, seed, s):
@@ -339,6 +348,97 @@ class TestIntervalProperties:
         got = interval_arrays(model, points[:0], cfg)
         assert [a.shape for a in got] == [(0,)] * 3
 
+    def test_real_design_takes_both_selection_branches(self):
+        # Piston P=3, C=2 (M=240) at s = 0.05: t = 12, 32 candidate columns.
+        # Some rows clear the certificate and the rest are selected over
+        # their whole row, which np.flatnonzero finds; both give the bits of
+        # a whole-row partition.
+        bench = get_benchmark("piston")
+        data = sample_design("piston", design_size("piston", 3, 2), seed=0)
+        model = fit(data, build_total_degree_set(bench.dim, 3), bench.input_spec)
+        points = sample_design("piston", 2_000, seed=1, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", significance=0.05)
+        a, m = np.abs(model.loo_residuals), model.n_train
+        k = _upper_index(m, 0.05)
+        assert conformal._candidates(a, k)[0].size == 32
+        flatnonzero, fallback = np.flatnonzero, []
+
+        def counted(condition):
+            fallback.append(flatnonzero(condition).size)
+            return flatnonzero(condition)
+
+        with mock.patch.object(conformal, "_WORKERS", 1), \
+                mock.patch.object(np, "flatnonzero", counted):
+            _, lowers, uppers = interval_arrays(model, points, cfg)
+        assert len(fallback) == -(-2_000 // _chunk_rows(m))
+        assert 0 < sum(fallback) < 2_000 / 2
+        loo = loo_predict(model, points)
+        assert lowers.tobytes() == np.partition(loo - a, m - k, axis=1)[:, m - k].tobytes()
+        assert uppers.tobytes() == np.partition(loo + a, k - 1, axis=1)[:, k - 1].tobytes()
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("columns", [(0,), (39,), (0, 1), (38, 39)])
+    def test_nonfinite_loo_values_end_as_with_whole_rows(self, special, columns):
+        # M = 40, s = 0.05: t = 2 and the 12 largest scores, columns 28-39,
+        # are the candidates. A NaN fails the certificate, so its row is
+        # selected whole, and two NaNs at one end are an IntervalError.
+        values = np.linspace(-1.0, 1.0, 40)
+        values[list(columns)] = special
+        model = PceModel(
+            index_set=build_total_degree_set(1, 0),
+            input_spec=UNIT_SPEC,
+            training_snapshot=Dataset(inputs=np.zeros((40, 1)), outputs=np.zeros(40)),
+            coefficients=np.zeros(1),
+            hat_diag=np.zeros(40),
+            loo_residuals=np.arange(1.0, 41.0),
+            loo_corrections=-values[:, None],
+            condition_number=1.0,
+        )
+        cfg = ConformalConfig(method="jackknife_plus", significance=0.05)
+        assert conformal._candidates(np.arange(1.0, 41.0), _upper_index(40, 0.05)) is not None
+
+        def outcome():
+            try:
+                return [v.tobytes() for v in interval_arrays(model, np.zeros((1, 1)), cfg)]
+            except IntervalError as exc:
+                return str(exc)
+
+        got = outcome()
+        with mock.patch.object(conformal, "_candidates", lambda a, k: None):
+            assert got == outcome()
+        if np.isnan(special) and len(columns) == 2:
+            assert "upper nan" in got or "lower nan" in got
+
+    def test_lone_last_row_has_the_bits_of_a_longer_block(self):
+        # Piston P=4, C=2 (M=660) takes blocks of 196 points, so a batch of
+        # 197 ends in a lone row. Its LOO values come from a product over it
+        # and the four rows before it, which gives them the bits of the same
+        # five points as a batch of their own. With the BLAS on one thread, a
+        # one-row product gives this row's lower bound other bits.
+        code = """
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+from confpce.conformal import ConformalConfig, _chunk_rows, interval_arrays
+from confpce.pce import fit
+bench = get_benchmark("piston")
+data = sample_design("piston", design_size("piston", 4, 2), seed=0)
+model = fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
+assert _chunk_rows(model.n_train) == 196
+points = sample_design("piston", 197, seed=16, stream="test").inputs
+cfg = ConformalConfig(method="jackknife_plus", significance=0.1)
+batch = interval_arrays(model, points, cfg)
+five = interval_arrays(model, points[-5:], cfg)
+print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, five)])
+"""
+        paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[True, True, True]"
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
         model, _ = otl_model
@@ -360,7 +460,7 @@ class TestIntervalProperties:
         # Piston P=4, C=3 (M=990) at 10,000 points: the LOO matrix is 79 MB,
         # the workspace of one worker two buffers of 1 MiB. One holds the
         # basis scratch, then a block of LOO predictions; the other the
-        # block's basis rows, then the block shifted down. The rest is the
+        # block's basis rows, then the selection's values. The rest is the
         # mapped points and the results.
         points = sample_design("piston", 10_000, seed=3, stream="test").inputs
         cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
@@ -368,6 +468,23 @@ class TestIntervalProperties:
             tracemalloc.start()
             try:
                 interval_arrays(piston_p4_model, points, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3.5 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
+
+    def test_jackknife_plus_workspace_is_bounded_at_m_1650(self):
+        # Piston P=4, C=5: blocks of 76 rows of 1,650 LOO values, 172 of
+        # them candidates at s = 0.05, where some rows fall back to whole rows.
+        bench = get_benchmark("piston")
+        data = sample_design("piston", design_size("piston", 4, 5), seed=3)
+        model = fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
+        points = sample_design("piston", 10_000, seed=3, stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        with mock.patch.object(conformal, "_WORKERS", 1):
+            tracemalloc.start()
+            try:
+                interval_arrays(model, points, cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

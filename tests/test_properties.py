@@ -443,3 +443,80 @@ def test_upper_index_is_exact(significance, rational):
         assert k == -(-(q - p) * (m + 1) // q), m
         extra = rational == Fraction(1, 3) and (m + 1) % 3 == 0
         assert k == math.ceil((1 - rational) * (m + 1)) + extra, m
+
+
+def _loo_block(rng, b, m, specials):
+    """(b, M) LOO values and M scores: continuous, or drawn from few values
+    (ties, signed zeros, zero and subnormal scores) with +-inf and NaN."""
+    if not specials:
+        return rng.normal(size=(b, m)), rng.exponential(size=m)
+    loo = rng.choice((0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, np.inf, -np.inf, np.nan),
+                     size=(b, m), p=(0.2, 0.2, 0.15, 0.15, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03))
+    return loo, np.abs(rng.choice((0.0, -0.0, 5e-324, 0.5, 1.0, 3.0), size=m))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    m=st.integers(1, 80),
+    b=st.integers(1, 64),
+    t=st.integers(1, 20),
+    extra=st.integers(0, 10),
+    specials=st.booleans(),
+    outlier=st.sampled_from((None, "far", "near")),
+    sign=st.sampled_from((1.0, -1.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_order_statistics_are_the_bits_of_whole_row_partitions(
+    m, b, t, extra, specials, outlier, sign, seed
+):
+    # The candidate set is the n >= t columns of largest score, ties broken
+    # at random, from one column (at t = 1) to the whole row. An outlier
+    # outside it fails the certificate: a "far" one by 1e3 past the
+    # candidates, a "near" one by half the outside score, on the upper
+    # (sign 1) or the lower side.
+    rng = np.random.default_rng(seed)
+    t = min(t, m)
+    k, n = m - t + 1, min(t + extra, m)
+    loo, a = _loo_block(rng, b, m, specials)
+    ties = rng.permutation(m)
+    order = ties[np.argsort(a[ties], kind="stable")]
+    columns = np.sort(order[m - n:])
+    a_out = a[order[m - n - 1]] if n < m else -np.inf
+    candidates = (columns, a[columns], a_out) if n == m or a_out > 0 else None
+    if outlier and n < m:
+        i = rng.integers(b)
+        shifted = np.sort(sign * (loo[i, columns] + sign * a[columns]))
+        edge = sign * shifted[n - t]  # the candidates' t-th largest (smallest)
+        loo[i, order[m - n - 1]] = edge + sign * (1e3 if outlier == "far" else -a_out / 2)
+    with np.errstate(all="ignore"):
+        want_lo = np.partition(loo - a, m - k, axis=1)[:, m - k]
+        want_hi = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
+        lowers, uppers = np.empty(b), np.empty(b)
+        conformal._order_statistics(loo, a, k, np.empty(b * m), lowers, uppers, candidates)
+    assert lowers.tobytes() == want_lo.tobytes()
+    assert uppers.tobytes() == want_hi.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    m=st.integers(1, 400),
+    zeros=st.floats(0.0, 1.0),
+    significance=st.sampled_from((0.01, 0.05, 0.1, 0.2, 1 / 3, 0.5)),
+    seed=st.integers(0, 2**16),
+)
+def test_candidates_are_the_largest_scores_under_a_third_of_a_row(m, zeros, significance, seed):
+    # A share of the scores is zero, up to all of them.
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random(m) < zeros, 0.0, rng.exponential(size=m))
+    k = _upper_index(m, significance)
+    got = conformal._candidates(a, k) if k <= m else None
+    n = 2 * (m - k + 1) + 8
+    if got is None:
+        if k <= m and 3 * n < m:  # only a zero score outside takes whole rows
+            assert np.sort(a)[m - n - 1] == 0
+        return
+    columns, a_in, a_out = got
+    outside = np.setdiff1d(np.arange(m), columns)
+    assert 3 * n < m and columns.size == n and np.all(np.diff(columns) > 0)
+    assert np.array_equal(a_in, a[columns])
+    assert a_out == a[outside].max() > 0 and a_in.min() >= a_out
