@@ -52,7 +52,6 @@ from .harness import (
 from .pce import (
     Dataset,
     PceModel,
-    basis_rows,
     brute_force_loo,
     fit,
     from_json,

@@ -40,12 +40,27 @@ Each worker owns one pair of buffers of at most 1 MiB (but see
 nothing but a few values a row, and nothing persists between calls. The
 first buffer takes the basis evaluation's scratch, then the block's LOO
 predictions from one product with the correction matrix. The second takes
-the block's basis rows, which give its centers, then the selection's
-values. A block holds as many points as let both fit, a multiple of 4: M
+the block's basis rows, then the selection's values. A jackknife batch runs
+the same loop for its centers alone, and :func:`jackknife_bounds` turns
+centers into jackknife bounds, so the harness reads both methods' bounds
+off one jackknife+ call.
+
+:func:`_blocks` is the one block rule. A block holds as many points as let
+both buffers fit, a multiple of 4 and at least ``_MIN_BLOCK_ROWS`` = 8: M
 LOO values a point for a bounded jackknife+ call, K basis values otherwise.
-A jackknife batch runs the same loop for its centers alone, and
-:func:`jackknife_bounds` turns centers into jackknife bounds, so the
-harness reads both methods' bounds off one jackknife+ call.
+Blocks start at multiples of 4, and the last one also takes any remainder
+shorter than 8 rows, so no product spans fewer than 8 rows unless it covers
+the whole batch. Block boundaries depend on n, M and K alone and each block
+writes its own rows of the bounds, so every bound is the same bits whatever
+the number of workers or the order they run in. OpenBLAS's dgemv takes the
+rows of a product in fours, counted from the first, so a block's centers
+are the bits of one product over the whole batch. Its LOO predictions, and
+so its bounds, matched a whole-batch product at the default block size on
+every batch measured with the BLAS on one thread, and fixed batches test
+this (tests/test_block_digest.py); that is a measurement of this build, not
+a guarantee of OpenBLAS. Shorter products can differ: numpy computes a
+one-row product as a dot product, and last blocks of 1 to 7 rows, or blocks
+of 8 to 16 rows, gave other bits.
 
 A jackknife+ bound is the t-th largest (upper) or smallest (lower) of a
 row of M shifted LOO predictions, t = M - k + 1, so selection starts from a
@@ -61,15 +76,6 @@ are the same bits. Rows that fail (NaN included) are gathered into the
 second buffer and partitioned whole, as is every row of a call whose
 candidates would make a third of a row or more, or whose a_out is 0 (a -0.0
 could then tie a +0.0).
-
-Block boundaries depend on n, M and K alone and each block writes its own
-rows of the bounds, so every bound is the same bits whatever the number of
-workers or the order they run in. OpenBLAS's dgemv takes the rows of a
-product in fours, counted from the first, and every block starts at a
-multiple of 4, so a block's centers are the bits of one product over the
-whole batch, whatever the block size. numpy computes a one-row product as a
-dot product instead, so a lone last row takes the four rows before it into
-the products for its center and its LOO predictions.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
     Returns +inf when the index exceeds M, signalling that the sample is too
     small for the requested significance and the interval is unbounded.
     """
-    values = real_array(values, "values")
+    values = real_array(values, "values").ravel()
     if values.size == 0:
         raise ValidationError("cannot take a quantile of an empty sample")
     k = _upper_index(values.size, significance)
@@ -160,12 +166,13 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
 
 
 # The bytes of each buffer of a worker's pair, so that a pair fits one core's
-# 2 MiB L2 cache. A helper starts only for a second full block: a 200-point
-# query at piston P=4, C=3 (M=990) takes blocks of 132 and 68 points on the
-# calling thread alone. Blocks hold 8 points at least, so where a row holds
-# more than 16,384 values a worker's buffers grow past 1 MiB to 8 rows each:
-# 12.8 MB a worker at M=100,000.
+# 2 MiB L2 cache; a last block that takes a remainder needs up to 7 rows
+# more. Where a row holds more than 16,384 values the buffers grow past
+# 1 MiB to 8 rows each: 12.8 MB a worker at M=100,000.
 _CHUNK_BYTES = 2**20
+
+# The fewest rows a block holds unless it is the whole batch (module docstring).
+_MIN_BLOCK_ROWS = 8
 
 
 def _usable_cpus() -> int:
@@ -180,9 +187,17 @@ _WORKERS = min(2, _usable_cpus())
 
 
 def _chunk_rows(row_len: int) -> int:
-    """Points per interval block: a multiple of 4, at least 8, whose rows of
-    row_len values (M or K; M >= K, so basis rows fit too) fit _CHUNK_BYTES."""
-    return max(8, _CHUNK_BYTES // (8 * row_len) // 4 * 4)
+    """Points per interval block: a multiple of 4, at least _MIN_BLOCK_ROWS,
+    whose rows of row_len values (M or K; M >= K, so basis rows fit too) fit
+    _CHUNK_BYTES."""
+    return max(_MIN_BLOCK_ROWS, _CHUNK_BYTES // (8 * row_len) // 4 * 4)
+
+
+def _blocks(n: int, step: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of n points: step rows each, the last one
+    with any remainder under _MIN_BLOCK_ROWS rows (module docstring)."""
+    stops = [*range(step, n - _MIN_BLOCK_ROWS + 1, step), n] if n else []
+    return list(zip([0, *stops[:-1]], stops))
 
 
 def check_score(model: PceModel, score: str) -> None:
@@ -199,24 +214,24 @@ def check_score(model: PceModel, score: str) -> None:
             )
 
 
-def _share_blocks(starts: range, workers: list) -> None:
-    """Runs each of `workers`, a callable taking next_start, on its own thread.
+def _share_blocks(blocks: list, workers: list) -> None:
+    """Runs each of `workers`, a callable taking next_block, on its own thread.
 
-    next_start() hands out the next of `starts`, then None. The first worker
+    next_block() hands out the next of `blocks`, then None. The first worker
     runs on the calling thread and each other one on a helper from a pool
     made for the call and shut down before this returns; a helper's
     exception is raised here. A worker that fails takes the remaining
-    starts, so the others stop after their current block.
+    blocks, so the others stop after their current block.
     """
-    pending, lock = iter(starts), threading.Lock()
+    pending, lock = iter(blocks), threading.Lock()
 
-    def next_start():
+    def next_block():
         with lock:
             return next(pending, None)
 
     def run(worker):
         try:
-            worker(next_start)
+            worker(next_block)
         except BaseException:
             with lock:
                 collections.deque(pending, maxlen=0)
@@ -276,7 +291,7 @@ def interval_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized interval bounds at box points (n, N): (centers, lowers, uppers).
 
-    Built in blocks of points, see the module docstring.
+    Built in blocks of points by the rule in the module docstring.
 
     Raises:
         ValidationError: If the points are not real numbers of shape (N,) or (n, N).
@@ -299,31 +314,26 @@ def interval_arrays(
     step = _chunk_rows(row_len)
     candidates = _candidates(a, k) if bounded else None
 
-    def fill_blocks(work, rows, next_start):
-        while (start := next_start()) is not None:
-            stop = min(start + step, n)
-            # A lone last row takes the four before it (module docstring).
-            first = start - 4 if stop - start == 1 and start else start
-            out = rows[:(stop - first) * n_basis].reshape(-1, n_basis)
-            basis = eval_basis_matrix(xi[first:stop], model.index_set, out=out, work=work)
-            product = np.matmul(basis, model.coefficients, out=work[:stop - first])
-            centers[start:stop] = product[start - first:]
+    def fill_blocks(work, rows, next_block):
+        for start, stop in iter(next_block, None):
+            out = rows[:(stop - start) * n_basis].reshape(-1, n_basis)
+            basis = eval_basis_matrix(xi[start:stop], model.index_set, out=out, work=work)
+            np.matmul(basis, model.coefficients, out=centers[start:stop])
             if not bounded:
                 continue
-            # A lone row's LOO values come from its center's product; the
-            # rows are dead once it is formed, so the selection reuses them.
-            loo = loo_values(model, basis, np.broadcast_to(centers[start:stop], product.shape),
-                             out=work[:(stop - first) * m].reshape(-1, m))[start - first:]
+            # The rows are dead once the LOO values are formed, so the
+            # selection reuses them.
+            loo = loo_values(model, basis, centers[start:stop],
+                             out=work[:(stop - start) * m].reshape(-1, m))
             _order_statistics(loo, a, k, rows, lowers[start:stop], uppers[start:stop], candidates)
 
-    # A block evaluates at most min(step, n) rows: a lone last row and its
-    # four take 5, and step is 8 or more. Every workspace is allocated here,
-    # on the calling thread: buffers a helper allocated would come from a
-    # malloc arena of its own and stay resident after the call (about 4 MB
-    # more peak RSS on a piston grid).
-    size = min(step, n)
-    work_values = max(size * m if bounded else size, scratch_size(model.index_set, size))
-    _share_blocks(range(0, n, step), [
+    # Every workspace is allocated here, on the calling thread: buffers a
+    # helper allocated would come from a malloc arena of its own and stay
+    # resident after the call (about 4 MB more peak RSS on a piston grid).
+    blocks = _blocks(n, step)
+    size = max((stop - start for start, stop in blocks), default=0)
+    work_values = max(size * m if bounded else 0, scratch_size(model.index_set, size))
+    _share_blocks(blocks, [
         functools.partial(fill_blocks, np.empty(work_values), np.empty(size * row_len))
         for _ in range(min(_WORKERS, max(1, n // step)))
     ])

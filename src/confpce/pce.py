@@ -142,19 +142,6 @@ class PceModel:
         return self.coefficients.shape[0]
 
 
-def basis_rows(points: np.ndarray, index_set: MultiIndexSet, spec: InputSpec) -> np.ndarray:
-    """Maps box points (n, N) to their basis rows, shape (n, K).
-
-    Row i holds every basis element at point i: the design matrix for
-    training inputs, or the rows of a few query points for loo_predict and
-    the oracle; intervals evaluate theirs block by block instead.
-
-    Raises:
-        DomainError: If a point lies outside the box beyond tolerance.
-    """
-    return eval_basis_matrix(to_reference(points, spec), index_set)
-
-
 def check_fit_bytes(m: int, k: int) -> None:
     """Raises BasisSizeError if a fit of M points by K terms is over the size limit.
 
@@ -302,7 +289,7 @@ def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
         Array of shape (M,) for a single point, (n, M) for a batch.
     """
     x = basis.real_array(x, "points")
-    rows = basis_rows(np.atleast_2d(x), model.index_set, model.input_spec)
+    rows = eval_basis_matrix(to_reference(np.atleast_2d(x), model.input_spec), model.index_set)
     values = loo_values(model, rows, rows @ model.coefficients)
     return values[0] if x.ndim == 1 else values
 
@@ -350,13 +337,13 @@ def brute_force_loo(
         raise UnderdeterminedError(
             f"brute-force LOO needs M - 1 >= K, got M={m}, K={k}"
         )
-    design = basis_rows(data.inputs, index_set, spec)
+    design = eval_basis_matrix(to_reference(data.inputs, spec), index_set)
     star_rows = None
     single = False
     if x_star is not None:
         x_star = basis.real_array(x_star, "points")
         single = x_star.ndim == 1
-        star_rows = basis_rows(np.atleast_2d(x_star), index_set, spec)
+        star_rows = eval_basis_matrix(to_reference(np.atleast_2d(x_star), spec), index_set)
 
     residuals = np.empty(m)
     predictions = np.empty((star_rows.shape[0], m)) if star_rows is not None else None

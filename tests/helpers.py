@@ -2,14 +2,46 @@
 
 import contextlib
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+import confpce
 from confpce import benchmarks
-from confpce.basis import _legendre_rows, eval_basis_matrix
-from confpce.conformal import _chunk_rows, _upper_index, finite_quantile_upper
-from confpce.pce import basis_rows, loo_values
+from confpce.basis import _legendre_rows, eval_basis_matrix, to_reference
+from confpce.conformal import _blocks, _chunk_rows, _upper_index, finite_quantile_upper
+from confpce.pce import loo_values
+
+
+def run_python(code, *args, threads=None, timeout=300):
+    """Runs `code` with `args` in a fresh interpreter; the finished process.
+
+    The child imports confpce from the tree this one does and these helpers
+    from the tests directory. `threads` sets OPENBLAS_NUM_THREADS, and None
+    leaves it unset. Output is captured as text, and a nonzero exit fails
+    the calling test with the child's stderr.
+    """
+    paths = (str(Path(__file__).parent), str(Path(confpce.__file__).parents[1]),
+             os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def basis_rows(points, index_set, spec):
+    """Basis rows (n, K) at box points (n, N), all in one evaluation."""
+    return eval_basis_matrix(to_reference(points, spec), index_set)
 
 
 def legendre_table(degree, xi):
@@ -122,11 +154,9 @@ def blocked_jackknife_plus_reference(model, rows, significance):
     """Block-loop oracle for jackknife+ bounds at basis rows (n, K).
 
     Builds each block of the LOO matrix as a fresh array with loo_values and
-    partitions fresh shifted copies of whole rows, on the same block
-    boundaries as interval_arrays, so the products see the same row counts
-    and every bound must agree bit for bit; a lone last row's LOO values
-    come from a product over it and the four rows before it. Returns
-    (centers, lowers, uppers).
+    partitions fresh shifted copies of whole rows, on the blocks of
+    interval_arrays, so the products see the same row counts and every
+    bound must agree bit for bit. Returns (centers, lowers, uppers).
     """
     centers = rows @ model.coefficients
     a = np.abs(model.loo_residuals)
@@ -136,16 +166,10 @@ def blocked_jackknife_plus_reference(model, rows, significance):
         uppers = np.full_like(centers, np.inf)
         return centers, -uppers, uppers
     lowers, uppers = np.empty_like(centers), np.empty_like(centers)
-    step = _chunk_rows(m)
-    n = centers.shape[0]
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        if start and start + 1 == n:
-            loo = loo_values(model, rows[start - 4:], np.full(5, centers[start]))[4:]
-        else:
-            loo = loo_values(model, rows[block], centers[block])
-        lowers[block] = np.partition(loo - a, m - k, axis=1)[:, m - k]
-        uppers[block] = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
+    for start, stop in _blocks(centers.shape[0], _chunk_rows(m)):
+        loo = loo_values(model, rows[start:stop], centers[start:stop])
+        lowers[start:stop] = np.partition(loo - a, m - k, axis=1)[:, m - k]
+        uppers[start:stop] = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
     return centers, lowers, uppers
 
 

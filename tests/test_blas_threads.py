@@ -2,22 +2,16 @@
 
 With OpenBLAS on one thread, `interval_arrays` evaluates each block's basis
 rows on its own and takes the block's centers from a product over its rows;
-every block starts at a multiple of 4, and a lone last row takes the four
-rows before it along. The first test pins the property of OpenBLAS's dgemv
-that makes those centers the bits of one product over the whole batch. The
+every block starts at a multiple of 4 and spans 8 rows or more, unless it is
+the whole batch. The first test pins the property of OpenBLAS's dgemv that
+makes those centers the bits of one product over the whole batch. The
 second states what holds from about 200 basis terms up, where the bits
 depend on the BLAS thread count: the same bits run after run at one thread,
 and agreement within 1e-12 relative between one and two threads.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-
-import confpce
+from helpers import run_python
 
 FITS = (("meromorphic", 3), ("otl_circuit", 4), ("piston", 4), ("wing_weight", 3))
 
@@ -25,7 +19,8 @@ GROUPS_CHILD = """
 import numpy as np
 from confpce.basis import build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
-from confpce.pce import basis_rows, fit
+from confpce.pce import fit
+from helpers import basis_rows
 for name, degree in %r:
     bench = get_benchmark(name)
     data = sample_design(name, design_size(name, degree, 2), seed=1)
@@ -38,9 +33,6 @@ for name, degree in %r:
             for e in [*range(s + 4, n, 4), n]:
                 if e - s > 1 and not np.array_equal(rows[s:e] @ c, whole[s:e]):
                     print(name, "rows", s, e, "of", n)
-    for n in range(5, 404, 4):
-        if (rows[n - 5:n] @ c)[-1] != (rows[:n] @ c)[-1]:
-            print(name, "lone last row of", n)
 """ % (FITS,)
 
 BOUNDS_CHILD = """
@@ -64,29 +56,17 @@ np.savez(sys.argv[1], **out)
 """
 
 
-def run_child(code, threads, *args):
-    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env["OPENBLAS_NUM_THREADS"] = threads
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_dgemv_takes_rows_in_fours():
     # A product over rows [s, e) of a benchmark's basis rows, s a multiple
     # of 4 and e one too or the last row, gives each row the bits of the
-    # product over all rows; a one-row product (numpy's dot) need not, so a
-    # lone last row takes the four rows before it along.
-    assert run_child(GROUPS_CHILD, "1") == ""
+    # product over all rows; a one-row product (numpy's dot) need not.
+    assert run_python(GROUPS_CHILD, threads="1").stdout == ""
 
 
 def test_large_basis_bounds_across_blas_threads(tmp_path):
     runs = {}
     for run, threads in (("a", "1"), ("b", "1"), ("threaded", "2")):
-        run_child(BOUNDS_CHILD, threads, str(tmp_path / f"{run}.npz"))
+        run_python(BOUNDS_CHILD, str(tmp_path / f"{run}.npz"), threads=threads)
         with np.load(tmp_path / f"{run}.npz") as saved:
             runs[run] = dict(saved)
     assert sorted({key.split()[1] for key in runs["a"]}) == ["K=210", "K=330"]

@@ -9,29 +9,22 @@ sha256 of every center and bound per design with the committed one. It
 skips when numpy or scipy is not the version in `tests/golden/versions.json`,
 because the bits are tied to those builds.
 
-No batch of DIGESTS leaves a one-row last block under any of these sizes,
-whether blocks hold a multiple of 4 points, as now, or as many as fit, as
-when the digests were taken (with room for 6 more basis rows at 1 MiB):
-numpy computes a one-row product as a dot product, so such a row takes its
-center and LOO predictions from a product over it and the four rows before
-it. LONE_ROW_DIGESTS holds a batch that ends in such a row, digested since
-its LOO predictions come from that product.
+LONE_ROW_DIGESTS holds a batch one row past a multiple of the block, whose
+last block takes that row; its digest is that of one whole-batch product.
+WHOLE_BATCH_CASES are jackknife+ batches whose last block takes a remainder
+of 1 to 7 rows, and their bounds must be the bits of one whole-batch product.
 
 To print the digests after a deliberate change of the bits, run
 ``PYTHONPATH=src python tests/test_block_digest.py``.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
+from helpers import run_python
 from test_golden_reports import GOLDEN, versions
 
-import confpce
 from confpce import conformal
 from confpce.basis import total_degree_size
 from confpce.benchmarks import design_size, get_benchmark
@@ -57,11 +50,18 @@ DIGESTS = {
         "eb266376a920d63a9f38207862695c0593937fefec440d345e4ed01fe5e98d72",
 }
 
-# As DIGESTS, for a batch whose last block is one row long at 1 MiB.
+# As DIGESTS, for a batch one row past a multiple of the block at 1 MiB.
 LONE_ROW_DIGESTS = {
     ("piston", 2, 3, 9_697):
-        "49e15edb052ff3aa8ace211f8c58d35114085e7a732b155fe20516df254dc37b",
+        "d74824babff6145e1a1e6be691509727f613ec3a70f7ee69228662567c676edf",
 }
+
+# (benchmark, degree, oversampling, test points, significance): jackknife+
+# batches whose last block takes a remainder of 1 to 7 rows at 1 MiB.
+WHOLE_BATCH_CASES = [
+    *(("piston", 2, 2, n, s) for n in range(3_643, 3_648) for s in (0.05, 0.1)),
+    ("piston", 2, 3, 9_697, 0.1),
+]
 
 CHILD = """
 import hashlib, json, sys
@@ -84,13 +84,6 @@ print(json.dumps(digests))
 """
 
 
-def block_rows(bytes_, row_len, n_basis=0):
-    """Points per block of `bytes_` as the digests were taken; given n_basis,
-    6 more basis rows fit too."""
-    values = bytes_ // 8
-    return max(1, min(values // row_len, values // n_basis - 6 if n_basis else values))
-
-
 def aligned_block_rows(bytes_, row_len):
     """Points per block of `bytes_` by the interval kernel's rule."""
     with mock.patch.object(conformal, "_CHUNK_BYTES", bytes_):
@@ -99,15 +92,7 @@ def aligned_block_rows(bytes_, row_len):
 
 def compute_digests(designs) -> list:
     """The per-design digests of `designs`, from a fresh interpreter."""
-    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(list(designs))],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return json.loads(run_python(CHILD, json.dumps(list(designs)), threads="1").stdout)
 
 
 @pytest.mark.parametrize("design", list(DIGESTS), ids=lambda d: "-".join(map(str, d)))
@@ -115,11 +100,9 @@ def test_batches_span_blocks_without_a_one_row_last_block(design):
     name, degree, oversampling, n = design
     m = design_size(name, degree, oversampling)
     k = total_degree_size(get_benchmark(name).dim, degree)
-    sizes = ((2**21, m, 0), (2**22, m, 0), (2**21, k, 0), (2**20, m, k), (2**20, k, k))
-    steps = [block_rows(*size) for size in sizes]
-    steps += [aligned_block_rows(bytes_, row_len) for bytes_, row_len, _ in sizes]
-    for step in steps:
-        assert n > 2 * step and n % step != 1, step
+    sizes = ((2**21, m), (2**22, m), (2**21, k), (2**20, m), (2**20, k))
+    for step in (aligned_block_rows(*size) for size in sizes):
+        assert n > 2 * step, step
 
 
 def test_multi_block_intervals_are_the_committed_bits():
@@ -132,10 +115,49 @@ def test_multi_block_intervals_are_the_committed_bits():
 
 
 @pytest.mark.parametrize("design", list(LONE_ROW_DIGESTS), ids=lambda d: "-".join(map(str, d)))
-def test_lone_row_batch_ends_in_a_one_row_block(design):
+def test_lone_row_batch_leaves_a_remainder_of_one(design):
     name, degree, oversampling, n = design
-    m = design_size(name, degree, oversampling)
-    assert n > 2 * aligned_block_rows(2**20, m) and n % aligned_block_rows(2**20, m) == 1
+    step = aligned_block_rows(2**20, design_size(name, degree, oversampling))
+    assert n > 2 * step and n % step == 1
+    assert conformal._blocks(n, step)[-1] == (n - step - 1, n)
+
+
+WHOLE_BATCH_CHILD = """
+import json, sys
+import numpy as np
+from confpce.basis import build_total_degree_set, eval_basis_matrix, to_reference
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+from confpce.conformal import ConformalConfig, _upper_index, interval_arrays
+from confpce.pce import fit
+for name, degree, oversampling, n, s in json.loads(sys.argv[1]):
+    bench = get_benchmark(name)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=0)
+    model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
+    points = sample_design(name, n, seed=1, stream="test").inputs
+    rows = eval_basis_matrix(to_reference(points, bench.input_spec), model.index_set)
+    centers = rows @ model.coefficients
+    loo = centers[:, None] - rows @ model.loo_corrections.T
+    a, m = np.abs(model.loo_residuals), model.n_train
+    k = _upper_index(m, s)
+    want = (centers, np.partition(loo - a, m - k, axis=1)[:, m - k],
+            np.partition(loo + a, k - 1, axis=1)[:, k - 1])
+    got = interval_arrays(model, points, ConformalConfig("jackknife_plus", significance=s))
+    for label, g, w in zip(("centers", "lowers", "uppers"), got, want):
+        if g.tobytes() != w.tobytes():
+            print(name, degree, oversampling, n, s, label)
+"""
+
+
+def test_short_remainders_give_the_bits_of_one_whole_batch_product():
+    # Each batch ends 1 to 7 rows past a multiple of its block; taking those
+    # rows into the last block makes every bound the bits of one product
+    # over the whole batch, with the BLAS on one thread.
+    recorded = json.loads((GOLDEN / "versions.json").read_text())
+    if recorded != versions():
+        pytest.skip(f"bits were recorded with {recorded}, this is {versions()}")
+    for name, degree, oversampling, n, _ in WHOLE_BATCH_CASES:
+        assert 0 < n % aligned_block_rows(2**20, design_size(name, degree, oversampling)) < 8
+    assert run_python(WHOLE_BATCH_CHILD, json.dumps(WHOLE_BATCH_CASES), threads="1").stdout == ""
 
 
 if __name__ == "__main__":

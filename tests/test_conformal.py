@@ -1,21 +1,16 @@
 """Tests for finite-sample quantiles and the two interval constructions."""
 
 import math
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import surrogate
+from helpers import run_python, surrogate, whole_batch_intervals
 
-import confpce
 from confpce import conformal
 from confpce.basis import InputSpec, build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
@@ -146,6 +141,13 @@ class TestQuantiles:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             finite_quantile_upper(np.array([]), 0.1)
+
+    def test_sample_of_any_shape_is_taken_flat(self):
+        # ceil(0.9 * 10) = 9 -> ninth smallest of all nine values: the largest.
+        assert finite_quantile_upper(np.ones((3, 3)), 0.1) == 1.0
+        assert finite_quantile_upper(np.arange(9.0).reshape(3, 3), 0.1) == 8.0
+        assert finite_quantile_upper(np.arange(4.0).reshape(2, 1, 2), 0.5) == 2.0
+        assert finite_quantile_upper(3.0, 0.25) == math.inf
 
 
 class TestConfig:
@@ -411,10 +413,10 @@ class TestIntervalProperties:
 
     def test_lone_last_row_has_the_bits_of_a_longer_block(self):
         # Piston P=4, C=2 (M=660) takes blocks of 196 points, so a batch of
-        # 197 ends in a lone row. Its LOO values come from a product over it
-        # and the four rows before it, which gives them the bits of the same
-        # five points as a batch of their own. With the BLAS on one thread, a
-        # one-row product gives this row's lower bound other bits.
+        # 197 leaves one row past the block, which joins it. Its bounds have
+        # the bits of the same five points as a batch of their own. With the
+        # BLAS on one thread, a one-row product gives this row's lower bound
+        # other bits.
         code = """
 from confpce.basis import build_total_degree_set
 from confpce.benchmarks import design_size, get_benchmark, sample_design
@@ -430,14 +432,7 @@ batch = interval_arrays(model, points, cfg)
 five = interval_arrays(model, points[-5:], cfg)
 print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, five)])
 """
-        paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-               "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[True, True, True]"
+        assert run_python(code, threads="1").stdout.strip() == "[True, True, True]"
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunked_jackknife_plus_matches_unchunked_partition(self, otl_model, offset):
@@ -507,14 +502,8 @@ print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, fiv
         assert peak < 8 * 2**20, f"jackknife+ call peaked at {peak / 2**20:.1f} MiB"
 
     def test_import_starts_no_thread(self):
-        paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         code = "import threading, confpce; print([t.name for t in threading.enumerate()])"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "['MainThread']"
+        assert run_python(code).stdout.strip() == "['MainThread']"
 
     def test_multi_block_jackknife_plus_leaves_no_thread(self, otl_model):
         model, _ = otl_model
@@ -593,13 +582,42 @@ print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, fiv
     def test_jackknife_blocks_are_sized_by_the_basis_rows(self, piston_p4_model, extra):
         # K=330 basis values against M=990 LOO values a point: a jackknife
         # block holds three times the points of a jackknife+ block, each
-        # rounded down to a multiple of 4 (396 against 132).
+        # rounded down to a multiple of 4 (396 against 132). Eight more
+        # points make a second block; fewer would join the first.
         step = _chunk_rows(piston_p4_model.n_basis)
         assert step > 2 * _chunk_rows(piston_p4_model.n_train)
-        points = sample_design("piston", step + extra, seed=95, stream="test").inputs
+        points = sample_design("piston", step + 8 * extra, seed=95, stream="test").inputs
         cfg = ConformalConfig(method="jackknife", score="absolute", significance=0.05)
         threads, _ = self._block_threads(piston_p4_model, points, cfg)
         assert len(threads) == 1 + extra  # one basis evaluation per block
+
+    @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
+    @pytest.mark.parametrize(
+        "n_step, extra, lengths",
+        [(0, 1, [1]), (0, 7, [7]), (0, 8, [8]), (1, 7, [23]), (1, 8, [16, 8]), (2, 7, [16, 23])],
+        ids=["1", "7", "8", "step+7", "step+8", "2step+7"],
+    )
+    def test_short_remainders_join_the_last_block(self, otl_model, method, n_step, extra, lengths):
+        # Blocks of 16 rows: a remainder under 8 rows joins the block before,
+        # the bits do not depend on the worker count and match the blocked
+        # oracle, and a helper starts only for a second full block.
+        model, _ = otl_model
+        cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
+        row_len = model.n_train if method == "jackknife_plus" else model.n_basis
+        with mock.patch.object(conformal, "_CHUNK_BYTES", 16 * 8 * row_len):
+            step = _chunk_rows(row_len)
+            n = n_step * step + extra
+            points = sample_design("otl_circuit", n, seed=96, stream="test").inputs
+            assert [stop - start for start, stop in conformal._blocks(n, step)] == lengths
+            want = whole_batch_intervals(model, points, cfg)
+            runs = []
+            for workers in (1, 2):
+                with mock.patch.object(conformal, "_WORKERS", workers):
+                    runs.append(interval_arrays(model, points, cfg))
+            threads, started = self._block_threads(model, points, cfg)
+        assert step == 16 and len(threads) == len(lengths) and started == (n >= 2 * step)
+        for label, one, two, w in zip(("centers", "lowers", "uppers"), *runs, want):
+            assert np.array_equal(one, two) and np.array_equal(one, w), label
 
 
 class TestIntervalError:

@@ -15,16 +15,12 @@ To rewrite the files after a deliberate format change, run
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
-
-import confpce
+from helpers import run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORT_FILES = ("aggregates.csv", "records.csv", "report.json")
@@ -57,15 +53,8 @@ def versions() -> dict:
 
 def write_reports(out: Path) -> None:
     """Runs GRIDS in a fresh interpreter, BLAS on one thread, into out/<benchmark>/."""
-    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env["OPENBLAS_NUM_THREADS"] = "1"
     grids = [dict(grid, n_seeds=N_SEEDS, test_size=TEST_SIZE) for grid in GRIDS]
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(out), json.dumps(grids)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+    run_python(CHILD, str(out), json.dumps(grids), threads="1")
 
 
 def test_reports_are_the_golden_bytes(tmp_path):

@@ -2,18 +2,14 @@
 
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import surrogate
+from helpers import run_python, surrogate
 
-import confpce
 from confpce import basis, pce
 from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, to_reference
 from confpce.benchmarks import design_size, get_benchmark, sample_design
@@ -67,15 +63,8 @@ def fit_peak_designs(name, degree, m):
 
     One BLAS thread, so that no thread buffers of the BLAS are counted.
     """
-    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", FIT_PEAK_CHILD, name, str(degree),
-         str(m)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    done = run_python(LAUNCHER, sys.executable, "-c", FIT_PEAK_CHILD, name, str(degree), str(m),
+                      threads="1")
     return float(done.stdout)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_parent_links,
+    basis_rows,
     numpy_qr_fit_reference,
     product_basis_reference,
     whole_batch_intervals,
@@ -27,7 +28,7 @@ from confpce.conformal import (
     interval_arrays,
 )
 from confpce.errors import ConfpceError, LeverageError
-from confpce.pce import Dataset, basis_rows, brute_force_loo, fit, from_json, loo_predict, to_json
+from confpce.pce import Dataset, brute_force_loo, fit, from_json, loo_predict, to_json
 
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
 
@@ -189,8 +190,9 @@ def test_jackknife_plus_matches_blocked_oracle(
     model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
     m = model.n_train
     # "block": one block of the default size, and one row past it at offset 1.
-    # "smallest blocks": 63 to 65 points in blocks of 8 rows, a lone last row
-    # at 65. "short last block": blocks of 16 rows, the third 10 to 12 rows long.
+    # "smallest blocks": 63 to 65 points in blocks of 8 rows, the last 15, 8
+    # and 9 rows long. "short last block": blocks of 16 rows, the third 10 to
+    # 12 rows long.
     rows = {"block": conformal._chunk_rows(m), "smallest blocks": 8,
             "short last block": 16}[length]
     with mock.patch.object(conformal, "_CHUNK_BYTES", rows * 8 * m):
@@ -265,7 +267,7 @@ def test_streamed_rows_give_the_bits_of_whole_batch_rows(
     name, degree, oversampling, seed, rows, blocks, offset, significance
 ):
     # Blocks of 8, 12 or 16 rows, and a batch that ends at every n mod 4 next
-    # to a block boundary: one row past it leaves a lone last row.
+    # to a block boundary: up to 3 rows past it join the block before.
     model = _fit_benchmark(name, degree, oversampling, seed)
     n = max(1, blocks * rows + offset)
     points = sample_design(name, n, seed=seed, stream="test").inputs

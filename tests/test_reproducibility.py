@@ -10,15 +10,11 @@ one numpy's QR gives.
 
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import write_dataset_csv
+from helpers import run_python, write_dataset_csv
 
-import confpce
 from confpce import conformal
 from confpce.benchmarks import sample_design
 from confpce.pce import Dataset
@@ -55,16 +51,7 @@ print("workers", conformal._WORKERS, "codes", *codes)
 def run_child(tmp_path, mode):
     out = tmp_path / mode
     out.mkdir()
-    paths = (str(Path(confpce.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if mode != "one-cpu":
-        env["OPENBLAS_NUM_THREADS"] = mode
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(out), mode],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
+    done = run_python(CHILD, str(out), mode, threads=None if mode == "one-cpu" else mode)
     summary, last = done.stdout.rstrip("\n").rsplit("\n", 1)
     _, workers, _, *codes = last.split()
     assert codes == ["0", "0"], done.stderr
@@ -124,13 +111,4 @@ for name, degree in (("otl_circuit", 4), ("wing_weight", 3), ("piston", 4)):
 def test_fit_is_the_numpy_qr_fit_bit_for_bit_at_one_blas_thread():
     # K = 210, 286 and 330: sizes at which the QR's bits depend on the BLAS
     # thread count, so the comparison runs with the BLAS on one thread.
-    paths = (str(Path(__file__).parent), str(Path(confpce.__file__).parents[1]),
-             os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", LARGE_FIT_CHILD],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == ""
+    assert run_python(LARGE_FIT_CHILD, threads="1").stdout == ""
