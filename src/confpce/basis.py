@@ -74,6 +74,10 @@ class MultiIndexSet:
             nonzero coordinate (0 for the zero index).
         last_degree: Read-only integer array (K,): its degree alpha_d (0 for
             the zero index).
+        levels: Per total degree p >= 1, the slice of its terms in the graded
+            order, their parents and their rows of a flattened table of
+            univariate values (row j * N + d holds psi_j in dimension d):
+            what :func:`eval_basis_matrix` walks.
     """
 
     indices: tuple[tuple[int, ...], ...]
@@ -82,6 +86,7 @@ class MultiIndexSet:
     parent: np.ndarray = field(compare=False, repr=False)
     last_dim: np.ndarray = field(compare=False, repr=False)
     last_degree: np.ndarray = field(compare=False, repr=False)
+    levels: tuple = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -203,6 +208,10 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
     columns = np.array(links, dtype=np.intp).T.copy()
     columns.setflags(write=False)
     parent, last_dim, last_degree = columns
+    factor = last_degree * input_dim + last_dim
+    factor.setflags(write=False)
+    # The terms of total degree p sit at [C(N + p - 1, N), C(N + p, N)).
+    ends = [math.comb(input_dim + p, input_dim) for p in range(max_degree + 1)]
     return MultiIndexSet(
         indices=tuple(indices),
         input_dim=input_dim,
@@ -210,6 +219,8 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         parent=parent,
         last_dim=last_dim,
         last_degree=last_degree,
+        levels=tuple((slice(lo, hi), parent[lo:hi], factor[lo:hi])
+                     for lo, hi in zip(ends, ends[1:])),
     )
 
 
@@ -350,9 +361,9 @@ def eval_basis_matrix(
         xi: Reference points of shape (n, N), componentwise within
             [-1 - tol, 1 + tol].
         index_set: Basis definition.
-        out: Optional C- or Fortran-contiguous (n, K) array the result is
-            written to; the byte limit then does not apply.
-        work: Optional contiguous 1-D float scratch of at least
+        out: Optional C- or Fortran-contiguous float64 (n, K) array the
+            result is written to; the byte limit then does not apply.
+        work: Optional contiguous 1-D float64 scratch of at least
             ``scratch_size(index_set, 1)`` values; by default
             ``scratch_size(index_set, n)`` values are allocated.
 
@@ -364,7 +375,8 @@ def eval_basis_matrix(
         BasisSizeError: If a result to allocate would exceed
             MAX_BASIS_BYTES; raised before anything is allocated.
         DomainError: If a point lies outside the cube beyond tolerance.
-        ValidationError: If `work` holds less than one point's scratch.
+        ValidationError: If `out` is not a float64 (n, K) array, or `work`
+            not a 1-D float64 array of at least one point's scratch.
     """
     xi = np.atleast_2d(real_array(xi, "points"))
     if xi.shape[1] != index_set.input_dim:
@@ -374,13 +386,14 @@ def eval_basis_matrix(
     n, k, dim = xi.shape[0], len(index_set), index_set.input_dim
     if out is None:
         check_bytes(8 * n * k, f"basis matrix of {n} points by K={k} terms")
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (n, k)):
+        raise ValidationError(f"out must be a float64 array of shape {(n, k)}, got "
+                              f"{getattr(out, 'dtype', type(out).__name__)} of shape {np.shape(out)}")
+    if work is not None and not (isinstance(work, np.ndarray) and work.dtype == np.float64
+                                 and work.ndim == 1):
+        raise ValidationError(f"work must be a 1-D float64 array, got "
+                              f"{getattr(work, 'dtype', type(work).__name__)} of shape {np.shape(work)}")
     xi = _clamp_reference(xi)
-    # Row j * N + d of a block's flattened table holds psi_j in dimension d.
-    factor = index_set.last_degree * dim + index_set.last_dim
-    # The terms of total degree p sit at [C(N + p - 1, N), C(N + p, N)).
-    ends = [math.comb(dim + p, dim) for p in range(index_set.max_degree + 1)]
-    levels = [(slice(lo, hi), index_set.parent[lo:hi], factor[lo:hi])
-              for lo, hi in zip(ends, ends[1:])]
 
     if out is None:
         out = np.empty((n, k))
@@ -394,13 +407,13 @@ def eval_basis_matrix(
     for start in range(0, n, max(step, 1)):
         block = xi[start:start + step].T
         b = block.shape[1]
-        terms, gathered, tables = (part.reshape(-1, b) for part in np.split(
-            work[:column * b], (k * b, tables_at * b)))
+        terms, gathered, tables = (work[lo * b:hi * b].reshape(-1, b) for lo, hi in (
+            (0, k), (k, tables_at), (tables_at, column)))
         _legendre_rows(block, tables.reshape(-1, dim, b), gathered[:dim])
         terms[0] = 1.0
         # The indices are in range; under the default mode="raise" numpy
         # would copy each `out` through a buffer of its own.
-        for level, parents, factors in levels:
+        for level, parents, factors in index_set.levels:
             np.take(tables, factors, axis=0, out=terms[level], mode="clip")
             terms[level] *= np.take(terms, parents, axis=0, out=gathered[:len(parents)],
                                     mode="clip")

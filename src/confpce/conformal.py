@@ -29,21 +29,31 @@ outside 1..M. Both indices take the exact binary value of the float s, see
 Jackknife+ needs the n x M matrix of leave-one-out predictions at the n
 query points. :func:`interval_arrays`, the one entry, maps all its points to
 the reference cube up front, so that an error names a point's index in the
-batch, and fills the matrix one block of rows at a time, on at most two
-workers: the calling thread and, when there are two full blocks or more and
-two usable CPUs, one helper thread from a ``ThreadPoolExecutor`` made for the
-call and joined before it returns. The matrix product and the partitions
-release the interpreter lock, so the two workers run on two cores.
+batch, and fills the matrix one block of rows at a time. A call that forms
+LOO products (jackknife+ with k <= M) runs on at most two workers: the
+calling thread and, when there are two full blocks or more and two usable
+CPUs, one helper thread from a ``ThreadPoolExecutor`` made for the call and
+joined before it returns. A call that forms centers only (jackknife, and
+jackknife+ with k > M) runs every block on the calling thread. Only long
+calls gain from a second core: every numpy call releases and retakes the
+interpreter lock, and two threads issuing calls on 600 to 20,000 values at
+once ran them at 0.35-0.67x the speed of the same calls one after the other
+(1.53x at 100,000), so a jackknife call took 1.6-1.8x longer on two workers
+than on one. Each block's basis phase, its basis evaluation and centers
+product (some 20 short calls), therefore holds a lock made for the call, so
+the workers' basis phases take turns while their LOO products and
+selections overlap.
 
 Each worker owns one pair of buffers of at most 1 MiB (but see
 ``_CHUNK_BYTES``), allocated on the calling thread; a block allocates
 nothing but a few values a row, and nothing persists between calls. The
-first buffer takes the basis evaluation's scratch, then the block's LOO
-predictions from one product with the correction matrix. The second takes
-the block's basis rows, then the selection's values. A jackknife batch runs
-the same loop for its centers alone, and :func:`jackknife_bounds` turns
-centers into jackknife bounds, so the harness reads both methods' bounds
-off one jackknife+ call.
+first buffer takes the basis evaluation's scratch, then the block's product
+P with the correction matrix G, whose entry (i, j) makes the LOO prediction
+loo_ij = c_i - P_ij about the center c_i. The second takes the block's basis
+rows, then the selection's values. A jackknife batch runs the same loop for
+its centers alone, and :func:`jackknife_bounds` turns centers into
+jackknife bounds, so the harness reads both methods' bounds off one
+jackknife+ call.
 
 :func:`_blocks` is the one block rule. A block holds as many points as let
 both buffers fit, a multiple of 4 and at least ``_MIN_BLOCK_ROWS`` = 8: M
@@ -65,17 +75,24 @@ of 8 to 16 rows, gave other bits.
 A jackknife+ bound is the t-th largest (upper) or smallest (lower) of a
 row of M shifted LOO predictions, t = M - k + 1, so selection starts from a
 candidate set (Floyd and Rivest, CACM 1975): the 2t + 8 columns of largest
-score, taken once a call, gathered, shifted and partitioned per block in
-the second buffer. Rounding to nearest is monotone, so a value outside them,
-whose score is at most the largest outside score a_out, shifts up to at
-most fl(max_j loo_ij + a_out) and down to at least fl(min_j loo_ij - a_out).
-A row whose upper candidate statistic is at least the first bound and whose
-lower one is at most the second has its whole row's order statistics: an
-order statistic is an element of its row, and equal floats other than zeros
-are the same bits. Rows that fail (NaN included) are gathered into the
-second buffer and partitioned whole, as is every row of a call whose
-candidates would make a third of a row or more, or whose a_out is 0 (a -0.0
-could then tie a +0.0).
+score, taken once a call; per block, their columns of P are gathered once
+into the second buffer, turned into LOO values, shifted and partitioned.
+Rounding to nearest is monotone, so a row's largest LOO value is
+fl(c_i - min_j P_ij) and its smallest fl(c_i - max_j P_ij), read off P, and
+a value outside the candidates, whose score is at most the largest outside
+score a_out, shifts up to at most fl(max_j loo_ij + a_out) and down to at
+least fl(min_j loo_ij - a_out). A row whose upper candidate statistic is at
+least the first bound and whose lower one is at most the second has its
+whole row's order statistics: an order statistic is an element of its row,
+and equal floats other than zeros are the same bits. Rows that fail take
+the same check over the columns outside the candidates only, gathered into
+the second buffer with their candidate columns set to +inf for the minimum
+and -inf for the maximum: most failures come from a candidate column, as
+G's row m is proportional to r_m. Rows that fail both, and rows with a NaN
+anywhere (whose minimum or maximum reads NaN), are gathered into the second
+buffer and partitioned whole, as is every row of a call whose candidates
+would make a third of a row or more, or whose a_out is 0 (a -0.0 could then
+tie a +0.0).
 """
 
 from __future__ import annotations
@@ -98,7 +115,6 @@ from .pce import (
     VARIANCE_FLOOR,
     PceModel,
     loo_predict,  # noqa: F401  public name kept importable from this module
-    loo_values,
     pce_variance,
 )
 
@@ -256,28 +272,44 @@ def _candidates(a: np.ndarray, k: int):
     return (columns, a[columns], a_out) if a_out > 0 else None
 
 
-def _order_statistics(loo, a, k, spare, lowers, uppers, candidates=None):
-    """Writes the jackknife+ bounds of LOO rows loo (b, M) to lowers and
-    uppers (b,), the bits of np.partition over each whole row. candidates
-    may be any t or more ascending columns with their scores and a bound
-    a_out > 0 on the others (-inf for none). loo is overwritten; spare is a
-    flat buffer of b * M values or more, which np.take writes unbuffered
-    in mode "clip"."""
+def _order_statistics(product, centers, a, k, spare, lowers, uppers, candidates=None):
+    """Writes the jackknife+ bounds of the LOO rows centers[:, None] - product
+    (b, M) to lowers and uppers (b,), the bits of np.partition over each whole
+    row. candidates may be any t or more ascending columns with their scores
+    and a bound a_out > 0 on the others (-inf for none). product is
+    overwritten; spare is a flat buffer of b * M values or more, and of
+    2 * b * len(columns), which np.take writes unbuffered in mode "clip"."""
     m, rows = a.size, slice(None)
     if candidates is not None:
         columns, a_in, a_out = candidates
-        t = m - k + 1
-        cand = spare[:loo.shape[0] * columns.size].reshape(-1, columns.size)
-        for bounds, shift, j in ((uppers, np.add, -t), (lowers, np.subtract, t - 1)):
-            shift(loo.take(columns, axis=1, out=cand, mode="clip"), a_in, out=cand)
-            cand.partition(j, axis=1)
-            bounds[:] = cand[:, j]
-        rows = np.flatnonzero(~((uppers >= np.max(loo, axis=1) + a_out)
-                                & (lowers <= np.min(loo, axis=1) - a_out)))
+        t, b, s = m - k + 1, product.shape[0], columns.size
+        loo = product.take(columns, axis=1, out=spare[:b * s].reshape(b, s), mode="clip")
+        np.subtract(centers[:, None], loo, out=loo)
+        shifted = np.add(loo, a_in, out=spare[b * s:2 * b * s].reshape(b, s))
+        shifted.partition(-t, axis=1)
+        uppers[:] = shifted[:, -t]
+        loo -= a_in
+        loo.partition(t - 1, axis=1)
+        lowers[:] = loo[:, t - 1]
+        # The row maximum of the LOO values is fl(c - min_j P_ij), and its
+        # minimum fl(c - max_j P_ij); either is NaN iff the row holds a NaN.
+        high, low = centers - np.min(product, axis=1), centers - np.max(product, axis=1)
+        fails = ~((uppers >= high + a_out) & (lowers <= low - a_out))
+        again = np.flatnonzero(fails & ~np.isnan(high) & ~np.isnan(low))
+        if again.size:
+            outside = product.take(again, axis=0, out=spare[:again.size * m].reshape(-1, m),
+                                   mode="clip")
+            outside[:, columns] = np.inf
+            high = centers[again] - np.min(outside, axis=1)
+            outside[:, columns] = -np.inf
+            low = centers[again] - np.max(outside, axis=1)
+            fails[again] = ~((uppers[again] >= high + a_out) & (lowers[again] <= low - a_out))
+        rows = np.flatnonzero(fails)
         if not rows.size:
             return
-        spare, loo = loo.reshape(-1), loo.take(
+        spare, product = product.reshape(-1), product.take(
             rows, axis=0, out=spare[:rows.size * m].reshape(-1, m), mode="clip")
+    loo = np.subtract(centers[rows, None], product, out=product)
     shifted = np.subtract(loo, a, out=spare[:loo.size].reshape(loo.shape))
     shifted.partition(m - k, axis=1)
     lowers[rows] = shifted[:, m - k]
@@ -314,18 +346,24 @@ def interval_arrays(
     step = _chunk_rows(row_len)
     candidates = _candidates(a, k) if bounded else None
 
+    # Only the LOO product and the selection run long without the interpreter
+    # lock; the basis phase, some 20 short numpy calls, takes turns (module
+    # docstring).
+    turn = threading.Lock()
+
     def fill_blocks(work, rows, next_block):
         for start, stop in iter(next_block, None):
             out = rows[:(stop - start) * n_basis].reshape(-1, n_basis)
-            basis = eval_basis_matrix(xi[start:stop], model.index_set, out=out, work=work)
-            np.matmul(basis, model.coefficients, out=centers[start:stop])
-            if not bounded:
-                continue
-            # The rows are dead once the LOO values are formed, so the
-            # selection reuses them.
-            loo = loo_values(model, basis, centers[start:stop],
-                             out=work[:(stop - start) * m].reshape(-1, m))
-            _order_statistics(loo, a, k, rows, lowers[start:stop], uppers[start:stop], candidates)
+            with turn:
+                basis = eval_basis_matrix(xi[start:stop], model.index_set, out=out, work=work)
+                np.matmul(basis, model.coefficients, out=centers[start:stop])
+            if bounded:
+                # The rows are dead once the product is formed, so the
+                # selection reuses them.
+                product = np.matmul(basis, model.loo_corrections.T,
+                                    out=work[:(stop - start) * m].reshape(-1, m))
+                _order_statistics(product, centers[start:stop], a, k, rows,
+                                  lowers[start:stop], uppers[start:stop], candidates)
 
     # Every workspace is allocated here, on the calling thread: buffers a
     # helper allocated would come from a malloc arena of its own and stay
@@ -335,7 +373,7 @@ def interval_arrays(
     work_values = max(size * m if bounded else 0, scratch_size(model.index_set, size))
     _share_blocks(blocks, [
         functools.partial(fill_blocks, np.empty(work_values), np.empty(size * row_len))
-        for _ in range(min(_WORKERS, max(1, n // step)))
+        for _ in range(min(_WORKERS, max(1, n // step)) if bounded else 1)
     ])
     if not plus:
         return jackknife_bounds(model, centers, cfg.significance)

@@ -294,17 +294,13 @@ def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
     return values[0] if x.ndim == 1 else values
 
 
-def loo_values(
-    model: PceModel, rows: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def loo_values(model: PceModel, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """LOO predictions at precomputed basis rows (n, K), shape (n, M).
 
     `centers` are the full-model predictions rows @ coefficients; entry
     (i, m) is centers[i] - rows[i] @ G[m] with G the correction matrix.
-    Given `out`, a C-contiguous (n, M) array, the result is written there
-    and nothing is allocated.
     """
-    out = np.matmul(rows, model.loo_corrections.T, out=out)
+    out = rows @ model.loo_corrections.T
     return np.subtract(centers[:, None], out, out=out)
 
 

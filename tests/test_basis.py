@@ -252,6 +252,30 @@ class TestBasisEvaluation:
         assert peak < 8192, f"allocated {peak} bytes"
         assert np.array_equal(out, eval_basis_matrix(pts, s))
 
+    @pytest.mark.parametrize("out", [
+        np.zeros((2, 10), dtype=np.int64),
+        np.zeros((2, 10), dtype=np.float32),
+        np.zeros((2, 9)),
+        np.zeros((3, 10)),
+        np.zeros(20),
+        [[0.0] * 10] * 2,
+    ], ids=["int64", "float32", "columns", "rows", "flat", "list"])
+    def test_out_of_the_wrong_kind_is_refused(self, out):
+        s = build_total_degree_set(2, 3)
+        with pytest.raises(ValidationError, match=r"out must be a float64 array of shape \(2, 10\)"):
+            eval_basis_matrix(np.zeros((2, 2)), s, out=out)
+
+    @pytest.mark.parametrize("work", [
+        np.zeros(500, dtype=np.int64),
+        np.zeros(500, dtype=np.float32),
+        np.zeros((5, 100)),
+        [0.0] * 500,
+    ], ids=["int64", "float32", "2-D", "list"])
+    def test_work_of_the_wrong_kind_is_refused(self, work):
+        s = build_total_degree_set(2, 3)
+        with pytest.raises(ValidationError, match="work must be a 1-D float64 array"):
+            eval_basis_matrix(np.zeros((2, 2)), s, work=work)
+
     def test_work_below_one_point_is_refused(self):
         s = build_total_degree_set(2, 3)
         with pytest.raises(ValidationError, match="less than one point's scratch"):

@@ -13,6 +13,9 @@ LONE_ROW_DIGESTS holds a batch one row past a multiple of the block, whose
 last block takes that row; its digest is that of one whole-batch product.
 WHOLE_BATCH_CASES are jackknife+ batches whose last block takes a remainder
 of 1 to 7 rows, and their bounds must be the bits of one whole-batch product.
+SECOND_STAGE_CASES are jackknife+ batches in which many rows reach the
+second certificate stage of the selection; their bounds must be the bits of
+whole-row partitions.
 
 To print the digests after a deliberate change of the bits, run
 ``PYTHONPATH=src python tests/test_block_digest.py``.
@@ -158,6 +161,56 @@ def test_short_remainders_give_the_bits_of_one_whole_batch_product():
     for name, degree, oversampling, n, _ in WHOLE_BATCH_CASES:
         assert 0 < n % aligned_block_rows(2**20, design_size(name, degree, oversampling)) < 8
     assert run_python(WHOLE_BATCH_CHILD, json.dumps(WHOLE_BATCH_CASES), threads="1").stdout == ""
+
+
+# Grid designs (seed 0) where, at 10,000 points and s = 0.05, 12% and 22% of
+# the rows fail the certificate over all columns, and most of them pass the
+# one over the columns outside the candidates.
+SECOND_STAGE_CASES = [("piston", 4, 3), ("wing_weight", 2, 3)]
+
+SECOND_STAGE_CHILD = """
+import collections, json, sys, threading
+from unittest import mock
+import numpy as np
+from helpers import whole_batch_intervals
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+from confpce.conformal import ConformalConfig, interval_arrays
+from confpce.pce import fit
+# Each block finds the rows of the second stage, then those of whole rows.
+flatnonzero, found = np.flatnonzero, collections.defaultdict(list)
+def counted(condition):
+    rows = flatnonzero(condition)
+    found[threading.current_thread()].append(rows.size)
+    return rows
+for name, degree, oversampling in json.loads(sys.argv[1]):
+    bench = get_benchmark(name)
+    seed = (degree, oversampling, 0)
+    data = sample_design(name, design_size(name, degree, oversampling), seed=seed, stream="train")
+    model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
+    points = sample_design(name, 10_000, seed=seed, stream="test").inputs
+    cfg = ConformalConfig("jackknife_plus", significance=0.05)
+    found.clear()
+    with mock.patch.object(np, "flatnonzero", counted):
+        got = interval_arrays(model, points, cfg)
+    equal = [np.array_equal(g, w) for g, w in zip(got, whole_batch_intervals(model, points, cfg))]
+    second, whole = (sum(sum(sizes[i::2]) for sizes in found.values()) for i in (0, 1))
+    print(json.dumps([equal, second, whole]), flush=True)
+"""
+
+
+def test_second_stage_rows_have_the_bits_of_whole_row_partitions():
+    # With the BLAS on one thread, every bound of these batches is the bits
+    # of a whole-row partition, while 10% of the rows or more fail the first
+    # certificate stage and at most 1% take whole rows.
+    recorded = json.loads((GOLDEN / "versions.json").read_text())
+    if recorded != versions():
+        pytest.skip(f"bits were recorded with {recorded}, this is {versions()}")
+    done = run_python(SECOND_STAGE_CHILD, json.dumps(SECOND_STAGE_CASES), threads="1")
+    for design, line in zip(SECOND_STAGE_CASES, done.stdout.splitlines(), strict=True):
+        equal, second, whole = json.loads(line)
+        assert equal == [True] * 3, design
+        assert second >= 1_000 and whole <= 100, (design, second, whole)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -352,9 +353,10 @@ class TestIntervalProperties:
 
     def test_real_design_takes_both_selection_branches(self):
         # Piston P=3, C=2 (M=240) at s = 0.05: t = 12, 32 candidate columns.
-        # Some rows clear the certificate and the rest are selected over
-        # their whole row, which np.flatnonzero finds; both give the bits of
-        # a whole-row partition.
+        # Most rows clear the certificate over all columns, some only over
+        # the columns outside the candidates, and the rest are selected over
+        # their whole row; np.flatnonzero finds the rows of the last two, and
+        # all three give the bits of a whole-row partition.
         bench = get_benchmark("piston")
         data = sample_design("piston", design_size("piston", 3, 2), seed=0)
         model = fit(data, build_total_degree_set(bench.dim, 3), bench.input_spec)
@@ -372,8 +374,9 @@ class TestIntervalProperties:
         with mock.patch.object(conformal, "_WORKERS", 1), \
                 mock.patch.object(np, "flatnonzero", counted):
             _, lowers, uppers = interval_arrays(model, points, cfg)
-        assert len(fallback) == -(-2_000 // _chunk_rows(m))
-        assert 0 < sum(fallback) < 2_000 / 2
+        second, whole = fallback[::2], fallback[1::2]
+        assert len(whole) == len(second) == -(-2_000 // _chunk_rows(m))
+        assert 0 < sum(whole) < sum(second) < 2_000 / 2
         loo = loo_predict(model, points)
         assert lowers.tobytes() == np.partition(loo - a, m - k, axis=1)[:, m - k].tobytes()
         assert uppers.tobytes() == np.partition(loo + a, k - 1, axis=1)[:, k - 1].tobytes()
@@ -519,19 +522,25 @@ print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, fiv
     def _block_threads(model, points, cfg, wait_for=1):
         """(threads that evaluated a block, in order; Thread.start calls) of one call.
 
-        With wait_for=2, each thread's first block waits for the other's, so
-        the helper takes a block however late the pool starts it.
+        With wait_for=2, each thread's first selection waits for the other's,
+        so the helper takes a block however late the pool starts it. The wait
+        sits outside the lock that the block's basis phases take turns on.
         """
-        threads, both = [], threading.Barrier(wait_for, timeout=10)
-        eval_basis_matrix = conformal.eval_basis_matrix
+        threads, waited, both = [], set(), threading.Barrier(wait_for, timeout=10)
+        eval_basis_matrix, order_statistics = conformal.eval_basis_matrix, conformal._order_statistics
 
         def recorded(*args, **kwargs):
-            if threading.current_thread() not in threads:
-                both.wait()
             threads.append(threading.current_thread())
             return eval_basis_matrix(*args, **kwargs)
 
-        with mock.patch.multiple(conformal, _WORKERS=2, eval_basis_matrix=recorded), \
+        def waiting(*args):
+            if threading.current_thread() not in waited:
+                waited.add(threading.current_thread())
+                both.wait()
+            return order_statistics(*args)
+
+        with mock.patch.multiple(conformal, _WORKERS=2, eval_basis_matrix=recorded,
+                                 _order_statistics=waiting), \
                 mock.patch.object(threading.Thread, "start", autospec=True,
                                   side_effect=threading.Thread.start) as start:
             interval_arrays(model, points, cfg)
@@ -547,18 +556,45 @@ print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, fiv
 
     @pytest.mark.parametrize("method", ["jackknife", "jackknife_plus"])
     def test_multi_block_call_runs_on_the_caller_and_one_helper(self, otl_model, method):
+        # Only a call that forms LOO products starts a helper: a jackknife
+        # call, centers alone, runs every block on the calling thread.
+        plus = method == "jackknife_plus"
         model, _ = otl_model
-        row_len = model.n_train if method == "jackknife_plus" else model.n_basis
+        row_len = model.n_train if plus else model.n_basis
         points = sample_design("otl_circuit", 5 * _chunk_rows(row_len), seed=93,
                                stream="test").inputs
         cfg = ConformalConfig(method=method, score="absolute", significance=0.05)
         before = threading.enumerate()
-        threads, started = self._block_threads(model, points, cfg, wait_for=2)
+        threads, started = self._block_threads(model, points, cfg, wait_for=1 + plus)
         assert threading.enumerate() == before
-        assert len(threads) == 5 and started == 1
+        assert len(threads) == 5 and started == plus
         helpers = set(threads) - {threading.current_thread()}
-        assert len(helpers) == 1
-        assert helpers.pop().name.startswith("confpce-intervals")
+        assert len(helpers) == plus
+        assert all(helper.name.startswith("confpce-intervals") for helper in helpers)
+
+    def test_block_basis_phases_take_turns(self, otl_model):
+        # Each block's basis evaluation and centers product run under one
+        # lock, so the two workers' basis phases never overlap in time; the
+        # first selection of each worker waits for the other's, so both run.
+        model, _ = otl_model
+        points = sample_design("otl_circuit", 9 * _chunk_rows(model.n_train), seed=93,
+                               stream="test").inputs
+        cfg = ConformalConfig(method="jackknife_plus", score="absolute", significance=0.05)
+        spans, eval_basis_matrix = [], conformal.eval_basis_matrix
+
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            time.sleep(1e-3)  # a switch point inside the phase
+            try:
+                return eval_basis_matrix(*args, **kwargs)
+            finally:
+                spans.append((start, time.perf_counter()))
+
+        with mock.patch.object(conformal, "eval_basis_matrix", timed):
+            threads, _ = self._block_threads(model, points, cfg, wait_for=2)
+        assert len(spans) == 9 and len(set(threads)) == 2
+        spans.sort()
+        assert all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
 
     def test_small_query_runs_as_one_block_on_the_calling_thread(self, piston_p4_model):
         # A 100-point batch at M=990 fits one block of 132 points, so it
@@ -615,7 +651,8 @@ print([got[-1:].tobytes() == want[-1:].tobytes() for got, want in zip(batch, fiv
                 with mock.patch.object(conformal, "_WORKERS", workers):
                     runs.append(interval_arrays(model, points, cfg))
             threads, started = self._block_threads(model, points, cfg)
-        assert step == 16 and len(threads) == len(lengths) and started == (n >= 2 * step)
+        helper = method == "jackknife_plus" and n >= 2 * step
+        assert step == 16 and len(threads) == len(lengths) and started == helper
         for label, one, two, w in zip(("centers", "lowers", "uppers"), *runs, want):
             assert np.array_equal(one, two) and np.array_equal(one, w), label
 

@@ -287,9 +287,10 @@ def test_streamed_rows_give_the_bits_of_whole_batch_rows(
 def test_jackknife_plus_block_failure_reaches_the_caller(failing):
     model = _fit_benchmark("otl_circuit", 2, 3, 5)
     caller, started, both = threading.current_thread(), set(), threading.Barrier(2, timeout=10)
-    loo_values = conformal.loo_values
+    order_statistics = conformal._order_statistics
 
-    def flaky_loo_values(*args, **kwargs):
+    def flaky_order_statistics(*args):
+        # Outside the lock of the basis phases, so both threads get here.
         thread = "caller" if threading.current_thread() is caller else "helper"
         if thread not in started:
             # Each thread's first block waits for the other's, so both hold one.
@@ -297,7 +298,7 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
             both.wait()
         if thread == failing:
             raise RuntimeError(f"block failed in the {thread}")
-        return loo_values(*args, **kwargs)
+        return order_statistics(*args)
 
     cfg = ConformalConfig(method="jackknife_plus", significance=0.1)
     with _small_blocks(model.n_train):
@@ -305,7 +306,7 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
         points = sample_design("otl_circuit", n, seed=5, stream="test").inputs
         before = threading.active_count()
         with mock.patch.object(conformal, "_WORKERS", 2), \
-                mock.patch.object(conformal, "loo_values", flaky_loo_values):
+                mock.patch.object(conformal, "_order_statistics", flaky_order_statistics):
             with pytest.raises(RuntimeError, match=f"block failed in the {failing}"):
                 interval_arrays(model, points, cfg)
     assert started == {"caller", "helper"}
@@ -320,11 +321,11 @@ def test_jackknife_plus_workers_take_each_block_once():
     m, n = model.n_train, 400
     points = sample_design("piston", n, seed=4, stream="test").inputs
     cfg = ConformalConfig(method="jackknife_plus", significance=0.05)
-    loo_values, taken = conformal.loo_values, []
+    order_statistics, taken = conformal._order_statistics, []
 
-    def counted_loo_values(model, rows, centers, out):
-        taken.append(len(rows))
-        return loo_values(model, rows, centers, out=out)
+    def counted_order_statistics(product, *args):
+        taken.append(len(product))
+        return order_statistics(product, *args)
 
     with mock.patch.object(conformal, "_CHUNK_BYTES", 8 * m):
         step = conformal._chunk_rows(m)
@@ -334,7 +335,8 @@ def test_jackknife_plus_workers_take_each_block_once():
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.multiple(conformal, _WORKERS=2, loo_values=counted_loo_values):
+            with mock.patch.multiple(conformal, _WORKERS=2,
+                                     _order_statistics=counted_order_statistics):
                 shared = interval_arrays(model, points, cfg)
         finally:
             sys.setswitchinterval(interval)
@@ -448,13 +450,14 @@ def test_upper_index_is_exact(significance, rational):
 
 
 def _loo_block(rng, b, m, specials):
-    """(b, M) LOO values and M scores: continuous, or drawn from few values
-    (ties, signed zeros, zero and subnormal scores) with +-inf and NaN."""
+    """(b, M) products, b centers and M scores: continuous, or drawn from few
+    values (ties, signed zeros, zero and subnormal scores) with +-inf and NaN."""
     if not specials:
-        return rng.normal(size=(b, m)), rng.exponential(size=m)
-    loo = rng.choice((0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, np.inf, -np.inf, np.nan),
-                     size=(b, m), p=(0.2, 0.2, 0.15, 0.15, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03))
-    return loo, np.abs(rng.choice((0.0, -0.0, 5e-324, 0.5, 1.0, 3.0), size=m))
+        return rng.normal(size=(b, m)), rng.normal(size=b), rng.exponential(size=m)
+    values = (0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, np.inf, -np.inf, np.nan)
+    p = (0.2, 0.2, 0.15, 0.15, 0.1, 0.05, 0.05, 0.04, 0.03, 0.03)
+    return (rng.choice(values, size=(b, m), p=p), rng.choice(values, size=b, p=p),
+            np.abs(rng.choice((0.0, -0.0, 5e-324, 0.5, 1.0, 3.0), size=m)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -464,37 +467,77 @@ def _loo_block(rng, b, m, specials):
     t=st.integers(1, 20),
     extra=st.integers(0, 10),
     specials=st.booleans(),
-    outlier=st.sampled_from((None, "far", "near")),
+    outlier=st.sampled_from((None, "far", "near", "inside")),
     sign=st.sampled_from((1.0, -1.0)),
     seed=st.integers(0, 2**16),
 )
 def test_order_statistics_are_the_bits_of_whole_row_partitions(
     m, b, t, extra, specials, outlier, sign, seed
 ):
-    # The candidate set is the n >= t columns of largest score, ties broken
-    # at random, from one column (at t = 1) to the whole row. An outlier
-    # outside it fails the certificate: a "far" one by 1e3 past the
-    # candidates, a "near" one by half the outside score, on the upper
-    # (sign 1) or the lower side.
+    # The LOO rows are centers[:, None] - product. The candidate set is the
+    # n >= t columns of largest score, ties broken at random, from one column
+    # (at t = 1) to the whole row. An outlier outside it fails the
+    # certificate: a "far" one by 1e3 past the candidates, a "near" one by
+    # half the outside score, on the upper (sign 1) or the lower side. An
+    # "inside" one, 1e3 past a candidate column, fails the check over all
+    # columns but can pass the one over the columns outside the candidates.
     rng = np.random.default_rng(seed)
     t = min(t, m)
     k, n = m - t + 1, min(t + extra, m)
-    loo, a = _loo_block(rng, b, m, specials)
+    product, centers, a = _loo_block(rng, b, m, specials)
     ties = rng.permutation(m)
     order = ties[np.argsort(a[ties], kind="stable")]
     columns = np.sort(order[m - n:])
     a_out = a[order[m - n - 1]] if n < m else -np.inf
     candidates = (columns, a[columns], a_out) if n == m or a_out > 0 else None
-    if outlier and n < m:
-        i = rng.integers(b)
-        shifted = np.sort(sign * (loo[i, columns] + sign * a[columns]))
-        edge = sign * shifted[n - t]  # the candidates' t-th largest (smallest)
-        loo[i, order[m - n - 1]] = edge + sign * (1e3 if outlier == "far" else -a_out / 2)
     with np.errstate(all="ignore"):
+        i = rng.integers(b)
+        if outlier == "inside":
+            product[i, rng.choice(columns)] = centers[i] - sign * 1e3
+        elif outlier and n < m:
+            shifted = np.sort(sign * (centers[i] - product[i, columns] + sign * a[columns]))
+            edge = sign * shifted[n - t]  # the candidates' t-th largest (smallest)
+            miss = sign * (1e3 if outlier == "far" else -a_out / 2)
+            product[i, order[m - n - 1]] = centers[i] - (edge + miss)
+        loo = centers[:, None] - product
         want_lo = np.partition(loo - a, m - k, axis=1)[:, m - k]
         want_hi = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
         lowers, uppers = np.empty(b), np.empty(b)
-        conformal._order_statistics(loo, a, k, np.empty(b * m), lowers, uppers, candidates)
+        conformal._order_statistics(product, centers, a, k, np.empty(2 * b * m), lowers, uppers,
+                                    candidates)
+    assert lowers.tobytes() == want_lo.tobytes()
+    assert uppers.tobytes() == want_hi.tobytes()
+
+
+def test_rows_whose_maximum_is_a_candidate_pass_at_the_second_stage():
+    # M = 80, t = 3: the 14 largest scores are the candidates, and the LOO
+    # values spread far less than the scores, so every row passes the check
+    # over all columns but two. One holds a LOO value 1e3 above the rest in
+    # a candidate column, the other 1e3 below: each passes the check over
+    # the other 66 columns and takes no whole-row partition (np.flatnonzero
+    # finds the rows of the second stage, then those of the whole-row one).
+    rng = np.random.default_rng(7)
+    m, k, b = 80, 78, 4
+    product, centers = 1e-3 * rng.normal(size=(b, m)), rng.normal(size=b)
+    a = rng.exponential(size=m)
+    candidates = conformal._candidates(a, k)
+    columns = candidates[0]
+    product[1, columns[3]] = centers[1] - 1e3
+    product[2, columns[5]] = centers[2] + 1e3
+    loo = centers[:, None] - product
+    want_lo = np.partition(loo - a, m - k, axis=1)[:, m - k]
+    want_hi = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
+    flatnonzero, found = np.flatnonzero, []
+
+    def counted(condition):
+        found.append(flatnonzero(condition).tolist())
+        return flatnonzero(condition)
+
+    lowers, uppers = np.empty(b), np.empty(b)
+    with mock.patch.object(np, "flatnonzero", counted):
+        conformal._order_statistics(product, centers, a, k, np.empty(b * m), lowers, uppers,
+                                    candidates)
+    assert columns.size == 14 and found == [[1, 2], []]
     assert lowers.tobytes() == want_lo.tobytes()
     assert uppers.tobytes() == want_hi.tobytes()
 
