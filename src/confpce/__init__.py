@@ -56,7 +56,6 @@ from .pce import (
     fit,
     from_json,
     loo_predict,
-    loo_values,
     pce_variance,
     relative_loo_error,
     to_json,

@@ -67,25 +67,18 @@ class MultiIndexSet:
             zero index first.
         input_dim: Number of input dimensions N.
         max_degree: Maximum total degree P.
-        parent: Read-only integer array (K,); entry k is the position of the
-            k-th index with its last nonzero coordinate set to 0, which is
-            smaller than k. The zero index is its own parent.
-        last_dim: Read-only integer array (K,): the dimension d of that last
-            nonzero coordinate (0 for the zero index).
-        last_degree: Read-only integer array (K,): its degree alpha_d (0 for
-            the zero index).
         levels: Per total degree p >= 1, the slice of its terms in the graded
-            order, their parents and their rows of a flattened table of
-            univariate values (row j * N + d holds psi_j in dimension d):
-            what :func:`eval_basis_matrix` walks.
+            order, their parents and their factors, read-only integer arrays:
+            a term's parent is the position of its index with the last
+            nonzero coordinate alpha_d set to 0, which comes earlier, and its
+            factor the row alpha_d * N + d of a flattened table of univariate
+            values (row j * N + d holds psi_j in dimension d). This is what
+            :func:`eval_basis_matrix` walks.
     """
 
     indices: tuple[tuple[int, ...], ...]
     input_dim: int
     max_degree: int
-    parent: np.ndarray = field(compare=False, repr=False)
-    last_dim: np.ndarray = field(compare=False, repr=False)
-    last_degree: np.ndarray = field(compare=False, repr=False)
     levels: tuple = field(compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -175,7 +168,7 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         max_degree: Maximum total degree P (>= 0).
 
     Returns:
-        The total-degree MultiIndexSet, with the parent arrays that
+        The total-degree MultiIndexSet, with the levels that
         :func:`eval_basis_matrix` walks.
 
     Raises:
@@ -205,10 +198,11 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         while not alpha[d]:
             d -= 1
         links.append((position[alpha[:d] + (0,) * (input_dim - d)], d, alpha[d]))
-    columns = np.array(links, dtype=np.intp).T.copy()
-    columns.setflags(write=False)
-    parent, last_dim, last_degree = columns
+    # C-contiguous rows, so that each level's parents and factors are
+    # contiguous index arrays for np.take.
+    parent, last_dim, last_degree = np.array(links, dtype=np.intp).T.copy()
     factor = last_degree * input_dim + last_dim
+    parent.setflags(write=False)
     factor.setflags(write=False)
     # The terms of total degree p sit at [C(N + p - 1, N), C(N + p, N)).
     ends = [math.comb(input_dim + p, input_dim) for p in range(max_degree + 1)]
@@ -216,9 +210,6 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
         indices=tuple(indices),
         input_dim=input_dim,
         max_degree=max_degree,
-        parent=parent,
-        last_dim=last_dim,
-        last_degree=last_degree,
         levels=tuple((slice(lo, hi), parent[lo:hi], factor[lo:hi])
                      for lo, hi in zip(ends, ends[1:])),
     )

@@ -39,10 +39,12 @@ calls gain from a second core: every numpy call releases and retakes the
 interpreter lock, and two threads issuing calls on 600 to 20,000 values at
 once ran them at 0.35-0.67x the speed of the same calls one after the other
 (1.53x at 100,000), so a jackknife call took 1.6-1.8x longer on two workers
-than on one. Each block's basis phase, its basis evaluation and centers
-product (some 20 short calls), therefore holds a lock made for the call, so
-the workers' basis phases take turns while their LOO products and
-selections overlap.
+than on one. So one lock made for the call hands out the blocks, and a
+worker holds it from taking a block through that block's basis phase, its
+basis evaluation and centers product (some 20 short calls): the workers'
+basis phases take turns while their LOO products and selections overlap. A
+worker that fails empties the blocks before it lets the lock go, so the
+other one stops after its current block.
 
 Each worker owns one pair of buffers of at most 1 MiB (but see
 ``_CHUNK_BYTES``), allocated on the calling thread; a block allocates
@@ -76,7 +78,8 @@ A jackknife+ bound is the t-th largest (upper) or smallest (lower) of a
 row of M shifted LOO predictions, t = M - k + 1, so selection starts from a
 candidate set (Floyd and Rivest, CACM 1975): the 2t + 8 columns of largest
 score, taken once a call; per block, their columns of P are gathered once
-into the second buffer, turned into LOO values, shifted and partitioned.
+into the second buffer, turned into LOO values, shifted and partitioned by
+:func:`_select`, which also partitions whole rows.
 Rounding to nearest is monotone, so a row's largest LOO value is
 fl(c_i - min_j P_ij) and its smallest fl(c_i - max_j P_ij), read off P, and
 a value outside the candidates, whose score is at most the largest outside
@@ -98,7 +101,6 @@ tie a +0.0).
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import numbers
 import os
@@ -142,14 +144,26 @@ class ConformalConfig:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.score not in SCORES:
             raise ValidationError(f"score must be one of {SCORES}, got {self.score!r}")
-        if isinstance(self.significance, bool) or not isinstance(self.significance, numbers.Real):
-            raise ValidationError(f"significance must be a real number, got {self.significance!r}")
-        if not 0.0 < self.significance < 1.0:
-            raise ValidationError(f"significance must lie in (0, 1), got {self.significance!r}")
+        _exact_significance(self.significance)
         # For s <= 1/2, floor(s(M+1)) <= ceil((1-s)(M+1)), so the jackknife+
         # lower order statistic of loo - a never passes the upper one of loo + a.
         if self.method == "jackknife_plus" and self.significance > 0.5:
             raise ValidationError(f"jackknife_plus needs significance <= 1/2, got {self.significance!r}")
+
+
+def _exact_significance(significance) -> Fraction:
+    """The exact value of the significance, the one rule for it.
+
+    Raises:
+        ValidationError: Unless the significance is a real number in (0, 1),
+            and not a bool. A Fraction and every numpy float type qualify,
+            and as_integer_ratio is exact for each.
+    """
+    if isinstance(significance, bool) or not isinstance(significance, numbers.Real):
+        raise ValidationError(f"significance must be a real number, got {significance!r}")
+    if not 0 < significance < 1:
+        raise ValidationError(f"significance must lie in (0, 1), got {significance!r}")
+    return Fraction(*significance.as_integer_ratio())
 
 
 def _upper_index(n: int, significance: float) -> int:
@@ -160,10 +174,8 @@ def _upper_index(n: int, significance: float) -> int:
     exact binary value of the float, not the decimal or rational it was
     written as: the float 1/3 lies just below 1/3, so at s = 1/3 the index
     is one above the rational ceil(2(n+1)/3) whenever 3 divides n + 1.
-    as_integer_ratio is exact for a Fraction and every numpy float type.
     """
-    s = Fraction(*significance.as_integer_ratio())
-    return math.ceil((1 - s) * (n + 1))
+    return math.ceil((1 - _exact_significance(significance)) * (n + 1))
 
 
 def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
@@ -171,10 +183,14 @@ def finite_quantile_upper(values: np.ndarray, significance: float) -> float:
 
     Returns +inf when the index exceeds M, signalling that the sample is too
     small for the requested significance and the interval is unbounded.
+
+    Raises:
+        ValidationError: For an empty sample, one holding NaN, or a
+            significance that is not a real number in (0, 1) (or is a bool).
     """
     values = real_array(values, "values").ravel()
-    if values.size == 0:
-        raise ValidationError("cannot take a quantile of an empty sample")
+    if values.size == 0 or np.isnan(values).any():
+        raise ValidationError("cannot take a quantile of an empty sample or one holding NaN")
     k = _upper_index(values.size, significance)
     if k > values.size:
         return float("inf")
@@ -230,37 +246,6 @@ def check_score(model: PceModel, score: str) -> None:
             )
 
 
-def _share_blocks(blocks: list, workers: list) -> None:
-    """Runs each of `workers`, a callable taking next_block, on its own thread.
-
-    next_block() hands out the next of `blocks`, then None. The first worker
-    runs on the calling thread and each other one on a helper from a pool
-    made for the call and shut down before this returns; a helper's
-    exception is raised here. A worker that fails takes the remaining
-    blocks, so the others stop after their current block.
-    """
-    pending, lock = iter(blocks), threading.Lock()
-
-    def next_block():
-        with lock:
-            return next(pending, None)
-
-    def run(worker):
-        try:
-            worker(next_block)
-        except BaseException:
-            with lock:
-                collections.deque(pending, maxlen=0)
-            raise
-
-    # The pool starts a thread per submitted worker, so one worker starts none.
-    with ThreadPoolExecutor(len(workers), thread_name_prefix="confpce-intervals") as pool:
-        helpers = [pool.submit(run, worker) for worker in workers[1:]]
-        run(workers[0])
-    for helper in helpers:
-        helper.result()
-
-
 def _candidates(a: np.ndarray, k: int):
     """(columns, a[columns], a_out) of the 2t + 8 largest scores in column
     order, or None where whole rows cost less (module docstring)."""
@@ -272,6 +257,17 @@ def _candidates(a: np.ndarray, k: int):
     return (columns, a[columns], a_out) if a_out > 0 else None
 
 
+def _select(loo, a, t, spare):
+    """(lowers, uppers): views of the t-th smallest of each row of loo - a and
+    the t-th largest of loo + a. loo (b, s) is overwritten; spare is a flat
+    buffer of b * s values or more."""
+    shifted = np.add(loo, a, out=spare[:loo.size].reshape(loo.shape))
+    shifted.partition(-t, axis=1)
+    loo -= a
+    loo.partition(t - 1, axis=1)
+    return loo[:, t - 1], shifted[:, -t]
+
+
 def _order_statistics(product, centers, a, k, spare, lowers, uppers, candidates=None):
     """Writes the jackknife+ bounds of the LOO rows centers[:, None] - product
     (b, M) to lowers and uppers (b,), the bits of np.partition over each whole
@@ -279,18 +275,13 @@ def _order_statistics(product, centers, a, k, spare, lowers, uppers, candidates=
     and a bound a_out > 0 on the others (-inf for none). product is
     overwritten; spare is a flat buffer of b * M values or more, and of
     2 * b * len(columns), which np.take writes unbuffered in mode "clip"."""
-    m, rows = a.size, slice(None)
+    m, t, rows = a.size, a.size - k + 1, slice(None)
     if candidates is not None:
         columns, a_in, a_out = candidates
-        t, b, s = m - k + 1, product.shape[0], columns.size
+        b, s = product.shape[0], columns.size
         loo = product.take(columns, axis=1, out=spare[:b * s].reshape(b, s), mode="clip")
         np.subtract(centers[:, None], loo, out=loo)
-        shifted = np.add(loo, a_in, out=spare[b * s:2 * b * s].reshape(b, s))
-        shifted.partition(-t, axis=1)
-        uppers[:] = shifted[:, -t]
-        loo -= a_in
-        loo.partition(t - 1, axis=1)
-        lowers[:] = loo[:, t - 1]
+        lowers[:], uppers[:] = _select(loo, a_in, t, spare[b * s:])
         # The row maximum of the LOO values is fl(c - min_j P_ij), and its
         # minimum fl(c - max_j P_ij); either is NaN iff the row holds a NaN.
         high, low = centers - np.min(product, axis=1), centers - np.max(product, axis=1)
@@ -310,12 +301,7 @@ def _order_statistics(product, centers, a, k, spare, lowers, uppers, candidates=
         spare, product = product.reshape(-1), product.take(
             rows, axis=0, out=spare[:rows.size * m].reshape(-1, m), mode="clip")
     loo = np.subtract(centers[rows, None], product, out=product)
-    shifted = np.subtract(loo, a, out=spare[:loo.size].reshape(loo.shape))
-    shifted.partition(m - k, axis=1)
-    lowers[rows] = shifted[:, m - k]
-    loo += a
-    loo.partition(k - 1, axis=1)
-    uppers[rows] = loo[:, k - 1]
+    lowers[rows], uppers[rows] = _select(loo, a, t, spare)
 
 
 def interval_arrays(
@@ -346,35 +332,49 @@ def interval_arrays(
     step = _chunk_rows(row_len)
     candidates = _candidates(a, k) if bounded else None
 
-    # Only the LOO product and the selection run long without the interpreter
-    # lock; the basis phase, some 20 short numpy calls, takes turns (module
-    # docstring).
-    turn = threading.Lock()
-
-    def fill_blocks(work, rows, next_block):
-        for start, stop in iter(next_block, None):
-            out = rows[:(stop - start) * n_basis].reshape(-1, n_basis)
-            with turn:
-                basis = eval_basis_matrix(xi[start:stop], model.index_set, out=out, work=work)
-                np.matmul(basis, model.coefficients, out=centers[start:stop])
-            if bounded:
-                # The rows are dead once the product is formed, so the
-                # selection reuses them.
-                product = np.matmul(basis, model.loo_corrections.T,
-                                    out=work[:(stop - start) * m].reshape(-1, m))
-                _order_statistics(product, centers[start:stop], a, k, rows,
-                                  lowers[start:stop], uppers[start:stop], candidates)
-
     # Every workspace is allocated here, on the calling thread: buffers a
     # helper allocated would come from a malloc arena of its own and stay
     # resident after the call (about 4 MB more peak RSS on a piston grid).
     blocks = _blocks(n, step)
     size = max((stop - start for start, stop in blocks), default=0)
     work_values = max(size * m if bounded else 0, scratch_size(model.index_set, size))
-    _share_blocks(blocks, [
-        functools.partial(fill_blocks, np.empty(work_values), np.empty(size * row_len))
-        for _ in range(min(_WORKERS, max(1, n // step)) if bounded else 1)
-    ])
+    buffers = [(np.empty(work_values), np.empty(size * row_len))
+               for _ in range(min(_WORKERS, max(1, n // step)) if bounded else 1)]
+    pending, lock = iter(blocks), threading.Lock()
+
+    def fill_blocks(work, rows):
+        # A worker holds the lock but for its LOO products and selections
+        # (module docstring), so one that fails empties `pending` before the
+        # other can take a block.
+        lock.acquire()
+        try:
+            for start, stop in pending:
+                out = rows[:(stop - start) * n_basis].reshape(-1, n_basis)
+                basis = eval_basis_matrix(xi[start:stop], model.index_set, out=out, work=work)
+                np.matmul(basis, model.coefficients, out=centers[start:stop])
+                if bounded:
+                    lock.release()
+                    try:
+                        # The rows are dead once the product is formed, so
+                        # the selection reuses them.
+                        product = np.matmul(basis, model.loo_corrections.T,
+                                            out=work[:(stop - start) * m].reshape(-1, m))
+                        _order_statistics(product, centers[start:stop], a, k, rows,
+                                          lowers[start:stop], uppers[start:stop], candidates)
+                    finally:
+                        lock.acquire()
+        except BaseException:
+            collections.deque(pending, maxlen=0)
+            raise
+        finally:
+            lock.release()
+
+    # The pool starts a thread per submitted worker, so one worker starts none.
+    with ThreadPoolExecutor(len(buffers), thread_name_prefix="confpce-intervals") as pool:
+        helpers = [pool.submit(fill_blocks, *pair) for pair in buffers[1:]]
+        fill_blocks(*buffers[0])
+    for helper in helpers:
+        helper.result()
     if not plus:
         return jackknife_bounds(model, centers, cfg.significance)
     return _checked(centers, lowers, uppers)
@@ -385,13 +385,18 @@ def jackknife_bounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jackknife bounds about any interval call's centers: (centers, lowers, uppers).
 
-    The bounds are new arrays; `centers` is returned as given, unwritten.
+    The bounds are new arrays; `centers`, taken as a float array, is
+    returned unwritten, as given if it is one.
 
     Raises:
+        ValidationError: For centers that are not real numbers, or a
+            significance as in :func:`finite_quantile_upper`.
         IntervalError: If a bound is NaN.
     """
+    centers = real_array(centers, "centers")
     half = finite_quantile_upper(np.abs(model.loo_residuals), significance)
-    return _checked(centers, centers - half, centers + half)
+    with np.errstate(invalid="ignore"):  # an infinite center and half make a NaN bound
+        return _checked(centers, centers - half, centers + half)
 
 
 def _checked(centers, lowers, uppers):
@@ -399,9 +404,8 @@ def _checked(centers, lowers, uppers):
     bad = ~(lowers <= uppers)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise IntervalError(
-            f"interval at point {i} has lower {float(lowers[i])!r} and upper {float(uppers[i])!r}"
-        )
+        raise IntervalError(f"interval at point {i} has lower {float(lowers.flat[i])!r} "
+                            f"and upper {float(uppers.flat[i])!r}")
     return centers, lowers, uppers
 
 

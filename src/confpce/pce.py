@@ -290,18 +290,9 @@ def loo_predict(model: PceModel, x: np.ndarray) -> np.ndarray:
     """
     x = basis.real_array(x, "points")
     rows = eval_basis_matrix(to_reference(np.atleast_2d(x), model.input_spec), model.index_set)
-    values = loo_values(model, rows, rows @ model.coefficients)
+    product = rows @ model.loo_corrections.T
+    values = np.subtract((rows @ model.coefficients)[:, None], product, out=product)
     return values[0] if x.ndim == 1 else values
-
-
-def loo_values(model: PceModel, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """LOO predictions at precomputed basis rows (n, K), shape (n, M).
-
-    `centers` are the full-model predictions rows @ coefficients; entry
-    (i, m) is centers[i] - rows[i] @ G[m] with G the correction matrix.
-    """
-    out = rows @ model.loo_corrections.T
-    return np.subtract(centers[:, None], out, out=out)
 
 
 def brute_force_loo(

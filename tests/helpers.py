@@ -14,7 +14,6 @@ import confpce
 from confpce import benchmarks
 from confpce.basis import _legendre_rows, eval_basis_matrix, to_reference
 from confpce.conformal import _blocks, _chunk_rows, _upper_index, finite_quantile_upper
-from confpce.pce import loo_values
 
 
 def run_python(code, *args, threads=None, timeout=300):
@@ -133,28 +132,34 @@ def product_basis_reference(xi, index_set):
 
 
 def assert_parent_links(index_set):
-    """Each term k > 0 is its parent times psi_{last_degree} in dimension last_dim.
+    """Each term k > 0 is its parent times psi_j in dimension d, with (j, d)
+    = divmod(factor, N) read off the set's levels.
 
-    The parent comes earlier and is the index with its last nonzero entry,
-    at last_dim, set to 0; the zero index is its own parent.
+    The levels cover the terms 1..K-1 in order, one total degree each. The
+    parent comes earlier and is the index with its last nonzero entry, at d,
+    set to 0.
     """
-    alphas = np.array(index_set.indices)
-    assert index_set.parent[0] == 0 and index_set.last_degree[0] == 0
-    for k in range(1, len(index_set)):
-        parent, d = index_set.parent[k], index_set.last_dim[k]
-        assert parent < k
-        assert alphas[k, d] == index_set.last_degree[k] > 0
-        assert not alphas[k, d + 1:].any()
-        expected = alphas[k].copy()
-        expected[d] = 0
-        assert np.array_equal(alphas[parent], expected)
+    alphas, n = np.array(index_set.indices), index_set.input_dim
+    terms = range(len(index_set))
+    assert [k for level, _, _ in index_set.levels for k in terms[level]] == list(terms[1:])
+    for p, (level, parents, factors) in enumerate(index_set.levels, start=1):
+        assert parents.flags.c_contiguous and factors.flags.c_contiguous
+        assert not parents.flags.writeable and not factors.flags.writeable
+        for k, parent, factor in zip(terms[level], parents, factors):
+            degree, d = divmod(int(factor), n)
+            assert alphas[k].sum() == p and parent < k
+            assert alphas[k, d] == degree > 0
+            assert not alphas[k, d + 1:].any()
+            expected = alphas[k].copy()
+            expected[d] = 0
+            assert np.array_equal(alphas[parent], expected)
 
 
 def blocked_jackknife_plus_reference(model, rows, significance):
     """Block-loop oracle for jackknife+ bounds at basis rows (n, K).
 
-    Builds each block of the LOO matrix as a fresh array with loo_values and
-    partitions fresh shifted copies of whole rows, on the blocks of
+    Builds each block of the LOO matrix as a fresh array, centers less the
+    product with the correction matrix, and partitions fresh shifted copies of whole rows, on the blocks of
     interval_arrays, so the products see the same row counts and every
     bound must agree bit for bit. Returns (centers, lowers, uppers).
     """
@@ -167,7 +172,8 @@ def blocked_jackknife_plus_reference(model, rows, significance):
         return centers, -uppers, uppers
     lowers, uppers = np.empty_like(centers), np.empty_like(centers)
     for start, stop in _blocks(centers.shape[0], _chunk_rows(m)):
-        loo = loo_values(model, rows[start:stop], centers[start:stop])
+        loo = rows[start:stop] @ model.loo_corrections.T
+        loo = np.subtract(centers[start:stop, None], loo, out=loo)
         lowers[start:stop] = np.partition(loo - a, m - k, axis=1)[:, m - k]
         uppers[start:stop] = np.partition(loo + a, k - 1, axis=1)[:, k - 1]
     return centers, lowers, uppers

@@ -11,6 +11,8 @@ because the bits are tied to those builds.
 
 LONE_ROW_DIGESTS holds a batch one row past a multiple of the block, whose
 last block takes that row; its digest is that of one whole-batch product.
+WHOLE_ROW_DIGESTS holds three of those designs at significance 1/3 and 1/2,
+where jackknife+ partitions whole rows instead of a candidate set.
 WHOLE_BATCH_CASES are jackknife+ batches whose last block takes a remainder
 of 1 to 7 rows, and their bounds must be the bits of one whole-batch product.
 SECOND_STAGE_CASES are jackknife+ batches in which many rows reach the
@@ -33,7 +35,8 @@ from confpce.basis import total_degree_size
 from confpce.benchmarks import design_size, get_benchmark
 
 # (benchmark, degree, oversampling, test points): sha256 of the design's
-# jackknife then jackknife+ centers, lowers and uppers at significance 0.1.
+# jackknife then jackknife+ centers, lowers and uppers at significance 0.1,
+# where jackknife+ selects from its candidate columns.
 DIGESTS = {
     ("piston", 2, 5, 16_989):
         "875be3e58837269ea64bfb1b8023e45758c7b994efb41edd9c03661ed3b9846b",
@@ -59,6 +62,24 @@ LONE_ROW_DIGESTS = {
         "d74824babff6145e1a1e6be691509727f613ec3a70f7ee69228662567c676edf",
 }
 
+# As DIGESTS, keyed (benchmark, degree, oversampling, test points,
+# significance), at significances whose candidates would make a third of a
+# row or more, so every jackknife+ row is partitioned whole.
+WHOLE_ROW_DIGESTS = {
+    ("piston", 4, 3, 1_852, 1 / 3):
+        "1556b920084c91d7d35bd8155e6c63e1a203aba6df178f8d82595813c986c302",
+    ("piston", 4, 3, 1_852, 0.5):
+        "cc6d23d38fa53535088c3adc18bb9937619178588064211a4812e5c118bf2042",
+    ("otl_circuit", 4, 2, 2_912, 1 / 3):
+        "b3addc2de3a12b39560822845bf860d0627cf4942421204b19f4f01008cd3af1",
+    ("otl_circuit", 4, 2, 2_912, 0.5):
+        "60c3cc601b053f0566df4f25f24ad72f4b658c1005c1324d9b921b3f5d83b753",
+    ("wing_weight", 3, 2, 2_137, 1 / 3):
+        "21db70bf5d898675205a8f1a224fc1ac76bb997c24a284711ab6846c7b695fb9",
+    ("wing_weight", 3, 2, 2_137, 0.5):
+        "4aa8431a2a49888c299037ae62299098aa2ec6e899b072da700cec37592f4828",
+}
+
 # (benchmark, degree, oversampling, test points, significance): jackknife+
 # batches whose last block takes a remainder of 1 to 7 rows at 1 MiB.
 WHOLE_BATCH_CASES = [
@@ -73,14 +94,14 @@ from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.conformal import METHODS, ConformalConfig, interval_arrays
 from confpce.pce import fit
 digests = []
-for name, degree, oversampling, n in json.loads(sys.argv[1]):
+for name, degree, oversampling, n, s in json.loads(sys.argv[1]):
     bench = get_benchmark(name)
     data = sample_design(name, design_size(name, degree, oversampling), seed=0)
     model = fit(data, build_total_degree_set(bench.dim, degree), bench.input_spec)
     points = sample_design(name, n, seed=1, stream="test").inputs
     digest = hashlib.sha256()
     for method in METHODS:
-        for array in interval_arrays(model, points, ConformalConfig(method, significance=0.1)):
+        for array in interval_arrays(model, points, ConformalConfig(method, significance=s)):
             digest.update(array.tobytes())
     digests.append(digest.hexdigest())
 print(json.dumps(digests))
@@ -93,9 +114,17 @@ def aligned_block_rows(bytes_, row_len):
         return conformal._chunk_rows(row_len)
 
 
-def compute_digests(designs) -> list:
-    """The per-design digests of `designs`, from a fresh interpreter."""
-    return json.loads(run_python(CHILD, json.dumps(list(designs)), threads="1").stdout)
+def committed_digests() -> dict:
+    """Every committed digest, keyed (benchmark, degree, oversampling, test
+    points, significance)."""
+    at_tenth = {(*design, 0.1): digest for design, digest in {**DIGESTS, **LONE_ROW_DIGESTS}.items()}
+    return {**at_tenth, **WHOLE_ROW_DIGESTS}
+
+
+def compute_digests(cases) -> list:
+    """The per-case digests of `cases`, as keyed in committed_digests(), from
+    a fresh interpreter."""
+    return json.loads(run_python(CHILD, json.dumps(list(cases)), threads="1").stdout)
 
 
 @pytest.mark.parametrize("design", list(DIGESTS), ids=lambda d: "-".join(map(str, d)))
@@ -112,9 +141,18 @@ def test_multi_block_intervals_are_the_committed_bits():
     recorded = json.loads((GOLDEN / "versions.json").read_text())
     if recorded != versions():
         pytest.skip(f"digests were taken with {recorded}, this is {versions()}")
-    digests = {**DIGESTS, **LONE_ROW_DIGESTS}
-    for design, got in zip(digests, compute_digests(digests)):
-        assert got == digests[design], f"{design} differs"
+    digests = committed_digests()
+    for case, got in zip(digests, compute_digests(digests)):
+        assert got == digests[case], f"{case} differs"
+
+
+@pytest.mark.parametrize("case", list(WHOLE_ROW_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_whole_row_cases_partition_whole_rows_over_several_blocks(case):
+    name, degree, oversampling, n, s = case
+    assert (name, degree, oversampling, n) in DIGESTS
+    m = design_size(name, degree, oversampling)
+    t = m - conformal._upper_index(m, s) + 1
+    assert 3 * (2 * t + 8) >= m  # _candidates returns None
 
 
 @pytest.mark.parametrize("design", list(LONE_ROW_DIGESTS), ids=lambda d: "-".join(map(str, d)))
@@ -214,6 +252,6 @@ def test_second_stage_rows_have_the_bits_of_whole_row_partitions():
 
 
 if __name__ == "__main__":
-    digests = {**DIGESTS, **LONE_ROW_DIGESTS}
-    for design, digest in zip(digests, compute_digests(digests)):
-        print(f"    {design}: {digest!r},")
+    digests = committed_digests()
+    for case, digest in zip(digests, compute_digests(digests)):
+        print(f"    {case}: {digest!r},")

@@ -24,7 +24,7 @@ from confpce.conformal import (
     interval_arrays,
     jackknife_bounds,
 )
-from confpce.errors import IntervalError, ZeroVarianceError
+from confpce.errors import IntervalError, ValidationError, ZeroVarianceError
 from confpce.pce import (
     Dataset,
     PceModel,
@@ -142,6 +142,11 @@ class TestQuantiles:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             finite_quantile_upper(np.array([]), 0.1)
+
+    def test_numpy_floats_and_fractions_are_significances(self):
+        values = np.arange(1.0, 11.0)
+        for s in (np.float32(0.1), np.float64(0.1), np.longdouble(0.1), Fraction(1, 10)):
+            assert finite_quantile_upper(values, s) == 10.0
 
     def test_sample_of_any_shape_is_taken_flat(self):
         # ceil(0.9 * 10) = 9 -> ninth smallest of all nine values: the largest.
@@ -680,6 +685,23 @@ class TestIntervalError:
         centers[2] = np.nan
         with pytest.raises(IntervalError, match="point 2 has lower nan"):
             jackknife_bounds(model, centers, 0.05)
+
+    @pytest.mark.parametrize("significance", [1.5, 1.0, True, math.nan, "0.05"],
+                             ids=["above-one", "one", "bool", "nan", "string"])
+    def test_jackknife_bounds_refuses_significance_outside_the_rule(self, otl_model,
+                                                                    significance):
+        model, points = otl_model
+        with pytest.raises(ValidationError, match="significance must"):
+            jackknife_bounds(model, surrogate(model, points), significance)
+
+    def test_jackknife_bounds_reads_centers_as_real_arrays(self, otl_model):
+        model, points = otl_model
+        centers = surrogate(model, points)
+        got = jackknife_bounds(model, centers.tolist(), 0.05)
+        for g, w in zip(got, jackknife_bounds(model, centers, 0.05)):
+            np.testing.assert_array_equal(g, w)
+        with pytest.raises(ValidationError, match="centers must be real numbers"):
+            jackknife_bounds(model, ["a", "b"], 0.05)
 
     def test_jackknife_bounds_leaves_centers_unwritten(self, otl_model):
         model, points = otl_model

@@ -55,6 +55,15 @@ BAD_INPUT = {
     "stream": lambda: sample_design("meromorphic", 5, seed=0, stream="bogus"),
     "coverage-empty": lambda: empirical_coverage([], [], []),
     "quantile-empty": lambda: finite_quantile_upper([], 0.1),
+    # s = 1.5 read a negative index and s = 1 or True the index -1 (the
+    # maximum); NaN and a string raised untyped errors; NaN samples gave NaN.
+    "quantile-significance-above-one": lambda: finite_quantile_upper([3, 1, 2, 5, 4], 1.5),
+    "quantile-significance-one": lambda: finite_quantile_upper([3, 1, 2, 5, 4], 1.0),
+    "quantile-significance-bool": lambda: finite_quantile_upper([3, 1, 2, 5, 4], True),
+    "quantile-significance-nan": lambda: finite_quantile_upper([3, 1, 2, 5, 4], np.nan),
+    "quantile-significance-str": lambda: finite_quantile_upper([3, 1, 2, 5, 4], "0.05"),
+    "quantile-all-nan": lambda: finite_quantile_upper([np.nan] * 40, 0.5),
+    "quantile-some-nan": lambda: finite_quantile_upper([1, np.nan, 3] * 10, 0.05),
     "fit-dims": lambda: fit(
         sample_design("meromorphic", 9, seed=0), build_total_degree_set(2, 1), UNIT
     ),

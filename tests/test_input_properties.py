@@ -1,8 +1,10 @@
 """Generated inputs at the library's entry points: a typed error or a valid result.
 
-Each property draws seeds for `sample_design`, or arrays of assorted dtypes
-and shapes and ragged nested lists for `Dataset` and `interval_arrays`. Every call must either
-return finite arrays of the documented shapes or raise a `ConfpceError`,
+Each property draws seeds for `sample_design`, arrays of assorted dtypes
+and shapes and ragged nested lists for `Dataset` and `interval_arrays`, or
+samples and significances for `finite_quantile_upper` and
+`jackknife_bounds`. Every call must either return finite arrays of the
+documented shapes (or an unbounded quantile) or raise a `ConfpceError`,
 and must never emit a Python warning (a warning is turned into an error
 inside each example, so it fails the property). A last test holds every
 entry that takes outside arrays to refusing complex and string values and
@@ -10,7 +12,9 @@ ragged rows.
 """
 
 import json
+import numbers
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, 
 from confpce.benchmarks import sample_design
 from confpce.conformal import (
     METHODS, ConformalConfig, empirical_coverage, finite_quantile_upper, interval_arrays,
+    jackknife_bounds,
 )
 from confpce.errors import ConfpceError, ValidationError
 from confpce.pce import Dataset, brute_force_loo, fit, from_json, loo_predict
@@ -122,6 +127,46 @@ def test_interval_arrays_points(points, dtype, method):
             assert array.shape == (n,) and np.all(np.isfinite(array))
 
 
+# Significances inside (0, 1), at its edges and beyond them, NaN, infinities,
+# bools, strings, float32 and fractions.
+SIGNIFICANCES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from((0, 1, -0.5, 1.5, np.nan, np.inf, -np.inf, True, False, "0.05", "")),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0, width=32).map(np.float32),
+    st.fractions(Fraction(-1, 2), Fraction(3, 2), max_denominator=100),
+)
+
+
+def in_rule(significance):
+    """Whether `significance` is a real number in (0, 1) and not a bool."""
+    real = isinstance(significance, numbers.Real) and not isinstance(significance, bool)
+    return real and 0 < significance < 1
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(values=VALUES, significance=SIGNIFICANCES)
+def test_quantile_and_jackknife_bounds(values, significance):
+    half = run_quietly(lambda: finite_quantile_upper(values, significance))
+    # A sample takes a quantile iff it is not empty and holds no NaN.
+    assert (half is not None) == (in_rule(significance) and values.size > 0
+                                  and not np.isnan(values).any())
+    if half is not None:
+        assert type(half) is float and half in values or half == np.inf
+    bounds = run_quietly(lambda: jackknife_bounds(MODEL, values, significance))
+    if bounds is not None:
+        centers, lowers, uppers = bounds
+        assert np.shape(lowers) == np.shape(uppers) == values.shape
+        assert np.all(lowers <= uppers)
+        model_half = finite_quantile_upper(np.abs(MODEL.loo_residuals), significance)
+        finite = np.isfinite(values) & np.isfinite(model_half)
+        assert np.all(np.isfinite(lowers) == finite) and np.all(np.isfinite(uppers) == finite)
+    elif in_rule(significance) and not np.isnan(values).any():
+        # Only an infinite center with an unbounded half makes a NaN bound.
+        assert np.isinf(values).any()
+        assert finite_quantile_upper(np.abs(MODEL.loo_residuals), significance) == np.inf
+
+
 # Every entry that turns outside arrays into floats goes through one check.
 ENTRIES = {
     "Dataset": lambda v: Dataset(inputs=v, outputs=np.zeros(len(v))),
@@ -132,6 +177,7 @@ ENTRIES = {
     "brute_force_loo": lambda v: brute_force_loo(
         MODEL.training_snapshot, MODEL.index_set, MODEL.input_spec, v),
     "finite_quantile_upper": lambda v: finite_quantile_upper(v, 0.1),
+    "jackknife_bounds": lambda v: jackknife_bounds(MODEL, v, 0.1),
     "empirical_coverage": lambda v: empirical_coverage(v, v, v),
 }
 

@@ -1,8 +1,10 @@
 """Generated-property tests: invariants checked over random inputs."""
 
+import collections
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -310,6 +312,54 @@ def test_jackknife_plus_block_failure_reaches_the_caller(failing):
             with pytest.raises(RuntimeError, match=f"block failed in the {failing}"):
                 interval_arrays(model, points, cfg)
     assert started == {"caller", "helper"}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ("helper", "caller"))
+def test_basis_phase_failure_reaches_the_caller(failing):
+    # The failing worker raises inside the basis phase of its second block,
+    # under the call's lock, once each worker has taken a block; the other
+    # worker's second selection waits for that failure to start, so it
+    # cannot take every block first. The other worker then finishes its
+    # selection and waits for the lock, and must find no block left.
+    model = _fit_benchmark("otl_circuit", 2, 3, 5)
+    caller, selections, events = threading.current_thread(), collections.Counter(), []
+    both, failing_now = threading.Barrier(2, timeout=10), threading.Event()
+    eval_basis_matrix, order_statistics = conformal.eval_basis_matrix, conformal._order_statistics
+
+    def worker():
+        return "caller" if threading.current_thread() is caller else "helper"
+
+    def flaky_eval_basis_matrix(*args, **kwargs):
+        events.append(worker())
+        if worker() == failing and selections[failing]:
+            failing_now.set()
+            time.sleep(0.02)  # the other worker reaches the lock meanwhile
+            events.append("failed")
+            raise RuntimeError(f"basis phase failed in the {failing}")
+        return eval_basis_matrix(*args, **kwargs)
+
+    def waiting_order_statistics(*args):
+        # Outside the lock, so these waits hold no other worker up.
+        selections[worker()] += 1
+        if selections[worker()] == 1:
+            both.wait()
+        elif worker() != failing:
+            assert failing_now.wait(timeout=10)
+        return order_statistics(*args)
+
+    cfg = ConformalConfig(method="jackknife_plus", significance=0.1)
+    with _small_blocks(model.n_train):
+        n = 10 * conformal._chunk_rows(model.n_train)
+        points = sample_design("otl_circuit", n, seed=5, stream="test").inputs
+        before = threading.active_count()
+        with mock.patch.multiple(conformal, _WORKERS=2, eval_basis_matrix=flaky_eval_basis_matrix,
+                                 _order_statistics=waiting_order_statistics):
+            with pytest.raises(RuntimeError, match=f"basis phase failed in the {failing}"):
+                interval_arrays(model, points, cfg)
+    assert set(selections) == {"caller", "helper"}
+    assert events.count("failed") == 1
+    assert events[events.index("failed") + 1:] == [], events
     assert threading.active_count() == before
 
 
