@@ -147,11 +147,13 @@ def real_array(values, what: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _integral(field: str, value) -> int:
-    """`value` as an int; a ValidationError unless it is an integral real number."""
+def _integral(field: str, value, low=None) -> int:
+    """`value` as an int; a ValidationError unless it is an integral real number >= low."""
     integral = isinstance(value, numbers.Real) and float(value).is_integer()
     if isinstance(value, bool) or not integral:
         raise ValidationError(f"{field} needs integer values, got {value!r}")
+    if low is not None and value < low:
+        raise ValidationError(f"{field} must be >= {low}, got {int(value)}")
     return int(value)
 
 
@@ -179,12 +181,8 @@ def build_total_degree_set(input_dim: int, max_degree: int) -> MultiIndexSet:
             enumerated; or if the enumeration does not produce exactly K
             indices.
     """
-    input_dim = _integral("input_dim", input_dim)
-    max_degree = _integral("max_degree", max_degree)
-    if input_dim < 1:
-        raise ValidationError(f"input_dim must be >= 1, got {input_dim}")
-    if max_degree < 0:
-        raise ValidationError(f"max_degree must be >= 0, got {max_degree}")
+    input_dim = _integral("input_dim", input_dim, 1)
+    max_degree = _integral("max_degree", max_degree, 0)
 
     size = total_degree_size(input_dim, max_degree)
     indices = _graded_indices(input_dim, max_degree)

@@ -220,9 +220,7 @@ def sample_design(name: str, m: int, seed, stream: str = "train") -> Dataset:
         BasisSizeError: If the 8 m N bytes of the inputs exceed
             MAX_BASIS_BYTES; raised before anything is allocated.
     """
-    m = _integral("design size", m)
-    if m < 1:
-        raise ValidationError(f"design size must be >= 1, got {m}")
+    m = _integral("design size", m, 1)
     bench = get_benchmark(name)
     check_bytes(8 * m * bench.dim, f"design of {m} points of dimension {bench.dim}")
     rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(name, seed, stream)))
@@ -244,11 +242,7 @@ def design_size(name: str, degree: int, oversampling: int) -> int:
         BasisSizeError: If the basis is over the limit of
             :func:`~confpce.basis.total_degree_size`, from the count alone.
     """
-    degree, oversampling = _integral("degree", degree), _integral("oversampling", oversampling)
-    if degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree}")
-    if oversampling < 1:
-        raise ValidationError(f"oversampling must be >= 1, got {oversampling}")
+    degree, oversampling = _integral("degree", degree, 0), _integral("oversampling", oversampling, 1)
     bench = get_benchmark(name)
     k = total_degree_size(bench.dim, degree)
     return oversampling * ((degree + 1) ** 2 if bench.size_rule == "quadratic" else k)

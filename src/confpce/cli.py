@@ -151,7 +151,7 @@ def cmd_experiment(args) -> int:
     if out_dir is None:
         raise ValidationError("no output directory: set 'output' in the config or pass --out")
     # Checked before the grid runs, so that an unusable output loses no results.
-    harness.check_report_paths("csv", out_dir)
+    harness.check_report_paths(out_dir)
 
     report = harness.run_grid(config)
     paths = harness.emit_report(report, "csv", out_dir)

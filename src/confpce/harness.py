@@ -14,7 +14,6 @@ the grid, because poorly oversampled cells are themselves part of the study.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
@@ -51,25 +50,21 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        lows = {"degrees": 0, "oversampling": 1}
         for field in ("degrees", "oversampling", "methods", "scores"):
             values = getattr(self, field)
             if not isinstance(values, (list, tuple)):
                 raise ValidationError(f"{field} must be a list, got {values!r}")
             if not values:
                 raise ValidationError(f"{field} list must be non-empty")
-            if field in ("degrees", "oversampling"):
-                values = [_integral(field, v) for v in values]
+            if field in lows:
+                values = [_integral(field, v, lows[field]) for v in values]
             object.__setattr__(self, field, tuple(values))
         for field in ("n_seeds", "test_size"):
-            object.__setattr__(self, field, _integral(field, getattr(self, field)))
+            object.__setattr__(self, field, _integral(field, getattr(self, field), 1))
         for method in self.methods:
             for score in self.scores:
                 ConformalConfig(method=method, score=score, significance=self.significance)
-        for field, low in (("degrees", 0), ("oversampling", 1), ("n_seeds", 1), ("test_size", 1)):
-            value = getattr(self, field)
-            for v in value if isinstance(value, tuple) else (value,):
-                if v < low:
-                    raise ValidationError(f"{field} must be >= {low}, got {v}")
         if self.output is not None and not isinstance(self.output, str):
             raise ValidationError(f"output must be a string or null, got {self.output!r}")
         if not isinstance(self.benchmark, str):
@@ -88,9 +83,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config must be a mapping of fields, got {doc!r}")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+            raise ValidationError(f"unknown config fields: {sorted(unknown, key=str)}")
         if "benchmark" not in doc or "degrees" not in doc or "oversampling" not in doc:
             raise ValidationError("config requires benchmark, degrees and oversampling")
         return cls(**doc)
@@ -170,10 +167,12 @@ def run_cell(
     so a cell's record is the same whether it runs alone or in a grid.
 
     Raises:
-        ValidationError: For an unknown method or score or a bad
-            significance, before anything is sampled.
+        ValidationError: For an unknown method or score, a bad significance,
+            a seed that is not an integer >= 0 or a test_size that is not an
+            integer >= 1, before anything is sampled.
     """
     ConformalConfig(method, score, significance)
+    seed, test_size = _integral("seed", seed, 0), _integral("test_size", test_size, 1)
     cells = ((method, score),)
     return _run_design(benchmark, degree, oversampling, seed, cells, significance, test_size)[0]
 
@@ -333,35 +332,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
+# The files emit_report writes.
+REPORT_FILES = ("records.csv", "aggregates.csv")
 
 
-# The files emit_report writes, by format.
-REPORT_FILES = {"csv": ("records.csv", "aggregates.csv"), "json": ("report.json",)}
-
-
-def _report_paths(fmt: str, out_dir) -> list[Path]:
-    """The paths of the `fmt` report files in out_dir, which is made if missing."""
-    if fmt not in REPORT_FILES:
-        raise ValidationError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
+def _report_paths(out_dir) -> list[Path]:
+    """The paths of the report files in out_dir, which is made if missing."""
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return [Path(out_dir) / name for name in REPORT_FILES[fmt]]
+    return [Path(out_dir) / name for name in REPORT_FILES]
 
 
-def check_report_paths(fmt: str, out_dir) -> None:
+def check_report_paths(out_dir) -> None:
     """Refuses, before a grid runs, an output emit_report could not write.
 
-    Makes out_dir and opens each of its `fmt` report files for appending,
-    which leaves an existing file as it was; a file made here is removed.
+    Makes out_dir and opens each of its report files for appending, which
+    leaves an existing file as it was; a file made here is removed.
 
     Raises:
-        ValidationError: If fmt is not 'csv' or 'json'.
         OSError: If out_dir cannot be made or a report file not opened for writing.
     """
-    for path in _report_paths(fmt, out_dir):
+    for path in _report_paths(out_dir):
         made = not path.exists()
         open(path, "a").close()
         if made:
@@ -369,28 +359,25 @@ def check_report_paths(fmt: str, out_dir) -> None:
 
 
 def emit_report(report: CoverageReport, fmt: str, out_dir) -> list[Path]:
-    """Writes the report files and returns their paths.
+    """Writes records.csv and aggregates.csv and returns their paths.
 
-    csv: records.csv (one row per seed, columns per RECORD_COLUMNS) and
-    aggregates.csv (keyed without seed). json: report.json mirroring both
-    tables; non-finite reals are rendered as "inf"/"-inf"/"nan" strings to
-    stay parseable by strict JSON readers. Output is byte-stable for a given
-    report.
+    records.csv has one row per seed, columns per RECORD_COLUMNS;
+    aggregates.csv is keyed without seed, columns per AGGREGATE_COLUMNS.
+    Output is byte-stable for a given report. `fmt` must be "csv", the one
+    format; the argument stays only for existing callers, and a later
+    benchmark change can drop it.
+
+    Raises:
+        ValidationError: If fmt is not "csv", before out_dir is made.
     """
-    paths = _report_paths(fmt, out_dir)
-    tables = {
-        "records": (RECORD_COLUMNS, [_values(rec) for rec in report.records]),
-        "aggregates": (AGGREGATE_COLUMNS, [[row[col] for col in AGGREGATE_COLUMNS]
-                                           for row in report.aggregates]),
-    }
-    if fmt == "json":
-        doc = {name: [{col: _jsonable(v) for col, v in zip(columns, row)} for row in rows]
-               for name, (columns, rows) in tables.items()}
-        with open(paths[0], "w") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-        return paths
-    for path, (columns, rows) in zip(paths, tables.values()):
+    if not isinstance(fmt, str) or fmt != "csv":
+        raise ValidationError(f"unknown report format {fmt!r}; use 'csv'")
+    tables = (
+        (RECORD_COLUMNS, [_values(rec) for rec in report.records]),
+        (AGGREGATE_COLUMNS, [[row[col] for col in AGGREGATE_COLUMNS] for row in report.aggregates]),
+    )
+    paths = _report_paths(out_dir)
+    for path, (columns, rows) in zip(paths, tables):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)

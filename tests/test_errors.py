@@ -40,6 +40,11 @@ BAD_INPUT = {
     "cell-score": lambda: run_cell("meromorphic", 3, 1, "jackknife", "bogus", 0.1, 0, 10),
     "cell-method": lambda: run_cell("piston", 2, 1, "bogus", "absolute", 0.1, 0, 10),
     "cell-significance": lambda: run_cell("piston", 2, 1, "jackknife", "absolute", 1.5, 0, 10),
+    # A bad seed or test_size gave a failed record, test_size only after the fit.
+    "cell-seed-negative": lambda: run_cell("meromorphic", 3, 1, "jackknife", "absolute", 0.1, -1, 10),
+    "cell-seed-fraction": lambda: run_cell("meromorphic", 3, 1, "jackknife", "absolute", 0.1, 1.5, 10),
+    "cell-test-size-str": lambda: run_cell("meromorphic", 3, 1, "jackknife", "absolute", 0.1, 0, "10"),
+    "cell-test-size-zero": lambda: run_cell("meromorphic", 3, 1, "jackknife", "absolute", 0.1, 0, 0),
     "reference-dims": lambda: to_reference(np.zeros((1, 2)), UNIT),
     "basis-dims": lambda: eval_basis_matrix(np.zeros((1, 2)), build_total_degree_set(1, 1)),
     "dataset-nan": lambda: Dataset(inputs=[[0.0]], outputs=[np.nan]),
@@ -51,6 +56,11 @@ BAD_INPUT = {
     "conformal-range": lambda: ConformalConfig(significance=2.0),
     "conformal-type": lambda: ConformalConfig(significance="0.05"),
     "config-fields": lambda: ExperimentConfig.from_dict({"benchmark": "meromorphic"}),
+    # An int raised a TypeError; a string was read as its characters' field
+    # names; unknown keys of mixed types raised a TypeError while sorted.
+    "config-int": lambda: ExperimentConfig.from_dict(5),
+    "config-str": lambda: ExperimentConfig.from_dict("benchmark"),
+    "config-mixed-keys": lambda: ExperimentConfig.from_dict({1: 0, "svd": 0}),
     "register-twice": lambda: register_benchmark(get_benchmark("piston")),
     "stream": lambda: sample_design("meromorphic", 5, seed=0, stream="bogus"),
     "coverage-empty": lambda: empirical_coverage([], [], []),

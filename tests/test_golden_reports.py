@@ -1,10 +1,10 @@
 """The report files of a fixed grid are the committed bytes.
 
-`tests/golden/` holds records.csv, aggregates.csv and report.json for one
-small grid per benchmark, with the numpy and scipy versions that wrote them.
-The grids cover failed cells (C=1 puts a leverage at 1), unbounded
-jackknife+ cells (meromorphic's small designs), both methods, both scores
-and lists given in reverse order. Every basis has at most 120 terms, where
+`tests/golden/` holds records.csv and aggregates.csv, the one report
+format, for one small grid per benchmark, with the numpy and scipy versions
+that wrote them. The grids cover failed cells (C=1 puts a leverage at 1),
+unbounded jackknife+ cells (meromorphic's small designs), both methods, both
+scores and lists given in reverse order. Every basis has at most 120 terms, where
 the QR's bits do not depend on the BLAS thread count. The test reruns the
 grids in a fresh process with the BLAS on one thread and compares bytes;
 it skips when numpy or scipy is not the recorded version, because the bits
@@ -23,7 +23,7 @@ import scipy
 from helpers import run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-REPORT_FILES = ("aggregates.csv", "records.csv", "report.json")
+REPORT_FILES = ("aggregates.csv", "records.csv")
 BOTH = dict(methods=["jackknife", "jackknife_plus"], scores=["absolute", "normalized"])
 GRIDS = [
     dict(benchmark="meromorphic", degrees=[1, 2, 3], oversampling=[1, 2, 5], **BOTH),
@@ -41,9 +41,7 @@ from confpce import harness
 out = sys.argv[1]
 for grid in json.loads(sys.argv[2]):
     config = harness.ExperimentConfig.from_dict(grid)
-    report = harness.run_grid(config)
-    for fmt in ("csv", "json"):
-        harness.emit_report(report, fmt, os.path.join(out, config.benchmark))
+    harness.emit_report(harness.run_grid(config), "csv", os.path.join(out, config.benchmark))
 """
 
 

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -615,3 +616,81 @@ def test_candidates_are_the_largest_scores_under_a_third_of_a_row(m, zeros, sign
     assert 3 * n < m and columns.size == n and np.all(np.diff(columns) > 0)
     assert np.array_equal(a_in, a[columns])
     assert a_out == a[outside].max() > 0 and a_in.min() >= a_out
+
+
+# The jackknife+ guarantee holds for every dataset, not just on average
+# (Barber, Candes, Ramdas & Tibshirani, "Predictive inference with the
+# jackknife+", Ann. Statist. 49(1), 2021, proof of Theorem 1): give each of
+# n + 1 points the jackknife+ interval from a fit on the other n, and at
+# most floor(2 s (n + 1)) of them lie strictly outside their own interval.
+# Least squares fits the same model whichever of two points goes first, so
+# no exchangeability is needed; but each leave-two-out fit is reached from
+# two fits and rounds differently in each, so a point misses only by more
+# than a relative 1e-9.
+GUARANTEE_SIGNIFICANCES = (0.05, 0.1, 0.2, 1 / 3, 0.5)
+
+
+def _guarantee_dataset(dim, degree, extra, noise, seed):
+    """K + extra points in [-1, 1]^dim with a heavy-tailed or outlying output."""
+    rng = np.random.default_rng(seed)
+    size = math.comb(dim + degree, degree) + extra
+    x = rng.uniform(-1.0, 1.0, (size, dim))
+    if noise == "x5-t2":
+        return x, (x**5).sum(axis=1) + rng.standard_t(2, size)
+    y = np.sin(2 * x).sum(axis=1)
+    if noise == "cauchy":
+        return x, y + rng.standard_cauchy(size)
+    y += 0.1 * rng.standard_normal(size)
+    if noise == "outliers":
+        y += 50.0 * (rng.random(size) < 0.2)
+    return x, y
+
+
+def _guarantee_misses(x, y, degree, scores=lambda model: model):
+    """(misses, bound) per significance for the leave-one-out jackknife+ intervals."""
+    size, dim = x.shape
+    spec = InputSpec(ranges=((-1.0, 1.0),) * dim)
+    index_set = build_total_degree_set(dim, degree)
+    models = [
+        scores(fit(Dataset(inputs=np.delete(x, i, axis=0), outputs=np.delete(y, i)),
+                   index_set, spec))
+        for i in range(size)
+    ]
+    counts = []
+    for significance in GUARANTEE_SIGNIFICANCES:
+        cfg = ConformalConfig(method="jackknife_plus", significance=significance)
+        misses = 0
+        for i, model in enumerate(models):
+            (center,), (lower,), (upper,) = interval_arrays(model, x[i], cfg)
+            slack = 1e-9 * max(1.0, abs(y[i]), abs(center))
+            misses += bool(y[i] < lower - slack or y[i] > upper + slack)
+        counts.append((misses, math.floor(2 * Fraction(significance) * size)))
+    return counts
+
+
+# 50 datasets at five significances: 250 checks, most with n near K.
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    degree=st.integers(1, 3),
+    extra=st.one_of(st.integers(3, 8), st.integers(3, 39)),
+    noise=st.sampled_from(("cauchy", "outliers", "x5-t2", "normal")),
+    seed=st.integers(0, 2**16),
+)
+def test_jackknife_plus_leaves_at_most_2s_of_the_points_outside(dim, degree, extra, noise, seed):
+    x, y = _guarantee_dataset(dim, degree, extra, noise, seed)
+    for misses, bound in _guarantee_misses(x, y, degree):
+        assert misses <= bound
+
+
+def test_in_sample_scores_break_the_jackknife_plus_guarantee():
+    # The property has teeth: with in-sample residuals r_m (1 - h_m) as the
+    # scores in place of the LOO residuals r_m, this dataset has more misses
+    # than the bound allows at every significance below 1/2.
+    def in_sample(model):
+        return replace(model, loo_residuals=model.loo_residuals * (1 - model.hat_diag))
+
+    x, y = _guarantee_dataset(3, 3, 8, "x5-t2", 18176)
+    assert all(misses <= bound for misses, bound in _guarantee_misses(x, y, 3))
+    broken = [misses > bound for misses, bound in _guarantee_misses(x, y, 3, in_sample)]
+    assert broken == [True, True, True, True, False]

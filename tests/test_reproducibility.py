@@ -36,7 +36,6 @@ with open(os.path.join(out, "..", "config.json")) as fh:
     config = harness.ExperimentConfig.from_dict(json.load(fh))
 report = harness.run_grid(config)
 harness.emit_report(report, "csv", out)
-harness.emit_report(report, "json", out)
 model = os.path.join(out, "model.json")
 codes = (
     cli.main(["fit", "--benchmark", "piston", "--m", "%d", "--degree", "2", "--seed", "3",
@@ -83,7 +82,7 @@ def test_outputs_are_the_same_bytes_across_blas_threads_and_cpus(tmp_path):
     assert runs["1"][0] == runs["2"][0] == min(2, len(os.sched_getaffinity(0)))
     files = runs["1"][1]
     assert sorted(files) == [
-        "aggregates.csv", "intervals.csv", "model.json", "records.csv", "report.json", "stdout"
+        "aggregates.csv", "intervals.csv", "model.json", "records.csv", "stdout"
     ]
     assert b"inf" not in files["intervals.csv"]  # bounded, so both blocks were partitioned
     for mode in ("2", "one-cpu"):

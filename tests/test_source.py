@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import inspect
+import itertools
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,32 @@ def test_byte_limit_compared_only_in_check_bytes():
                     for n in ast.walk(node))
         ]
     assert not sites, f"MAX_BASIS_BYTES compared outside basis.check_bytes at {sites}"
+
+
+@pytest.mark.parametrize("path", BENCHMARK_SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_benchmark_calls_bind_to_the_package_signatures(path):
+    # A call such as harness.emit_report(report, "csv", out) must still fit
+    # the function it names: its argument count and keyword names are read
+    # from the source and bound to the signature, so a dropped or renamed
+    # parameter fails here rather than in a benchmark run.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unbound = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in MODULES):
+            continue
+        target = getattr(importlib.import_module(f"confpce.{func.value.id}"), func.attr, None)
+        if not callable(target):
+            continue  # a missing name fails test_benchmark_uses_only_existing_names
+        # Past a *args or **kwargs the arguments are unknown: bind what precedes.
+        args = list(itertools.takewhile(lambda a: not isinstance(a, ast.Starred), node.args))
+        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        whole = len(args) == len(node.args) and len(keywords) == len(node.keywords)
+        try:
+            signature = inspect.signature(target)
+            bind = signature.bind if whole else signature.bind_partial
+            bind(*[None] * len(args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{func.value.id}.{func.attr} (line {node.lineno}): {exc}")
+    assert not unbound, f"{path.name} makes calls that do not bind: {unbound}"
