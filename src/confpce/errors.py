@@ -47,3 +47,7 @@ class ZeroVarianceError(ConfpceError):
 
 class IntervalError(ConfpceError):
     """An interval bound is NaN or its lower bound exceeds its upper bound."""
+
+
+class LapackError(ConfpceError):
+    """A LAPACK routine refused its arguments: a defect, not bad input."""

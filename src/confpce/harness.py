@@ -192,9 +192,10 @@ def _run_design(benchmark, degree, oversampling, seed, cells, significance, test
         return [RunRecord(**coords, method=method, score=score, failure=_failure(exc))
                 for method, score in cells]
 
+    # design_size checks degree under its own name before the basis is built.
+    m = design_size(benchmark, degree, oversampling)
     bench = get_benchmark(benchmark)
     index_set = build_total_degree_set(bench.dim, degree)
-    m = design_size(benchmark, degree, oversampling)
     if m < len(index_set):
         return all_failed(UnderdeterminedError(
             f"underdetermined cell: M={m} < K={len(index_set)} for P={degree}, C={oversampling}"

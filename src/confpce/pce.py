@@ -19,15 +19,18 @@ with the oracle's own per-sample refit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from numpy.linalg import _umath_linalg
 
 from . import basis
 from .basis import InputSpec, MultiIndexSet, build_total_degree_set, eval_basis_matrix, to_reference
 from .errors import (
+    LapackError,
     LeverageError,
     NonFiniteFitError,
     RankDeficientError,
@@ -152,6 +155,105 @@ def check_fit_bytes(m: int, k: int) -> None:
                       f"basis matrix of {m} points by K={k} terms, with its fit,")
 
 
+# fit's three LAPACK routines with their argument counts, info included; then
+# the symbol patterns and integer types tried for them, in order, in the
+# LAPACK that numpy's linalg module links: numpy 2 wheels' scipy-openblas64,
+# numpy 1 wheels' openblas64_, then an LP64 build.
+_ROUTINES = {"dgeqrf": 8, "dorgqr": 9, "dtrtrs": 10}
+_NUMPY_LAPACK = (("scipy_%s_64_", ctypes.c_int64), ("%s_64_", ctypes.c_int64), ("%s_", ctypes.c_int))
+
+
+@functools.cache
+def _lapack_routines() -> tuple[dict, type]:
+    """({name: routine} for _ROUTINES, the routines' integer type).
+
+    Bound from the LAPACK numpy already loaded, so a process holds one BLAS.
+    Only when no pattern of _NUMPY_LAPACK resolves is scipy imported, for
+    the same routines from scipy.linalg.cython_lapack (LP64).
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for pattern, integer in _NUMPY_LAPACK:
+        try:
+            addresses = [ctypes.cast(getattr(lib, pattern % name), ctypes.c_void_p).value
+                         for name in _ROUTINES]
+            break
+        except AttributeError:
+            continue
+    else:
+        from scipy.linalg import cython_lapack
+
+        api = ctypes.pythonapi
+        name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))
+        capsules = [cython_lapack.__pyx_capi__[name] for name in _ROUTINES]
+        addresses = [pointer(capsule, name_of(capsule)) for capsule in capsules]
+        integer = ctypes.c_int
+    routines = {
+        name: ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(address)
+        for (name, count), address in zip(_ROUTINES.items(), addresses)
+    }
+    return routines, integer
+
+
+def _lapack(name: str, *args) -> None:
+    """Calls LAPACK routine `name` with `args` and its info argument.
+
+    Every argument goes by reference, as Fortran takes it: an array, which
+    must be contiguous float64, as its data; a str as its one character; an
+    int in the routines' integer type. A nonzero info raises a LapackError.
+    """
+    routines, integer = _lapack_routines()
+    refs = []
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            if arg.dtype != np.float64 or not (arg.flags.c_contiguous or arg.flags.f_contiguous):
+                raise LapackError(f"LAPACK {name} needs contiguous float64 arrays")
+            refs.append(arg.ctypes.data)
+        else:
+            refs.append(arg.encode() if isinstance(arg, str) else ctypes.byref(integer(arg)))
+    info = integer(0)
+    routines[name](*refs, ctypes.byref(info))
+    if info.value:
+        raise LapackError(f"LAPACK {name} returned info {info.value}")
+
+
+def _lapack_with_work(name: str, *args) -> None:
+    """`_lapack(name, *args, work, lwork)` with the workspace its query asks for."""
+    query = np.empty(1)
+    _lapack(name, *args, query, -1)
+    lwork = int(query[0])
+    _lapack(name, *args, np.empty(lwork), lwork)
+
+
+def _qr_in_place(a: np.ndarray) -> np.ndarray:
+    """R of a's thin QR, in C order; a, Fortran-order (M, K), M >= K, becomes Q.
+
+    The calls of scipy.linalg.qr(a, mode="economic", overwrite_a=True), so
+    on the same LAPACK the bits are scipy's: dgeqrf, R copied from the upper
+    triangle, then dorgqr over the reflectors.
+    """
+    m, k = a.shape
+    tau = np.empty(k)
+    _lapack_with_work("dgeqrf", m, k, a, m, tau)
+    r = np.ascontiguousarray(np.triu(a[:k]))
+    _lapack_with_work("dorgqr", m, k, k, a, m, tau)
+    return r
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b overwritten by R^-1 b and returned; R from :func:`_qr_in_place`.
+
+    As scipy.linalg.solve_triangular(r, b): dtrtrs reads R's C-order memory
+    as the lower triangular R^T and solves the transposed system. b is 1-D
+    or Fortran-order.
+    """
+    k = r.shape[0]
+    nrhs = 1 if b.ndim == 1 else b.shape[1]
+    _lapack("dtrtrs", "L", "T", "N", k, nrhs, r, k, b, k)
+    return b
+
+
 def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     """Fits the surrogate and precomputes all leave-one-out quantities.
 
@@ -185,6 +287,7 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
             interpolation regime, where the hat matrix is the identity).
         NonFiniteFitError: If the coefficients, the LOO residuals, their sum
             of squares or :func:`pce_variance` overflow.
+        LapackError: If a LAPACK routine refuses its arguments, a defect.
     """
     if index_set.input_dim != spec.dim:
         raise ValidationError("basis and input spec dimensions disagree")
@@ -196,21 +299,21 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     check_fit_bytes(m, k)
 
     xi = to_reference(data.inputs, spec)
-    # fit allocates two design-sized arrays. scipy factors the design in
+    # fit allocates two design-sized arrays. LAPACK factors the design in
     # place in the first, a Fortran-order one, and builds Q over it. The
     # products below round differently on a Fortran-order Q, so Q is copied
     # to C order, a copy even at K = 1: that copy, the second array, becomes
     # the LOO corrections.
     buffer = eval_basis_matrix(xi, index_set, out=np.empty((m, k), order="F"))
-    q, r = qr(buffer, mode="economic", overwrite_a=True, check_finite=False)
-    q = np.array(q, order="C")
+    r = _qr_in_place(buffer)
+    q = np.array(buffer, order="C")
     # kappa_F(D) = ||R||_F ||R^-1||_F from the R^-1 the LOO corrections need
     # anyway; a zero pivot or an inverse that overflows leaves it infinite.
     condition = np.inf
     if np.all(np.diagonal(r)):
-        # Solved in place over a Fortran-order identity, the array LAPACK
-        # would copy a C-order one to: the same bits, one K x K array less.
-        r_inv = solve_triangular(r, np.eye(k, order="F"), overwrite_b=True)
+        # Solved in place over a Fortran-order identity, the layout dtrtrs
+        # reads, so no K x K copy is made.
+        r_inv = _solve_upper(r, np.eye(k, order="F"))
         with np.errstate(over="ignore", invalid="ignore"):
             condition = float(np.linalg.norm(r) * np.linalg.norm(r_inv))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
@@ -236,7 +339,7 @@ def fit(data: Dataset, index_set: MultiIndexSet, spec: InputSpec) -> PceModel:
     # Huge outputs can overflow anywhere below; the finite checks after the
     # block turn that into one typed error rather than warnings and NaNs.
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = solve_triangular(r, q.T @ data.outputs, check_finite=False)
+        coeffs = _solve_upper(r, q.T @ data.outputs)
         del r  # each factor is freed once used: that caps the peak at M near K
         normal_inverse = r_inv @ r_inv.T
         del r_inv
@@ -385,8 +488,7 @@ def to_json(model: PceModel) -> str:
     total degree) and the training inputs and outputs, which is all a model
     is. Reals render in shortest round-trip decimal, so the refit in
     :func:`from_json` sees the exact training data and, with the same numpy
-    and scipy builds and BLAS thread count, reproduces every derived array
-    bit for bit.
+    build and BLAS thread count, reproduces every derived array bit for bit.
     """
     iset, data = model.index_set, model.training_snapshot
     doc = {

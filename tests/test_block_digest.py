@@ -6,8 +6,8 @@ on eight benchmark designs at batch sizes that span three blocks or more
 whether a block holds 1 MiB, 2 MiB or 4 MiB of LOO rows, or 1 MiB or 2 MiB of
 basis rows, in a fresh process with the BLAS on one thread, and compares a
 sha256 of every center and bound per design with the committed one. It
-skips when numpy or scipy is not the version in `tests/golden/versions.json`,
-because the bits are tied to those builds.
+skips when numpy is not the version in `tests/golden/versions.json`, because
+the bits are tied to its build.
 
 LONE_ROW_DIGESTS holds a batch one row past a multiple of the block, whose
 last block takes that row; its digest is that of one whole-batch product.

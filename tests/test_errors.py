@@ -16,7 +16,7 @@ from confpce.benchmarks import (
     sample_design,
 )
 from confpce.conformal import ConformalConfig, empirical_coverage, finite_quantile_upper
-from confpce.harness import CoverageReport, ExperimentConfig, emit_report, run_cell
+from confpce.harness import ExperimentConfig, run_cell
 from confpce.pce import Dataset, fit, from_json
 
 UNIT = InputSpec(ranges=((-1.0, 1.0),))
@@ -36,6 +36,8 @@ BAD_INPUT = {
     "sample-benchmark": lambda: sample_design("nope", 5, seed=0),
     "design-benchmark": lambda: design_size("nope", 2, 2),
     "cell-benchmark": lambda: run_cell("nope", 2, 2, "jackknife", "absolute", 0.05, 0, 10),
+    "cell-degree-negative": lambda: run_cell("piston", -1, 2, "jackknife", "absolute", 0.1, 0, 10),
+    "cell-degree-fraction": lambda: run_cell("meromorphic", 2.5, 2, "jackknife", "absolute", 0.1, 0, 10),
     # meromorphic P=3, C=1 fits; piston P=2, C=1 fails its fit with a LeverageError.
     "cell-score": lambda: run_cell("meromorphic", 3, 1, "jackknife", "bogus", 0.1, 0, 10),
     "cell-method": lambda: run_cell("piston", 2, 1, "bogus", "absolute", 0.1, 0, 10),
@@ -86,6 +88,16 @@ def test_bad_input_raises_validation_error(call):
         call()
 
 
+# The degree was named max_degree, from build_total_degree_set's own check.
+@pytest.mark.parametrize("name, degree, message", [
+    ("piston", -1, "degree must be >= 0, got -1"),
+    ("meromorphic", 2.5, "degree needs integer values, got 2.5"),
+])
+def test_run_cell_names_its_degree(name, degree, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        run_cell(name, degree, 2, "jackknife", "absolute", 0.1, 0, 10)
+
+
 def test_domain_error_is_a_validation_error():
     with pytest.raises(DomainError) as info:
         to_reference(np.array([[5.0]]), UNIT)
@@ -93,9 +105,3 @@ def test_domain_error_is_a_validation_error():
     assert str(info.value) == (
         "point 0 maps outside [-1.0, 1.0] in dimension 0 (reference value 5.0)"
     )
-
-
-def test_unknown_report_format_raises_validation_error(tmp_path):
-    with pytest.raises(ValidationError, match="unknown report format 'xml'"):
-        emit_report(CoverageReport((), ()), "xml", tmp_path / "report")
-    assert not (tmp_path / "report").exists()

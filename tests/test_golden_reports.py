@@ -1,14 +1,14 @@
 """The report files of a fixed grid are the committed bytes.
 
 `tests/golden/` holds records.csv and aggregates.csv, the one report
-format, for one small grid per benchmark, with the numpy and scipy versions
-that wrote them. The grids cover failed cells (C=1 puts a leverage at 1),
+format, for one small grid per benchmark, with the numpy version that wrote
+them. The grids cover failed cells (C=1 puts a leverage at 1),
 unbounded jackknife+ cells (meromorphic's small designs), both methods, both
 scores and lists given in reverse order. Every basis has at most 120 terms, where
 the QR's bits do not depend on the BLAS thread count. The test reruns the
 grids in a fresh process with the BLAS on one thread and compares bytes;
-it skips when numpy or scipy is not the recorded version, because the bits
-are tied to those builds.
+it skips when numpy is not the recorded version, because the bits are tied
+to its build and the OpenBLAS it bundles.
 
 To rewrite the files after a deliberate format change, run
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from helpers import run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -46,7 +45,7 @@ for grid in json.loads(sys.argv[2]):
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def write_reports(out: Path) -> None:

@@ -15,6 +15,7 @@ from confpce.basis import InputSpec, build_total_degree_set, eval_basis_matrix, 
 from confpce.benchmarks import design_size, get_benchmark, sample_design
 from confpce.errors import (
     BasisSizeError,
+    LapackError,
     LeverageError,
     NonFiniteFitError,
     RankDeficientError,
@@ -189,6 +190,78 @@ class TestFitBasics:
         data = unit_dataset(lambda x: x, m=10)
         with pytest.raises(ValueError):
             fit(data, build_total_degree_set(2, 1), InputSpec(ranges=((-1.0, 1.0), (-1.0, 1.0))))
+
+
+# Fits, intervals, a grid and three CLI commands, in a process that must not
+# load scipy; the last line printed is the CLI exit codes and the verdict.
+NO_SCIPY_CHILD = """
+import os, sys
+from confpce import cli, conformal, harness
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+from confpce.pce import fit
+out = sys.argv[1]
+bench = get_benchmark("piston")
+data = sample_design("piston", design_size("piston", 4, 2), seed=0)
+model = fit(data, build_total_degree_set(bench.dim, 4), bench.input_spec)
+points = sample_design("piston", 200, seed=1, stream="test").inputs
+conformal.interval_arrays(model, points, conformal.ConformalConfig("jackknife_plus"))
+harness.run_grid(harness.ExperimentConfig.from_dict(
+    {"benchmark": "piston", "degrees": [2], "oversampling": [2], "n_seeds": 1, "test_size": 100}))
+model_file, points_file = os.path.join(out, "model.json"), os.path.join(out, "points.csv")
+with open(points_file, "w") as fh:
+    fh.write(",".join(f"x{i + 1}" for i in range(bench.dim)) + "\\n")
+    fh.writelines(",".join(map(repr, row)) + "\\n" for row in points.tolist())
+codes = (
+    cli.main(["fit", "--benchmark", "piston", "--m", "72", "--degree", "2", "--out", model_file]),
+    cli.main(["interval", "--model", model_file, "--points", points_file,
+              "--out", os.path.join(out, "intervals.csv")]),
+    cli.main(["benchmarks"]),
+)
+print(*codes, "scipy" in sys.modules)
+"""
+
+# Piston fits at K = 36, 120 and 330 from numpy's LAPACK, then from scipy's
+# cython_lapack with numpy's names made to resolve none; prints the fallback's
+# integer type, whether scipy was loaded only then, and any field that differs.
+FALLBACK_CHILD = """
+import sys
+import numpy as np
+from confpce import pce
+from confpce.basis import build_total_degree_set
+from confpce.benchmarks import design_size, get_benchmark, sample_design
+FIELDS = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections", "condition_number")
+spec = get_benchmark("piston").input_spec
+def fits():
+    return [pce.fit(sample_design("piston", design_size("piston", p, 2), seed=p),
+                    build_total_degree_set(7, p), spec) for p in (2, 3, 4)]
+first, loaded = fits(), "scipy" in sys.modules
+pce._NUMPY_LAPACK = ()
+pce._lapack_routines.cache_clear()
+second = fits()
+print(pce._lapack_routines()[1].__name__, loaded, "scipy" in sys.modules)
+for a, b in zip(first, second):
+    print(*[f"K={a.n_basis}:{f}" for f in FIELDS
+            if not np.array_equal(getattr(a, f), getattr(b, f))])
+"""
+
+
+class TestLapack:
+    def test_no_scipy_is_loaded(self, tmp_path):
+        # fit's LAPACK routines come from the OpenBLAS numpy loaded.
+        last = run_python(NO_SCIPY_CHILD, str(tmp_path)).stdout.splitlines()[-1]
+        assert last.split() == ["0", "0", "0", "False"]
+
+    def test_scipy_fallback_gives_the_same_bits(self):
+        # One BLAS thread: from K = 210 up the QR's bits depend on the count.
+        lines = run_python(FALLBACK_CHILD, threads="1").stdout.splitlines()
+        assert lines == ["c_int False True", "", "", ""]
+
+    def test_illegal_argument_is_a_lapack_error(self):
+        # dgeqrf with lda = 1 < M = 2: LAPACK sets info to -4.
+        with pytest.raises(LapackError, match="^LAPACK dgeqrf returned info -4$"):
+            pce._lapack("dgeqrf", 2, 1, np.zeros((2, 1), order="F"), 1, np.empty(1),
+                        np.empty(1), 1)
 
 
 class TestHatIdentities:

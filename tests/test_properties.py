@@ -36,8 +36,7 @@ from confpce.pce import Dataset, brute_force_loo, fit, from_json, loo_predict, t
 DERIVED = ("coefficients", "hat_diag", "loo_residuals", "loo_corrections")
 
 # (benchmark, P) with K <= 120 basis terms. From about 200 terms up the QR's
-# bits change with the BLAS thread count, in numpy's and scipy's OpenBLAS
-# alike, and the two differ when threaded; tests/test_reproducibility.py
+# bits change with the BLAS thread count; tests/test_reproducibility.py
 # checks those sizes with the BLAS on one thread.
 SMALL_FITS = tuple(
     (name, degree)
